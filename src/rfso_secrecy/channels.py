@@ -27,14 +27,14 @@ All stored SNRs are linear; dB conversion happens at the CLI boundary only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, lgamma, log, pi, sqrt
+from math import exp, isfinite, lgamma, log, pi, sqrt
 from typing import Iterator
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln, xlogy
 
 from .errors import ParameterError, UnsupportedCaseError
-from .specfun import MellinBarnesIntegral, delta_expand, delta_expand_list
+from .specfun import MellinBarnesIntegral, delta_expand
 
 __all__ = [
     "EtaMuLink",
@@ -133,28 +133,44 @@ class EtaMuLink:
         self.eta = float(eta)
         self.mu = int(mu)
         self.avg_snr = float(avg_snr)
-        self.k = (2.0 + 1.0 / eta + eta) / 4.0
-        self.bigK = (1.0 / eta - eta) / 4.0
+        self.k = (2.0 + 1.0 / self.eta + self.eta) / 4.0
+        self.bigK = (1.0 / self.eta - self.eta) / 4.0
         if abs(self.bigK) <= 1e-9:
             raise ParameterError(
                 "eta too close to 1: the two-branch expansion degenerates "
                 "(use a value away from 1, e.g. the table-reduction surrogates)")
         mu = self.mu
         k, K, phi = self.k, self.bigK, self.avg_snr
-        self.coeff_A = k**mu / (K**mu * exp(lgamma(mu)))
         self.decay = {1: 2.0 * mu * (k - K) / phi, 2: 2.0 * mu * (k + K) / phi}
         self.X = {}
         self.Y = {}
-        for N in (1, 2):
-            shifted = k - K if N == 1 else k + K
-            for v in range(mu):
-                sgn = (-1.0)**v if N == 1 else (-1.0)**mu
-                self.X[(N, v)] = sgn * (
-                    exp(lgamma(mu + v) - lgamma(v + 1) - lgamma(mu - v))
-                    * mu**(mu - v) / (4.0**v * phi**(mu - v) * K**v))
-                self.Y[(N, v)] = sgn * (
-                    exp(lgamma(mu + v) - lgamma(v + 1)) * K**(-v)
-                    / (2.0**(mu + v) * shifted**(mu - v)))
+
+        def finite(value: float) -> float:
+            if not isfinite(value):
+                raise OverflowError
+            return value
+
+        # float ** and exp raise on overflow; a product overflows to inf
+        name = "coeff_A"
+        try:
+            self.coeff_A = finite(k**mu / (K**mu * exp(lgamma(mu))))
+            for N in (1, 2):
+                shifted = k - K if N == 1 else k + K
+                for v in range(mu):
+                    sgn = (-1.0)**v if N == 1 else (-1.0)**mu
+                    name = f"X[{N}, {v}]"
+                    self.X[(N, v)] = finite(sgn * (
+                        exp(lgamma(mu + v) - lgamma(v + 1) - lgamma(mu - v))
+                        * mu**(mu - v) / (4.0**v * phi**(mu - v) * K**v)))
+                    name = f"Y[{N}, {v}]"
+                    self.Y[(N, v)] = finite(sgn * (
+                        exp(lgamma(mu + v) - lgamma(v + 1)) * K**(-v)
+                        / (2.0**(mu + v) * shifted**(mu - v))))
+        except (OverflowError, ZeroDivisionError):
+            raise ParameterError(
+                f"eta = {self.eta}, mu = {mu}: the two-branch coefficient "
+                f"{name} is outside double range (mu too large, or eta too "
+                "close to 0, 1 or infinity)") from None
         # the decay rates are in the ratio eta : 1
         self._mix_rate = max(self.decay.values())
         self._mix_p = min(self.eta, 1.0 / self.eta)
@@ -309,9 +325,14 @@ class DggLink:
 
     Shape pairs (a1, b1), (a2, b2) with scales omega1, omega2 describe the
     two irradiance factors; lambda1/lambda2 must equal a1/a2 exactly (the
-    ladder expansions assume it).  eps is the pointing-error ratio,
+    G-function forms assume it).  eps is the pointing-error ratio,
     detection "hd" (s=1) or "imdd" (s=2), electrical_snr the linear
     electrical SNR of the hop.
+
+    The G-function parameter vectors j1, j3, j4 are stored as gamma ladders
+    (p, q), the entries (q+i)/p for i < p, which MellinBarnesIntegral.
+    from_ladders collapses into one gamma factor each; j3, j4 and
+    delta_order remain as read-only views of the expanded vectors.
     """
 
     def __init__(self, a1, a2, b1, b2, omega1, omega2, lambda1, lambda2,
@@ -343,11 +364,28 @@ class DggLink:
         self.electrical_snr = float(electrical_snr)
 
         lam1, lam2, e2 = self.lambda1, self.lambda2, self.eps**2
+        s = self.s
         self.tau = self.a2 * lam1
-        self.psi = delta_expand(lam2, self.b1) + delta_expand(lam1, self.b2)
-        self.j1 = [e2 / self.tau] + self.psi
         self.j2 = 1.0 + e2 / self.tau
-        self.log_zeta = sum(lgamma(1.0 / self.tau + p) for p in self.psi)
+        # j1 = [eps^2/tau] + psi; j4 spreads every j1 entry x over s
+        self.j1_ladders = [(1, e2 / self.tau), (lam2, self.b1),
+                           (lam1, self.b2)]
+        self.j3_ladders = [(s, self.j2)]
+        self.j4_ladders = [(s * p, q) for p, q in self.j1_ladders]
+
+        # Mellin-Barnes integrands reused by every evaluation on this link
+        self._pdf_mb = MellinBarnesIntegral.from_ladders(self.j1_ladders,
+                                                         [(1, self.j2)])
+        self._cdf_mb = MellinBarnesIntegral.from_ladders(
+            self.j4_ladders + [(1, 0.0, -1.0)],
+            [(1, 1.0, -1.0)] + self.j3_ladders)
+        self._sf_mb = MellinBarnesIntegral.from_ladders(
+            self.j4_ladders + [(1, 0.0)], [(1, 1.0)] + self.j3_ladders)
+
+        # log zeta = sum over psi of lgamma(1/tau + psi); the pdf kernel at
+        # 1/tau also has Gamma(x)/Gamma(x + 1) = 1/x, x = (1 + eps^2)/tau
+        self.log_zeta = (self._pdf_mb.log_kernel(1.0 / self.tau)
+                         + log((1.0 + e2) / self.tau))
         self.log_B1 = (log(e2) + (self.b1 - 0.5) * log(lam2)
                        + (self.b2 - 0.5) * log(lam1)
                        + (1.0 - (lam1 + lam2) / 2.0) * log(2.0 * pi)
@@ -358,10 +396,6 @@ class DggLink:
         # log of B2 * t^tau; the omega scales cancel out of this combination
         self.log_B2t_tau = self.tau * (self.log_B1 + self.log_zeta
                                        - log(1.0 + e2))
-        s = self.s
-        self.delta_order = s * (lam1 + lam2 + 1)
-        self.j3 = delta_expand(s, self.j2)
-        self.j4 = delta_expand_list(s, self.j1)
         self.log_B3 = (log(e2) + (self.b1 - 0.5) * log(lam2)
                        + (self.b2 - 0.5) * log(lam1)
                        + (1.0 - s * (lam1 + lam2) / 2.0) * log(2.0 * pi)
@@ -369,15 +403,19 @@ class DggLink:
                        - log(self.tau) - lgamma(self.b1) - lgamma(self.b2))
         self.log_B4 = s * (self.log_B2t_tau - (lam1 + lam2) * log(s))
 
-        # Mellin-Barnes integrands reused by every evaluation on this link
-        self._pdf_mb = MellinBarnesIntegral(
-            [(j, 1.0) for j in self.j1], [(self.j2, 1.0)])
-        self._cdf_mb = MellinBarnesIntegral(
-            [(j, 1.0) for j in self.j4] + [(0.0, -1.0)],
-            [(1.0, -1.0)] + [(j, 1.0) for j in self.j3])
-        self._sf_mb = MellinBarnesIntegral(
-            [(j, 1.0) for j in self.j4] + [(0.0, 1.0)],
-            [(1.0, 1.0)] + [(j, 1.0) for j in self.j3])
+    # -- expanded parameter vectors (read-only views for G-function users) --
+
+    @property
+    def j3(self) -> list:
+        return delta_expand(self.s, self.j2)
+
+    @property
+    def j4(self) -> list:
+        return [x for p, q in self.j4_ladders for x in delta_expand(p, q)]
+
+    @property
+    def delta_order(self) -> int:
+        return sum(p for p, _ in self.j4_ladders)
 
     # -- derived scale quantities -------------------------------------------
 
@@ -389,6 +427,11 @@ class DggLink:
         return DggLink(self.a1, self.a2, self.b1, self.b2, self.omega1,
                        self.omega2, self.lambda1, self.lambda2, self.eps,
                        self.detection, u)
+
+    def with_eps(self, eps: float) -> "DggLink":
+        return DggLink(self.a1, self.a2, self.b1, self.b2, self.omega1,
+                       self.omega2, self.lambda1, self.lambda2, eps,
+                       self.detection, self.electrical_snr)
 
     def ln_pdf_argument(self, gamma):
         return (self.log_B2t_tau
@@ -402,10 +445,8 @@ class DggLink:
         """E[SNR^r] from the Mellin transform of the density."""
         sig = r * self.s / self.tau
         lnK = self.log_B2t_tau - (self.tau / self.s) * log(self.electrical_snr)
-        m = self.log_B1 - log(self.tau) - sig * lnK - lgamma(self.j2 + sig)
-        for j in self.j1:
-            m += lgamma(j + sig)
-        return exp(m)
+        return exp(self.log_B1 - log(self.tau) - sig * lnK
+                   + self._pdf_mb.log_kernel(sig))
 
     def sampler_scale(self) -> float:
         """Scale constant c of the physical sampler SNR = U*(I/c)^s,

@@ -22,7 +22,7 @@ import numpy as np
 from . import montecarlo, secrecy
 from .channels import DggLink, EtaMuLink, RngStream, TURBULENCE_PRESETS
 from .errors import ConfigError, RfsoError
-from .presets import AXES, EVALUATORS, METRICS, SweepSpec, figure_preset
+from .presets import AXES, EVALUATORS, METRICS, SweepSpec, _db, figure_preset
 from .secrecy import Scenario1Config, Scenario2Config
 
 __all__ = ["ResultRow", "load_config", "run_sweep", "main"]
@@ -110,10 +110,6 @@ def _need(d: dict, key: str, conv, what: str):
         return conv(d[key])
     except ValueError as e:
         raise ConfigError(f"key {key!r}: {e}") from None
-
-
-def _db(x: float) -> float:
-    return 10.0 ** (x / 10.0)
 
 
 def _build_scenario(sc: dict):
@@ -232,14 +228,11 @@ def _with_axis(cfg, axis: str, value: float):
     if axis == "target_rate":
         return replace(cfg, target_rate=float(value))
     if axis == "eps":
-        def rebuild(link: DggLink) -> DggLink:
-            return DggLink(link.a1, link.a2, link.b1, link.b2, link.omega1,
-                           link.omega2, link.lambda1, link.lambda2,
-                           float(value), link.detection, link.electrical_snr)
+        eps = float(value)
         if isinstance(cfg, Scenario2Config):
-            return replace(cfg, fso_main=rebuild(cfg.fso_main),
-                           fso_eve=rebuild(cfg.fso_eve))
-        return replace(cfg, fso_main=rebuild(cfg.fso_main))
+            return replace(cfg, fso_main=cfg.fso_main.with_eps(eps),
+                           fso_eve=cfg.fso_eve.with_eps(eps))
+        return replace(cfg, fso_main=cfg.fso_main.with_eps(eps))
     raise ConfigError(f"unknown axis {axis!r}")
 
 

@@ -22,13 +22,12 @@ from math import exp, fsum, lgamma, log
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, gammasgn
 
 from .channels import DggLink, EtaMuLink, dgg_pdf, eta_mu_pdf
 from .dualhop import DualHopChannel, min_combine_cdf
 from .errors import AccuracyError, ClampExcessWarning, ParameterError
 from .specfun import (EvalOptions, MellinBarnesIntegral, TIGHT_OPTIONS,
-                      perturb_integer_spaced)
+                      integer_spaced_ladders)
 
 __all__ = [
     "Scenario1Config",
@@ -153,16 +152,45 @@ def _sop1_terms(cfg: Scenario1Config, fso_tail):
             _EPS * abs(scale) * fsum(abs(t) for t in terms))
 
 
+def _sop1_tail(fso: DggLink, z1: int, j4_ladders) -> MellinBarnesIntegral:
+    """The FSO block of the scenario-1 outage sum: the survival kernel
+    against the Laplace kernel Gamma(z1 - tau*v)."""
+    return MellinBarnesIntegral.from_ladders(
+        j4_ladders + [(1, 0.0, -1.0), (1, float(z1), -fso.tau)],
+        [(1, 1.0, -1.0)] + fso.j3_ladders)
+
+
+def _leading_residues(make, ladders, ln_w, tol):
+    """Sum of the residues of make(ladders) at the first p poles of each of
+    its leading numerator factors, the ladders (p, q) in order: the leading
+    pole of every ladder entry.
+
+    Ladders with an entry an integer away from an earlier ladder's (a double
+    pole) have every entry moved by +1e-6 and by -1e-6, and the two sums are
+    averaged.
+    """
+    bad = integer_spaced_ladders(ladders, tol)
+    if bad:
+        warnings.warn("integer-spaced residue parameters; perturbing by 1e-6",
+                      ClampExcessWarning, stacklevel=3)
+    total = 0.0
+    shifts = (1e-6, -1e-6) if bad else (0.0,)
+    for d in shifts:
+        moved = [(p, q + d * p if i in bad else q)
+                 for i, (p, q) in enumerate(ladders)]
+        mb = make(moved)
+        total += sum(mb.residue(i, k, ln_w)
+                     for i, (p, _) in enumerate(moved) for k in range(p))
+    return total / len(shifts)
+
+
 def sop1_lower(cfg: Scenario1Config,
                options: EvalOptions = TIGHT_OPTIONS) -> float:
     """Lower-bound secure outage probability for the RF-side eavesdropper."""
     fso = cfg.fso_main
-    base_num = [(j, 1.0) for j in fso.j4] + [(0.0, -1.0)]
-    base_den = [(1.0, -1.0)] + [(j, 1.0) for j in fso.j3]
 
     def tail(z1, ln_w):
-        mb = MellinBarnesIntegral(base_num + [(float(z1), -fso.tau)], base_den)
-        return mb.value_many(ln_w, options)
+        return _sop1_tail(fso, z1, fso.j4_ladders).value_many(ln_w, options)
 
     value, bound = _sop1_terms(cfg, tail)
     return _clamp_unit(value, "sop1_lower", bound)
@@ -176,51 +204,14 @@ def sop1_asymptotic(cfg: Scenario1Config,
     to the outage floor falls off like U_d^(-tau*min(j4)).
     """
     fso = cfg.fso_main
-    tol = options.pole_separation_tol
 
     def tail(z1, ln_w):
-        return _residue_tail_sop1(fso, z1, np.asarray(ln_w), tol)
+        return _leading_residues(lambda lad: _sop1_tail(fso, z1, lad),
+                                 fso.j4_ladders, ln_w,
+                                 options.pole_separation_tol)
 
     value, bound = _sop1_terms(cfg, tail)
     return _clamp_unit(value, "sop1_asymptotic", bound)
-
-
-def _residue_tail_sop1(fso, z1, ln_w, tol):
-    j4 = list(fso.j4)
-    bad = perturb_integer_spaced(j4, tol)
-    if bad:
-        warnings.warn("integer-spaced residue parameters; perturbing by 1e-6",
-                      ClampExcessWarning, stacklevel=2)
-        up = [j + (1e-6 if i in bad else 0.0) for i, j in enumerate(j4)]
-        dn = [j - (1e-6 if i in bad else 0.0) for i, j in enumerate(j4)]
-        return 0.5 * (_sop1_residues(up, fso.j3, fso.tau, z1, ln_w)
-                      + _sop1_residues(dn, fso.j3, fso.tau, z1, ln_w))
-    return _sop1_residues(j4, fso.j3, fso.tau, z1, ln_w)
-
-
-def _sop1_residues(j4, j3, tau, z1, ln_w):
-    out = np.zeros_like(ln_w)
-    for p, jp in enumerate(j4):
-        lg = gammaln(jp) + gammaln(z1 + tau * jp) - gammaln(1.0 + jp)
-        sg = 1.0
-        for h, jh in enumerate(j4):
-            if h == p:
-                continue
-            x = jh - jp
-            sg *= gammasgn(x)
-            lg += gammaln(x)
-        dead = False
-        for jh in j3:
-            x = jh - jp
-            s = gammasgn(x)
-            if s == 0.0:
-                dead = True  # denominator pole kills this residue
-                break
-            sg *= s
-            lg -= gammaln(x)
-        if not dead:
-            out = out + sg * np.exp(lg + jp * ln_w)
-    return out
 
 
 def sop1_exact_quadrature(cfg: Scenario1Config, abs_tol: float = 1e-7) -> float:
@@ -251,24 +242,22 @@ def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
     B1s = exp(fso.log_B1) / s
     lnU = log(fso.electrical_snr)
 
-    sf_num = [(j, 1.0) for j in fso.j4] + [(0.0, 1.0)]
-    sf_den = [(1.0, 1.0)] + [(j, 1.0) for j in fso.j3]
-    pdf_num = [(j, 1.0) for j in fso.j1]
-    pdf_den = [(fso.j2, 1.0)]
-
     lam_single = {N0: rf0.decay[N0] for N0 in (1, 2)}
     lam_pair = {(N0, Ne): rf0.decay[N0] + rfe.decay[Ne]
                 for N0 in (1, 2) for Ne in (1, 2)}
 
     def survival_block(z, lams):
         """int g^(z-1) e^(-lam g) * (1 - F_fso)(g) dg, without the lam^-z."""
-        mb = MellinBarnesIntegral(sf_num + [(float(z), -tau)], sf_den)
+        mb = MellinBarnesIntegral.from_ladders(
+            fso.j4_ladders + [(1, 0.0), (1, float(z), -tau)],
+            [(1, 1.0)] + fso.j3_ladders)
         ln_w = np.array([fso.log_B4 - tau * lnU - tau * log(l) for l in lams])
         return B3 * mb.value_many(ln_w, options)
 
     def density_block(z, lams):
         """int g^(z-1) e^(-lam g) * f_fso-kernel(g) dg, without the lam^-z."""
-        mb = MellinBarnesIntegral(pdf_num + [(float(z), -tau / s)], pdf_den)
+        mb = MellinBarnesIntegral.from_ladders(
+            fso.j1_ladders + [(1, float(z), -tau / s)], [(1, fso.j2)])
         ln_w = np.array([fso.log_B2t_tau - (tau / s) * (lnU + log(l))
                          for l in lams])
         return B1s * mb.value_many(ln_w, options)
@@ -315,19 +304,32 @@ def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
 # scenario 2
 # ---------------------------------------------------------------------------
 
+def _crossing(cfg: Scenario2Config, main_j4_ladders) -> MellinBarnesIntegral:
+    """Integrand of Pr(main FSO SNR <= phi * eavesdropper FSO SNR): the
+    eavesdropper's survival kernel against the main link's CDF kernel,
+    whose ladders enter with slope -1 (the main j4 ladders lead)."""
+    main, eve = cfg.fso_main, cfg.fso_eve
+    return MellinBarnesIntegral.from_ladders(
+        [(p, q, -1.0) for p, q in main_j4_ladders] + eve.j4_ladders
+        + [(1, 0.0)],
+        [(1, 1.0)] + eve.j3_ladders
+        + [(p, q, -1.0) for p, q in main.j3_ladders])
+
+
+def _crossing_ln_z(cfg: Scenario2Config, phi: float) -> float:
+    main, eve = cfg.fso_main, cfg.fso_eve
+    return (eve.log_B4 - main.log_B4
+            + main.tau * (log(main.electrical_snr)
+                          - log(eve.electrical_snr) - log(phi)))
+
+
 def _fso_crossing_integral(cfg: Scenario2Config, phi: float,
                            options: EvalOptions) -> float:
     """Pr(main FSO SNR <= phi * eavesdropper FSO SNR) as one G-value."""
     main, eve = cfg.fso_main, cfg.fso_eve
-    numer = ([(j, 1.0) for j in eve.j4] + [(0.0, 1.0)]
-             + [(j, -1.0) for j in main.j4])
-    denom = ([(1.0, 1.0)] + [(j, 1.0) for j in eve.j3]
-             + [(j, -1.0) for j in main.j3])
-    ln_z = (eve.log_B4 - main.log_B4
-            + main.tau * (log(main.electrical_snr)
-                          - log(eve.electrical_snr) - log(phi)))
-    mb = MellinBarnesIntegral(numer, denom)
-    return exp(main.log_B3 + eve.log_B3) * mb.value(ln_z, options)
+    mb = _crossing(cfg, main.j4_ladders)
+    return (exp(main.log_B3 + eve.log_B3)
+            * mb.value(_crossing_ln_z(cfg, phi), options))
 
 
 def sop2_lower(cfg: Scenario2Config,
@@ -342,74 +344,16 @@ def sop2_lower(cfg: Scenario2Config,
 def sop2_asymptotic(cfg: Scenario2Config,
                     options: EvalOptions = TIGHT_OPTIONS) -> float:
     """High-U_d asymptote: large-argument expansion of the crossing
-    G-function over its descending-parameter residues."""
+    G-function over the leading poles of the main link's ladders (right
+    poles, so the integral is minus their residue sum)."""
     main, eve = cfg.fso_main, cfg.fso_eve
     phi2 = cfg.phi2
-    tol = options.pole_separation_tol
-    ln_z = (eve.log_B4 - main.log_B4
-            + main.tau * (log(main.electrical_snr)
-                          - log(eve.electrical_snr) - log(phi2)))
-
-    j4 = list(main.j4)
-    bad = perturb_integer_spaced(j4, tol)
-    if bad:
-        warnings.warn("integer-spaced residue parameters; perturbing by 1e-6",
-                      ClampExcessWarning, stacklevel=2)
-        up = [j + (1e-6 if i in bad else 0.0) for i, j in enumerate(j4)]
-        dn = [j - (1e-6 if i in bad else 0.0) for i, j in enumerate(j4)]
-        S = 0.5 * (_sop2_residues(up, main, eve, ln_z)
-                   + _sop2_residues(dn, main, eve, ln_z))
-    else:
-        S = _sop2_residues(j4, main, eve, ln_z)
-    crossing = exp(main.log_B3 + eve.log_B3) * S
+    S = -_leading_residues(lambda lad: _crossing(cfg, lad), main.j4_ladders,
+                           _crossing_ln_z(cfg, phi2),
+                           options.pole_separation_tol)
+    crossing = exp(main.log_B3 + eve.log_B3) * float(S)
     rf_ok = float(cfg.rf_main.survival(phi2 - 1.0))
     return _clamp_unit(1.0 - rf_ok * (1.0 - crossing), "sop2_asymptotic")
-
-
-def _sop2_residues(j4_main, main, eve, ln_z):
-    """Sum over upper parameters a_p = 1 - j4 of the standard z -> infinity
-    expansion of the crossing G-function."""
-    upper = [1.0 - j for j in j4_main] + [1.0] + list(eve.j3)
-    lower = list(eve.j4) + [0.0] + [1.0 - j for j in main.j3]
-    n = len(j4_main)
-    m = len(eve.j4) + 1
-    total = 0.0
-    for p in range(n):
-        ap = upper[p]
-        lg = 0.0
-        sg = 1.0
-        dead = False
-        for h in range(n):
-            if h == p:
-                continue
-            x = ap - upper[h]
-            sg *= gammasgn(x)
-            lg += gammaln(x)
-        for h in range(m):
-            x = 1.0 + lower[h] - ap
-            sg *= gammasgn(x)
-            lg += gammaln(x)
-        for h in range(n, len(upper)):
-            x = 1.0 + upper[h] - ap
-            s = gammasgn(x)
-            if s == 0.0:
-                dead = True
-                break
-            sg *= s
-            lg -= gammaln(x)
-        if not dead:
-            for h in range(m, len(lower)):
-                x = ap - lower[h]
-                s = gammasgn(x)
-                if s == 0.0:
-                    dead = True
-                    break
-                sg *= s
-                lg -= gammaln(x)
-        if dead:
-            continue
-        total += sg * exp(lg + (ap - 1.0) * ln_z)
-    return total
 
 
 def sop2_exact_quadrature(cfg: Scenario2Config, abs_tol: float = 1e-7) -> float:

@@ -10,14 +10,12 @@ accuracy when the result is exponentially small; a fixed abscissa loses all
 significant digits to cancellation as soon as |log z| is large.
 
 Plain Meijer G-functions are the special case where every slope is +/-1.
-The channel and secrecy modules also build integrands with one non-unit
-slope (Laplace-transform kernels Gamma(z - tau*v)); the engine treats those
-identically.
-
-All gamma products accumulate in the log domain: the channel formulas
-multiply 40+ gamma factors (the moderate-turbulence CDF under intensity
-modulation carries 84 lower parameters), which overflow doubles in linear
-arithmetic.
+The DGG parameter vectors are gamma ladders prod_{i<p} Gamma((q+i)/p + v),
+up to 56 entries long; Gauss's multiplication formula collapses each into
+one factor Gamma(q + p*v) of slope p (MellinBarnesIntegral.from_ladders).
+The Laplace-transform kernels Gamma(z - tau*v) have non-integer slope; the
+engine treats every slope identically.  Gamma products accumulate in the
+log domain, where G-values far outside double range stay representable.
 """
 
 from __future__ import annotations
@@ -39,9 +37,9 @@ __all__ = [
     "TIGHT_OPTIONS",
     "delta_expand",
     "delta_expand_list",
+    "integer_spaced_ladders",
     "log_gamma_complex",
     "meijer_g",
-    "perturb_integer_spaced",
 ]
 
 # Strips narrower than this are escaped by hopping the contour across the
@@ -141,7 +139,8 @@ class MellinBarnesIntegral:
     factor Gamma(offset + slope*v).  The vertical-line integral converges iff
     the numerator slope mass exceeds the denominator's; the admissible strip
     is bounded by the rightmost ascending-factor pole and the leftmost
-    descending-factor pole.
+    descending-factor pole.  value / value_many raise when either condition
+    fails; the residues exist regardless.
     """
 
     def __init__(self, numer, denom=()):
@@ -160,22 +159,95 @@ class MellinBarnesIntegral:
         self.strip = (L, R)
         self.decay = (pi / 2.0) * (sum(abs(b) for _, b in self.numer)
                                    - sum(abs(b) for _, b in self.denom))
-        if self.decay <= 0:
-            raise ParameterError("contour integral diverges: numerator slope "
-                                 "mass does not dominate the denominator")
-        if L >= R:
-            raise DegenerateParameterError(
-                "numerator pole families interlace; no separating contour")
+        # log-integrand terms _log_const - _ln_shift*v of collapsed ladders
+        self._log_const = 0.0
+        self._ln_shift = 0.0
         self._na = np.array([a for a, _ in self.numer])
         self._nb = np.array([b for _, b in self.numer])
         self._da = np.array([a for a, _ in self.denom])
         self._db = np.array([b for _, b in self.denom])
 
+    @classmethod
+    def from_ladders(cls, numer, denom=()):
+        """The integrand whose factors are gamma ladders.
+
+        Each entry (p, q) or (p, q, slope) of numer / denom stands for the
+        ladder prod_{i<p} Gamma((q+i)/p + slope*v), slope 1 if omitted; p = 1
+        is one plain factor.
+        Gauss's multiplication formula (DLMF 5.5.6),
+
+            prod_{i<p} Gamma(w + (q+i)/p)
+                = (2 pi)^((p-1)/2) p^(1/2 - q - p*w) Gamma(p*w + q),
+
+        collapses each ladder into the single factor Gamma(q + p*slope*v)
+        times a constant and p^(-p*slope*v); values and residues equal those
+        of the expanded ladders at the same log-arguments.
+        """
+        def collapse(ladders):
+            factors, const, shift = [], 0.0, 0.0
+            for p, q, *slope in ladders:
+                if p != int(p) or p < 1:
+                    raise ParameterError("ladder length p must be a positive "
+                                         "integer")
+                b = p * (slope[0] if slope else 1.0)
+                factors.append((q, b))
+                const += 0.5 * (p - 1) * log(2.0 * pi) + (0.5 - q) * log(p)
+                shift += b * log(p)
+            return factors, const, shift
+
+        num, num_const, num_shift = collapse(numer)
+        den, den_const, den_shift = collapse(denom)
+        integral = cls(num, den)
+        integral._log_const = num_const - den_const
+        integral._ln_shift = num_shift - den_shift
+        return integral
+
+    def log_kernel(self, v: float) -> float:
+        """log |prod Gamma(numer) / prod Gamma(denom)| at a real v: the
+        log-integrand without z^-v."""
+        return float(self._log_const - self._ln_shift * v
+                     + sum(gammaln(a + b * v) for a, b in self.numer)
+                     - sum(gammaln(a + b * v) for a, b in self.denom))
+
+    def residue(self, idx: int, k: int, ln_arguments):
+        """Residue of the integrand at the k-th pole v0 = -(a+k)/b of the
+        numerator factor idx, Gamma(a + b*v), at each log-argument.
+
+        Zero where a denominator factor has a pole at v0 too; a second
+        numerator pole there makes v0 a multiple pole, which raises
+        DegenerateParameterError.
+        """
+        a, b = self.numer[idx]
+        v0 = -(a + k) / b
+        # Gamma(a + b*v) ~ (-1)^k / (k! * b * (v - v0)) near v0
+        lg = (self._log_const - self._ln_shift * v0
+              - gammaln(k + 1.0) - log(abs(b)))
+        sg = (-1.0 if k % 2 else 1.0) * (1.0 if b > 0 else -1.0)
+        for j, (aj, bj) in enumerate(self.numer):
+            if j == idx:
+                continue
+            x = aj + bj * v0
+            s = gammasgn(x)
+            if s == 0.0:
+                raise DegenerateParameterError(
+                    f"numerator factors {idx} and {j} share the pole "
+                    f"v = {v0}")
+            sg *= s
+            lg += gammaln(x)
+        for aj, bj in self.denom:
+            x = aj + bj * v0
+            s = gammasgn(x)
+            if s == 0.0:
+                return np.zeros_like(ln_arguments, dtype=float)
+            sg *= s
+            lg -= gammaln(x)
+        return sg * np.exp(lg - v0 * ln_arguments)
+
     # -- contour placement -------------------------------------------------
 
     def _dlog(self, c: float, lnz: float) -> float:
         """d/dc of the log-integrand magnitude on the real axis."""
-        out = -lnz
+        out = -lnz - self._ln_shift
         x = self._na + self._nb * c
         # numerator arguments are positive everywhere inside the strip
         out += float(np.sum(self._nb * digamma(np.maximum(x, 1e-12))))
@@ -227,7 +299,7 @@ class MellinBarnesIntegral:
         return max(T, 4.0 / self.decay)
 
     def _log_integrand(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v, dtype=complex)
+        out = self._log_const - self._ln_shift * v
         for a, b in self.numer:
             out += loggamma(a + b * v)
         for a, b in self.denom:
@@ -243,6 +315,12 @@ class MellinBarnesIntegral:
     def value_many(self, ln_arguments, options: EvalOptions = TIGHT_OPTIONS):
         """Evaluate at several log-arguments with one gamma pass per group of
         nearby arguments (they share contour and nodes)."""
+        if self.decay <= 0:
+            raise ParameterError("contour integral diverges: numerator slope "
+                                 "mass does not dominate the denominator")
+        if self.strip[0] >= self.strip[1]:
+            raise DegenerateParameterError(
+                "numerator pole families interlace; no separating contour")
         lnz = np.atleast_1d(np.asarray(ln_arguments, dtype=float))
         out = np.empty_like(lnz)
         if lnz.size == 0:
@@ -292,36 +370,6 @@ class MellinBarnesIntegral:
         crossed = tuple(p for p in poles if p[0] < c)
         return c, crossed
 
-    def _crossed_residues(self, crossed, lnz: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(lnz)
-        for v0, idx, k in crossed:
-            b_here = self.numer[idx][1]
-            # residue of Gamma(a + b v) at v0 = (a+k)/(-b) is (-1)^k/(k! b)
-            lg = -gammaln(k + 1.0) - log(abs(b_here))
-            sg = (1.0 if k % 2 == 0 else -1.0) * (1.0 if b_here > 0 else -1.0)
-            dead = False
-            for j, (aj, bj) in enumerate(self.numer):
-                if j == idx:
-                    continue  # the residue factor itself
-                x = aj + bj * v0
-                s = gammasgn(x)
-                if s == 0.0:
-                    raise DegenerateParameterError(
-                        "coincident poles while hopping a degenerate strip")
-                sg *= s
-                lg += gammaln(x)
-            for aj, bj in self.denom:
-                x = aj + bj * v0
-                s = gammasgn(x)
-                if s == 0.0:
-                    dead = True  # denominator pole: residue vanishes
-                    break
-                sg *= s
-                lg -= gammaln(x)
-            if not dead:
-                out = out + sg * np.exp(lg - v0 * lnz)
-        return out
-
     def _value_group(self, lnz: np.ndarray, options: EvalOptions) -> np.ndarray:
         L, R = self.strip
         crossed = ()
@@ -330,8 +378,7 @@ class MellinBarnesIntegral:
         else:
             c = self._saddle(float(np.median(lnz)))
         T = self._truncation(c)
-        correction = (self._crossed_residues(crossed, lnz) if crossed
-                      else 0.0)
+        correction = sum(self.residue(idx, k, lnz) for _, idx, k in crossed)
 
         n = 256
         t = np.linspace(0.0, T, n + 1)
@@ -397,7 +444,8 @@ def _spec_factors(spec: MeijerGSpec):
     """Express the G-function as gamma factors of the contour variable.
 
     Parameter groups are sorted first, which makes evaluation invariant (bit
-    for bit) under permutations inside each group.
+    for bit) under permutations inside each group.  The first m numerator
+    factors are the Gamma(b_h + v), h < m.
     """
     bm = sorted(spec.b_params[:spec.m])
     bq = sorted(spec.b_params[spec.m:])
@@ -405,7 +453,7 @@ def _spec_factors(spec: MeijerGSpec):
     ap = sorted(spec.a_params[spec.n:])
     numer = [(b, 1.0) for b in bm] + [(1.0 - a, -1.0) for a in an]
     denom = [(1.0 - b, -1.0) for b in bq] + [(a, 1.0) for a in ap]
-    return numer, denom, bm, bq, an, ap
+    return MellinBarnesIntegral(numer, denom), bm
 
 
 def _residue_series_ok(spec: MeijerGSpec, bm, tol: float) -> bool:
@@ -432,59 +480,24 @@ def _residue_series_ok(spec: MeijerGSpec, bm, tol: float) -> bool:
     return True
 
 
-def _residue_series(spec: MeijerGSpec, bm, bq, an, ap,
+def _residue_series(integral: MellinBarnesIntegral, m: int, lnz: float,
                     options: EvalOptions) -> float:
-    """Sum of residues over the left pole families v = -b_h - k."""
-    lnz = log(spec.argument)
+    """Sum of residues over the left pole families v = -b_h - k, h < m."""
     total = 0.0
-    for h, bh in enumerate(bm):
+    for h in range(m):
         acc = 0.0
         small = 0
-        converged = False
         for k in range(4000):
-            lg = -gammaln(k + 1.0)
-            sg = 1.0 if k % 2 == 0 else -1.0
-            dead = False
-            for j, bj in enumerate(bm):
-                if j == h:
-                    continue
-                x = bj - bh - k
-                s = gammasgn(x)
-                if s == 0.0:
-                    raise DegenerateParameterError(
-                        "integer-spaced lower parameters in residue series")
-                sg *= s
-                lg += gammaln(x)
-            for a in an:
-                x = 1.0 - a + bh + k
-                sg *= gammasgn(x)
-                lg += gammaln(x)
-            for b in bq:
-                x = 1.0 - b + bh + k
-                if gammasgn(x) == 0.0:
-                    dead = True  # denominator pole: residue term vanishes
-                    break
-                sg *= gammasgn(x)
-                lg -= gammaln(x)
-            if not dead:
-                for a in ap:
-                    x = a - bh - k
-                    if gammasgn(x) == 0.0:
-                        dead = True
-                        break
-                    sg *= gammasgn(x)
-                    lg -= gammaln(x)
-            term = 0.0 if dead else sg * exp(lg + (bh + k) * lnz)
+            term = float(integral.residue(h, k, lnz))
             acc += term
             if abs(term) <= max(options.target_abs_tol,
                                 options.target_rel_tol * abs(acc)) * 1e-2:
                 small += 1
                 if small >= 3:
-                    converged = True
                     break
             else:
                 small = 0
-        if not converged:
+        else:
             raise AccuracyError("residue series did not converge",
                                 best_estimate=total + acc, error_bound=np.inf)
         total += acc
@@ -499,25 +512,27 @@ def meijer_g(spec: MeijerGSpec, options: EvalOptions | None = None) -> float:
     PoleCollisionError / DegenerateParameterError for inadmissible parameters.
     """
     opts = options or EvalOptions()
-    numer, denom, bm, bq, an, ap = _spec_factors(spec)
+    integral, bm = _spec_factors(spec)
     if _residue_series_ok(spec, bm, opts.pole_separation_tol):
-        return _residue_series(spec, bm, bq, an, ap, opts)
-    integral = MellinBarnesIntegral(numer, denom)
+        return _residue_series(integral, spec.m, log(spec.argument), opts)
     return integral.value(log(spec.argument), opts)
 
 
-def perturb_integer_spaced(values, tol: float) -> set:
-    """Indices whose entries sit an integer away from an earlier entry.
+def integer_spaced_ladders(ladders, tol: float) -> set:
+    """Indices of the ladders (p, q) one of whose entries (q+i)/p sits within
+    tol of an integer away from an entry of an earlier ladder.
 
-    Residue-sum asymptotics divide by Gamma(b_h - b_p); integer spacing makes
-    those formulas degenerate.  Callers nudge the reported entries by +/-eps
-    and average the two evaluations.
+    Such entries put two poles of the integrand on top of each other, and a
+    residue sum over them is degenerate.  Callers move the reported ladders'
+    entries by +/-eps and average the two evaluations.
     """
-    vals = list(values)
     bad = set()
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            d = vals[i] - vals[j]
-            if abs(d - round(d)) <= tol:
-                bad.add(j)
+    for j, (pj, qj) in enumerate(ladders):
+        for pi_, qi in ladders[:j]:
+            for k in range(pj):
+                # x = n: entry (qi + i)/pi_, i = -n mod pi_, is an integer
+                # away from entry (qj + k)/pj
+                x = qi - pi_ * (qj + k) / pj
+                if abs(x - round(x)) <= tol * pi_:
+                    bad.add(j)
     return bad

@@ -77,6 +77,17 @@ def test_eta_mu_rejects_bad_parameters():
         eta_mu_pdf(EtaMuLink(2.0, 1, 1.0), -0.5)
 
 
+@pytest.mark.parametrize("eta,mu", [(1e-6, 60), (0.5, 200), (2.0, 150),
+                                    (1.0 - 3e-9, 40)])
+def test_eta_mu_coefficient_overflow_is_a_parameter_error(eta, mu):
+    """Two-branch coefficients outside double range (float powers such as
+    K**mu overflow, or underflow into a division by zero) are rejected with
+    a ParameterError naming the coefficient, not an OverflowError."""
+    with pytest.raises(ParameterError,
+                       match=r"coefficient (coeff_A|X\[\d, \d+\]|Y\[\d, \d+\])"):
+        EtaMuLink(eta, mu, 1.0)
+
+
 @given(eta=(st.floats(0.05, 0.9) | st.floats(0.9, 1.2)
             | st.floats(1.2, 100.0)).filter(
                 lambda eta: abs(1.0 / eta - eta) / 4.0 > 1e-9),

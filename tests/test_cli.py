@@ -195,6 +195,15 @@ def test_cli_unknown_flag_exits_2(config_file):
     assert exc.value.code == 2
 
 
+def test_cli_rejects_overflowing_eta_mu_config(tmp_path, capsys):
+    p = tmp_path / "big_mu.cfg"
+    p.write_text(GOOD_CONFIG.replace("eta0 = 5\nmu0 = 1",
+                                     "eta0 = 0.5\nmu0 = 200"))
+    assert main(["--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "coefficient" in err
+
+
 def test_lognormal_preset_reports_unreachable(capsys):
     assert main(["--preset", "lognormal"]) == 2
     assert "unreachable" in capsys.readouterr().err

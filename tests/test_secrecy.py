@@ -1,6 +1,7 @@
 """Closed-form secrecy metrics against their oracles."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rfso_secrecy import (EtaMuLink, RngStream, Scenario1Config,
                           spsc1, spsc2)
 from rfso_secrecy.errors import (AccuracyError, ClampExcessWarning,
                                  ParameterError, RfsoError)
+from rfso_secrecy.presets import figure_preset
 
 from conftest import db
 
@@ -266,6 +268,36 @@ def test_sop1_asymptote_slope(fig3_cfg):
         corr.append(sop1_asymptotic(cfg) - floor)
     slope = (np.log10(corr[1]) - np.log10(corr[0]))
     assert slope == pytest.approx(expected_slope, rel=0.02)
+
+
+@pytest.mark.parametrize("figure,asymptote,lower,pinned", [
+    # double Weibull: j4 = [eps^2/tau, 1, 1], two equal ladders
+    ("fig9", sop1_asymptotic, sop1_lower,
+     {20.0: 0.30906785721371666, 60.0: 0.30901661242106515,
+      70.0: 0.3090166124204896, 80.0: 0.3090166124204844}),
+    # K distribution at eps = 1: eps^2/tau = b1 = 1
+    ("fig10", sop2_asymptotic, sop2_lower,
+     {20.0: 0.08730461513869969, 60.0: 0.061154194478389545,
+      70.0: 0.06114655172724126, 80.0: 0.061145649024852644}),
+])
+def test_asymptote_perturbs_integer_spaced_ladders(figure, asymptote, lower,
+                                                   pinned):
+    """Integer-spaced ladders make the leading residues a double pole; the
+    asymptote moves the later ladder by +-1e-6 per entry and averages.
+    The pinned values were recorded with the expanded parameter vectors."""
+    label = "rayleigh/double-weibull" if figure == "fig9" else "rayleigh/k"
+    cfg = dict(figure_preset(figure).curves)[label]
+    gaps = []
+    for ud_db, want in pinned.items():
+        point = replace(cfg, fso_main=cfg.fso_main.with_electrical_snr(
+            db(ud_db)))
+        with pytest.warns(ClampExcessWarning, match="integer-spaced"):
+            got = asymptote(point)
+        assert np.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-9)
+        if ud_db >= 60.0:
+            gaps.append(abs(got - lower(point)))
+    assert gaps[2] <= gaps[1] <= gaps[0] <= 1e-10
 
 
 def test_sop2_asymptote_finite_on_dense_ladder():

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from rfso_secrecy.errors import (AccuracyError, DegenerateParameterError,
                                  ParameterError, PoleCollisionError)
-from rfso_secrecy.specfun import (EvalOptions, MeijerGSpec, delta_expand,
+from rfso_secrecy import dgg_from_preset
+from rfso_secrecy.specfun import (EvalOptions, MeijerGSpec,
+                                  MellinBarnesIntegral, delta_expand,
                                   delta_expand_list, log_gamma_complex,
                                   meijer_g)
 
@@ -162,6 +164,38 @@ def test_residue_and_contour_paths_agree():
                                         target_rel_tol=1e-12,
                                         pole_separation_tol=10.0))
     assert fast == pytest.approx(forced, rel=1e-10)
+
+
+@pytest.mark.parametrize("preset", ["st", "mt", "wt"])
+@pytest.mark.parametrize("detection", [1, 2])
+def test_gauss_collapsed_ladders_match_expanded(preset, detection):
+    """A DGG link's collapsed integrands (one gamma factor per ladder)
+    equal the integrands over the expanded parameter vectors."""
+    link = dgg_from_preset(preset, eps=1.0, detection=detection,
+                           electrical_snr=100.0)
+    j1 = ([link.eps**2 / link.tau] + delta_expand(link.lambda2, link.b1)
+          + delta_expand(link.lambda1, link.b2))
+    j3 = delta_expand(link.s, link.j2)
+    j4 = delta_expand_list(link.s, j1)
+    expanded = {
+        "_pdf_mb": MellinBarnesIntegral([(j, 1.0) for j in j1],
+                                        [(link.j2, 1.0)]),
+        "_cdf_mb": MellinBarnesIntegral(
+            [(j, 1.0) for j in j4] + [(0.0, -1.0)],
+            [(1.0, -1.0)] + [(j, 1.0) for j in j3]),
+        "_sf_mb": MellinBarnesIntegral(
+            [(j, 1.0) for j in j4] + [(0.0, 1.0)],
+            [(1.0, 1.0)] + [(j, 1.0) for j in j3]),
+    }
+    gamma = link.electrical_snr * np.logspace(-4, 2, 9)
+    for name, reference in expanded.items():
+        collapsed = getattr(link, name)
+        assert len(collapsed.numer) + len(collapsed.denom) <= 6
+        ln_args = (link.ln_pdf_argument(gamma) if name == "_pdf_mb"
+                   else link.ln_cdf_argument(gamma))
+        np.testing.assert_allclose(collapsed.value_many(ln_args),
+                                   reference.value_many(ln_args),
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_mpmath_cross_check_dense_parameters(st_link):

@@ -162,6 +162,11 @@ def _build_scenario(sc: dict):
                            fso_eve=fso_eve, target_rate=rate)
 
 
+def _comma_list(text: str) -> tuple:
+    """The non-empty, stripped items of a comma-separated list."""
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
 def _build_sweep(sw: dict) -> SweepSpec:
     kwargs = dict(
         axis=_need(sw, "axis", str, "the sweep"),
@@ -170,12 +175,9 @@ def _build_sweep(sw: dict) -> SweepSpec:
         points=_need(sw, "points", int, "the sweep"),
     )
     if "metrics" in sw:
-        kwargs["metrics"] = tuple(m.strip() for m in sw["metrics"].split(",")
-                                  if m.strip())
+        kwargs["metrics"] = _comma_list(sw["metrics"])
     if "evaluators" in sw:
-        kwargs["evaluators"] = tuple(e.strip()
-                                     for e in sw["evaluators"].split(",")
-                                     if e.strip())
+        kwargs["evaluators"] = _comma_list(sw["evaluators"])
     if "mc_samples" in sw:
         kwargs["mc_samples"] = int(sw["mc_samples"])
     if "seed" in sw:
@@ -343,11 +345,9 @@ def _override_sweep(sweep: SweepSpec, args) -> SweepSpec:
     if args.points is not None:
         kw["points"] = args.points
     if args.metrics is not None:
-        kw["metrics"] = tuple(m.strip() for m in args.metrics.split(",")
-                              if m.strip())
+        kw["metrics"] = _comma_list(args.metrics)
     if args.evaluators is not None:
-        kw["evaluators"] = tuple(e.strip() for e in args.evaluators.split(",")
-                                 if e.strip())
+        kw["evaluators"] = _comma_list(args.evaluators)
     if args.mc_samples is not None:
         kw["mc_samples"] = args.mc_samples
     if args.seed is not None:

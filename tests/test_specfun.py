@@ -198,6 +198,113 @@ def test_gauss_collapsed_ladders_match_expanded(preset, detection):
                                    rtol=1e-12, atol=0.0)
 
 
+# mt IM/DD survival G-values, eps = 1, U = 20 dB, at gamma/U = 1e2, 1e3, 1e4:
+# mpmath.meijerg([[], [1, *j3]], [[*j4, 0], []], exp(ln_x)) at 50 digits
+# (about 15 s each, hence frozen)
+_MT_IMDD_SURVIVAL_G = {1e2: 7.3199992406939065e27,
+                       1e3: 1.7478010025467406e24,
+                       1e4: 1.4629247408843119e16}
+
+
+def test_truncation_height_covers_large_slope_mass(mt_link_imdd):
+    """Deep upper tail of the mt IM/DD survival G-value: its slope mass (84
+    ladder entries) leaves the Stirling truncation height too low by itself;
+    frozen mpmath values at 50 digits."""
+    link = mt_link_imdd
+    for ratio, ref in _MT_IMDD_SURVIVAL_G.items():
+        ln_x = float(link.ln_cdf_argument(ratio * link.electrical_snr))
+        assert link._sf_mb.value(ln_x) == pytest.approx(ref, rel=1e-12)
+
+
+def _saddle_cases():
+    """(integrand, label) for every contour integrand family of a link."""
+    from rfso_secrecy import EtaMuLink, Scenario2Config
+    from rfso_secrecy.secrecy import _crossing, _sop1_tail
+    for preset in ("st", "mt", "wt"):
+        for detection in (1, 2):
+            link = dgg_from_preset(preset, eps=1.0, detection=detection,
+                                   electrical_snr=100.0)
+            cfg = Scenario2Config(rf_main=EtaMuLink(5.0, 1, 10.0),
+                                  fso_main=link,
+                                  fso_eve=link.with_electrical_snr(0.1))
+            tag = f"{preset}-{link.detection}"
+            yield link._pdf_mb, tag + " pdf"
+            yield link._cdf_mb, tag + " cdf"
+            yield link._sf_mb, tag + " survival"
+            for z1 in (1, 4):
+                yield _sop1_tail(link, z1, link.j4_ladders), tag + " sop1 tail"
+            yield _crossing(cfg, link.j4_ladders), tag + " crossing"
+
+
+def _bisect(f, lo, hi, args=(), **_):
+    """Reference root finder: plain bisection to the last representable
+    midpoint."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if f(mid, *args) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_saddle_matches_reference_bisection(monkeypatch):
+    """Brent's saddle lies inside the strip and on the root that bisection
+    of the same bracket finds, for every integrand family across 120
+    units of log-argument."""
+    from rfso_secrecy import specfun
+    ln_args = np.linspace(-60.0, 60.0, 13)
+    cases = list(_saddle_cases())
+    got = [[mb._saddle(x) for x in ln_args] for mb, _ in cases]
+    monkeypatch.setattr(specfun, "brentq", _bisect)
+    for (mb, label), saddles in zip(cases, got):
+        L, R = mb.strip
+        for x, c in zip(ln_args, saddles):
+            assert L < c < R, (label, x)
+            ref = mb._saddle(x)
+            assert abs(c - ref) <= 1e-10 * (1.0 + abs(c)), (label, x)
+
+
+def test_group_stops_at_first_passing_doubling(st_link, monkeypatch):
+    """A contour group evaluates the nodes of the first doubling whose
+    change passes the tolerance, and returns that level's values: no
+    confirming doubling."""
+    mb = st_link._sf_mb
+    # one group: the log-arguments span less than 4
+    ln_args = (st_link.ln_cdf_argument(st_link.electrical_snr)
+               + np.array([-1.0, 0.0, 1.0]))
+    c = mb._saddle(float(np.median(ln_args)))
+    T = mb._truncation(c)
+    # reference: the trapezoid levels 256, 512, ... on the same line
+    opts = EvalOptions()
+    n = 256
+    t = np.linspace(0.0, T, n + 1)
+    g = mb._log_integrand(c + 1j * t)
+    vals = mb._assemble(t, c + 1j * t, g, ln_args, T)
+    while True:
+        n *= 2
+        t_new = (np.arange(n // 2) + 0.5) * (T / (n // 2))
+        t = np.concatenate([t, t_new])
+        g = np.concatenate([g, mb._log_integrand(c + 1j * t_new)])
+        prev, vals = vals, mb._assemble(t, c + 1j * t, g, ln_args, T)
+        if np.all(np.abs(vals - prev)
+                  <= np.maximum(opts.target_abs_tol,
+                                opts.target_rel_tol * np.abs(vals))):
+            break
+    n_pass = n
+
+    nodes = []
+    log_integrand = mb._log_integrand
+    monkeypatch.setattr(mb, "_truncation", lambda _c: T)
+    monkeypatch.setattr(mb, "_log_integrand",
+                        lambda v: nodes.append(v.size) or log_integrand(v))
+    out = mb.value_many(ln_args, opts)
+    assert sum(nodes) == n_pass + 1
+    np.testing.assert_array_equal(out, vals)
+
+
 def test_mpmath_cross_check_dense_parameters(st_link):
     """Strong-turbulence CDF G-value against an arbitrary-precision oracle."""
     mp = pytest.importorskip("mpmath")

@@ -10,7 +10,6 @@ errors in the expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log2
 
 import numpy as np
 

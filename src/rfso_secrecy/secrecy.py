@@ -23,7 +23,7 @@ from math import exp, fsum, lgamma, log
 import numpy as np
 from scipy.integrate import quad
 
-from .channels import DggLink, EtaMuLink, dgg_pdf, eta_mu_pdf
+from .channels import DggLink, EtaMuLink, dgg_cdf, dgg_pdf, eta_mu_pdf
 from .dualhop import DualHopChannel, min_combine_cdf
 from .errors import AccuracyError, ClampExcessWarning, ParameterError
 from .specfun import (EvalOptions, MellinBarnesIntegral, TIGHT_OPTIONS,
@@ -115,9 +115,10 @@ def _sop1_terms(cfg: Scenario1Config, fso_tail):
     """Shared assembly for the scenario-1 outage sum: returns the unclamped
     sum and the bound 2^-53 * |A_0 A_e| * sum|terms| on its rounding error.
 
-    fso_tail(z1, ln_w_array) must return the value of the size-(4,) FSO
-    integral block for each (N0, Ne) pair, either the full slope-tau kernel
-    (lower bound) or its leading residues (asymptote).
+    fso_tail(count, ln_w_array) must return the values of the size-(4,) FSO
+    integral block for each (N0, Ne) pair at z1 = 1..count, shape (count, 4):
+    either the full slope-tau kernel (lower bound) or its leading residues
+    (asymptote).
     """
     rf0, rfe, fso = cfg.rf_main, cfg.rf_eve, cfg.fso_main
     phi1 = cfg.phi1
@@ -128,11 +129,10 @@ def _sop1_terms(cfg: Scenario1Config, fso_tail):
     F = {pair: phi1 * rf0.decay[pair[0]] + rfe.decay[pair[1]]
          for pair in pairs}
 
+    ln_w = np.array([fso.log_B4 + tau * (lnphi - log(fso.electrical_snr)
+                                         - log(F[p])) for p in pairs])
     g_cache = {}
-    for z1 in range(1, rf0.mu + rfe.mu):
-        ln_w = np.array([fso.log_B4 + tau * (lnphi - log(fso.electrical_snr)
-                                             - log(F[p])) for p in pairs])
-        vals = fso_tail(z1, ln_w)
+    for z1, vals in enumerate(fso_tail(rf0.mu + rfe.mu - 1, ln_w), start=1):
         for p, v in zip(pairs, vals):
             g_cache[(z1, p)] = float(v)
 
@@ -189,8 +189,10 @@ def sop1_lower(cfg: Scenario1Config,
     """Lower-bound secure outage probability for the RF-side eavesdropper."""
     fso = cfg.fso_main
 
-    def tail(z1, ln_w):
-        return _sop1_tail(fso, z1, fso.j4_ladders).value_many(ln_w, options)
+    def tail(count, ln_w):
+        # the Gamma(z1 - tau*v) family z1 = 1..count on one contour
+        return _sop1_tail(fso, 1, fso.j4_ladders).value_many(
+            ln_w, options, count=count).reshape(count, -1)
 
     value, bound = _sop1_terms(cfg, tail)
     return _clamp_unit(value, "sop1_lower", bound)
@@ -205,10 +207,11 @@ def sop1_asymptotic(cfg: Scenario1Config,
     """
     fso = cfg.fso_main
 
-    def tail(z1, ln_w):
-        return _leading_residues(lambda lad: _sop1_tail(fso, z1, lad),
-                                 fso.j4_ladders, ln_w,
-                                 options.pole_separation_tol)
+    def tail(count, ln_w):
+        return [_leading_residues(lambda lad: _sop1_tail(fso, z1, lad),
+                                  fso.j4_ladders, ln_w,
+                                  options.pole_separation_tol)
+                for z1 in range(1, count + 1)]
 
     value, bound = _sop1_terms(cfg, tail)
     return _clamp_unit(value, "sop1_asymptotic", bound)
@@ -233,6 +236,21 @@ def sop1_exact_quadrature(cfg: Scenario1Config, abs_tol: float = 1e-7) -> float:
     return _clamp_unit(val, "sop1_exact_quadrature")
 
 
+def _spsc1_survival(fso: DggLink, z: int) -> MellinBarnesIntegral:
+    """The survival block of spsc1, int g^(z-1) e^(-lam g) (1 - F_fso)(g) dg
+    without the lam^-z: the survival kernel against Gamma(z - tau*v)."""
+    return MellinBarnesIntegral.from_ladders(
+        fso.j4_ladders + [(1, 0.0), (1, float(z), -fso.tau)],
+        [(1, 1.0)] + fso.j3_ladders)
+
+
+def _spsc1_density(fso: DggLink, z: int) -> MellinBarnesIntegral:
+    """The density block of spsc1, int g^(z-1) e^(-lam g) f_fso-kernel(g) dg
+    without the lam^-z: the density kernel against Gamma(z - tau*v/s)."""
+    return MellinBarnesIntegral.from_ladders(
+        fso.j1_ladders + [(1, float(z), -fso.tau / fso.s)], [(1, fso.j2)])
+
+
 def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
     """Probability of strictly positive secrecy capacity, RF eavesdropper:
     Pr(min-combined SNR > eavesdropper SNR)."""
@@ -246,30 +264,27 @@ def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
     lam_pair = {(N0, Ne): rf0.decay[N0] + rfe.decay[Ne]
                 for N0 in (1, 2) for Ne in (1, 2)}
 
-    def survival_block(z, lams):
-        """int g^(z-1) e^(-lam g) * (1 - F_fso)(g) dg, without the lam^-z."""
-        mb = MellinBarnesIntegral.from_ladders(
-            fso.j4_ladders + [(1, 0.0), (1, float(z), -tau)],
-            [(1, 1.0)] + fso.j3_ladders)
+    def survival_blocks(count, lams):
+        """{z: survival block at each lam}, z = 1..count: one family."""
         ln_w = np.array([fso.log_B4 - tau * lnU - tau * log(l) for l in lams])
-        return B3 * mb.value_many(ln_w, options)
+        vals = _spsc1_survival(fso, 1).value_many(ln_w, options, count=count)
+        return dict(enumerate(B3 * vals.reshape(count, -1), start=1))
 
-    def density_block(z, lams):
-        """int g^(z-1) e^(-lam g) * f_fso-kernel(g) dg, without the lam^-z."""
-        mb = MellinBarnesIntegral.from_ladders(
-            fso.j1_ladders + [(1, float(z), -tau / s)], [(1, fso.j2)])
+    def density_blocks(count, lams):
+        """{z: density block at each lam}, z = 0..count-1: one family."""
         ln_w = np.array([fso.log_B2t_tau - (tau / s) * (lnU + log(l))
                          for l in lams])
-        return B1s * mb.value_many(ln_w, options)
+        vals = _spsc1_density(fso, 0).value_many(ln_w, options, count=count)
+        return dict(enumerate(B1s * vals.reshape(count, -1)))
 
     lams1 = [lam_single[1], lam_single[2]]
     pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
     lams2 = [lam_pair[p] for p in pairs]
 
-    R1 = {z: survival_block(z, lams1) for z in range(1, rf0.mu + 1)}
-    R2 = {z: density_block(z, lams1) for z in range(0, rf0.mu)}
-    R3 = {z: survival_block(z, lams2) for z in range(1, rf0.mu + rfe.mu)}
-    R4 = {z: density_block(z, lams2) for z in range(0, rf0.mu + rfe.mu - 1)}
+    R1 = survival_blocks(rf0.mu, lams1)
+    R2 = density_blocks(rf0.mu, lams1)
+    R3 = survival_blocks(rf0.mu + rfe.mu - 1, lams2)
+    R4 = density_blocks(rf0.mu + rfe.mu - 1, lams2)
 
     terms = []
     for i0, N0 in enumerate((1, 2)):
@@ -361,7 +376,6 @@ def sop2_exact_quadrature(cfg: Scenario2Config, abs_tol: float = 1e-7) -> float:
     phi2 = cfg.phi2
     shift = phi2 - 1.0
     rf_fail = 1.0 - float(cfg.rf_main.survival(shift))
-    from .channels import dgg_cdf  # local import avoids a cycle at module load
 
     def integrand(g):
         return (float(dgg_cdf(cfg.fso_main, phi2 * g + shift))

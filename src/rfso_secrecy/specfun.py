@@ -14,7 +14,8 @@ The DGG parameter vectors are gamma ladders prod_{i<p} Gamma((q+i)/p + v),
 up to 56 entries long; Gauss's multiplication formula collapses each into
 one factor Gamma(q + p*v) of slope p (MellinBarnesIntegral.from_ladders).
 The Laplace-transform kernels Gamma(z - tau*v) have non-integer slope; the
-engine treats every slope identically.  Gamma products accumulate in the
+engine treats every slope identically, and evaluates integrands that differ
+only in the integer z as one family on a shared contour.  Gamma products accumulate in the
 log domain, where G-values far outside double range stay representable.
 """
 
@@ -53,6 +54,10 @@ _PROBE = 0.25j
 # Multiples of Stirling's truncation height tried until the integrand has
 # decayed (up to 170x).
 _TRUNCATION_GRID = 1.25 ** np.arange(24)
+# A family member whose trapezoid sum cancels more than this (sum w|f| over
+# |sum w Re f|) on the shared contour is evaluated on its own saddle: its
+# rounding noise, ~1e-13 times this factor, would pass the tolerance test.
+_MAX_CANCELLATION = 16.0
 
 
 @dataclass(frozen=True)
@@ -249,18 +254,25 @@ class MellinBarnesIntegral:
 
     # -- contour placement -------------------------------------------------
 
-    def _dlog(self, c: float, lnz: float) -> float:
-        """d/dc of the log-integrand magnitude on the real axis."""
+    def _dlog(self, c: float, lnz: float, member: int = 0) -> float:
+        """d/dc of the log-integrand magnitude of a family member on the
+        real axis."""
         out = -lnz - self._ln_shift
         x = self._na + self._nb * c
         # numerator arguments are positive everywhere inside the strip
-        out += float(np.sum(self._nb * digamma(np.maximum(x, 1e-12))))
+        out += float(self._nb @ digamma(np.maximum(x, 1e-12)))
         if self._da.size:
             xd = self._da + self._db * c + _PROBE
-            out -= float(np.sum(self._db * digamma(xd).real))
+            out -= float(self._db @ digamma(xd).real)
+        if member:
+            a, b = self.numer[-1]
+            x = a + b * c
+            out += sum(b / (x + j) for j in range(member))
         return out
 
-    def _saddle(self, lnz: float) -> float:
+    def _saddle(self, lnz: float, member: int = 0) -> float:
+        """Saddle of family member `member`, bracketed in member 0's strip
+        (the narrowest: raising the offset only moves poles outward)."""
         L, R = self.strip
         if np.isfinite(L) and np.isfinite(R):
             w = R - L
@@ -269,37 +281,40 @@ class MellinBarnesIntegral:
             lo = L + 1e-3
             hi = max(L + 1.0, 1.0)
             for _ in range(400):
-                if self._dlog(hi, lnz) > 0:
+                if self._dlog(hi, lnz, member) > 0:
                     break
                 hi *= 2.0
         else:
             hi = R - 1e-3
             lo = min(R - 1.0, -1.0)
             for _ in range(400):
-                if self._dlog(lo, lnz) < 0:
+                if self._dlog(lo, lnz, member) < 0:
                     break
                 lo *= 2.0
-        if self._dlog(lo, lnz) >= 0:
+        if self._dlog(lo, lnz, member) >= 0:
             return lo
-        if self._dlog(hi, lnz) <= 0:
+        if self._dlog(hi, lnz, member) <= 0:
             return hi
-        return brentq(self._dlog, lo, hi, args=(lnz,), xtol=1e-12,
+        return brentq(self._dlog, lo, hi, args=(lnz, member), xtol=1e-12,
                       rtol=4.0 * np.finfo(float).eps)
 
-    def _truncation(self, c: float) -> float:
-        """Height T with |f(c + iT)| <= e^-50 |f(c)|, negligible for ~1e-15
-        work.  Stirling's estimate ignores ln|slope| and log Gamma(x_j),
-        decisive for a large slope mass, so one gamma pass over a geometric
-        grid raises it to the first height where log |f| has dropped by 50."""
-        rho = float(np.sum(self._na + self._nb * c - 0.5))
+    def _truncation(self, c: float, member: int = 0) -> float:
+        """Height T with |f(c + iT)| <= e^-50 |f(c)| for family member
+        `member`, negligible for ~1e-15 work.  Stirling's estimate ignores
+        ln|slope| and log Gamma(x_j), decisive for a large slope mass, so one
+        gamma pass over a geometric grid raises it to the first height where
+        log |f| has dropped by 50.  The lower members have dropped further
+        there: |(x + ibt)_k| grows with t and with k for x > 0."""
+        rho = float((self._na + self._nb * c - 0.5).sum()) + member
         if self._da.size:
-            rho -= float(np.sum(self._da + self._db * c - 0.5))
+            rho -= float((self._da + self._db * c - 0.5).sum())
         lam = 50.0
         T = (lam + max(rho, 0.0) * log(2.0)) / self.decay
         for _ in range(4):
             T = (lam + max(rho, 0.0) * np.log1p(abs(T))) / self.decay
         heights = max(T, 4.0 / self.decay) * _TRUNCATION_GRID
-        g = self._log_integrand(c + 1j * np.concatenate([[0.0], heights]))
+        g = self._log_family(c + 1j * np.concatenate([[0.0], heights]),
+                             member + 1)[-1]
         # a NaN drop (f(c) not finite) keeps Stirling's guess
         low = ~(g[1:].real - g[0].real > -lam)
         return float(heights[np.argmax(low)] if low.any() else heights[-1])
@@ -312,41 +327,86 @@ class MellinBarnesIntegral:
             out -= loggamma(a + b * v)
         return out
 
+    def _log_family(self, v: np.ndarray, count: int) -> np.ndarray:
+        """Log-integrands of family members 0..count-1 at the nodes v, shape
+        (count, v.size), from one gamma pass: by Gamma(x + 1) = x Gamma(x)
+        (DLMF 5.5.1) member k is member k-1 times a + k - 1 + b*v."""
+        g = self._log_integrand(v)
+        if count == 1:
+            return g[None]
+        a, b = self.numer[-1]
+        steps = np.log(a + np.arange(count - 1)[:, None] + b * v)
+        return np.concatenate([g[None], g + np.cumsum(steps, axis=0)])
+
+    def _member(self, k: int) -> "MellinBarnesIntegral":
+        """Family member k on its own: the last numerator offset raised by k."""
+        a, b = self.numer[-1]
+        member = MellinBarnesIntegral(self.numer[:-1] + ((a + k, b),),
+                                      self.denom)
+        member._log_const, member._ln_shift = self._log_const, self._ln_shift
+        return member
+
     # -- evaluation --------------------------------------------------------
 
     def value(self, ln_argument: float,
               options: EvalOptions = TIGHT_OPTIONS) -> float:
         return float(self.value_many(np.array([float(ln_argument)]), options)[0])
 
-    def value_many(self, ln_arguments, options: EvalOptions = TIGHT_OPTIONS):
+    def value_many(self, ln_arguments, options: EvalOptions = TIGHT_OPTIONS,
+                   count: int = 1):
         """Evaluate at several log-arguments with one gamma pass per group of
-        nearby arguments (they share contour and nodes)."""
+        nearby arguments (they share contour and nodes).
+
+        With count > 1, evaluate the family whose member k has the last
+        numerator factor Gamma(a + b*v) raised to Gamma(a + k + b*v), i.e.
+        the integrand times the Pochhammer product (a + b*v)_k, k < count,
+        on one contour per group; the result gets a leading member axis.
+        Members the shared contour does not serve (a narrow strip, an
+        AccuracyError, too much cancellation) are evaluated on their own.
+        """
         if self.decay <= 0:
             raise ParameterError("contour integral diverges: numerator slope "
                                  "mass does not dominate the denominator")
-        if self.strip[0] >= self.strip[1]:
+        L, R = self.strip
+        if L >= R:
             raise DegenerateParameterError(
                 "numerator pole families interlace; no separating contour")
         lnz = np.atleast_1d(np.asarray(ln_arguments, dtype=float))
-        out = np.empty_like(lnz)
-        if lnz.size == 0:
-            return out
+        if count > 1 and R - L < _NARROW_STRIP:
+            # the hop path crosses member-specific residues
+            return self._members_many(lnz, options, range(count))
+        out = np.empty((count, lnz.size))
         order = np.argsort(lnz, kind="stable")
         start = 0
         for i in range(1, lnz.size + 1):
             if i == lnz.size or lnz[order[i]] - lnz[order[start]] > 4.0:
                 idx = order[start:i]
                 try:
-                    out[idx] = self._value_group(lnz[idx], options)
+                    out[:, idx], far = self._value_group(lnz[idx], options,
+                                                         count)
                 except AccuracyError:
-                    if idx.size == 1:
+                    if count > 1:
+                        far = np.ones(count, dtype=bool)
+                    elif idx.size == 1:
                         raise
-                    # exponentially spread results cannot share one contour:
-                    # re-run the group one argument (one saddle) at a time
-                    for j in idx:
-                        out[j] = self._value_group(lnz[j:j + 1], options)[0]
+                    else:
+                        # exponentially spread results cannot share one
+                        # contour: re-run the group one argument (one
+                        # saddle) at a time
+                        for j in idx:
+                            out[:, j] = self._value_group(lnz[j:j + 1],
+                                                          options)[0][:, 0]
+                        far = np.zeros(1, dtype=bool)
+                if np.any(far):
+                    out[np.ix_(far, idx)] = self._members_many(
+                        lnz[idx], options, np.flatnonzero(far))
                 start = i
-        return out
+        return out if count > 1 else out[0]
+
+    def _members_many(self, lnz, options, members):
+        """The given family members, each on its own contours."""
+        return np.array([self._member(k).value_many(lnz, options)
+                         for k in members])
 
     def _hop_contour(self):
         """For a near-degenerate strip: place the contour in the first wide
@@ -376,21 +436,28 @@ class MellinBarnesIntegral:
         crossed = tuple(p for p in poles if p[0] < c)
         return c, crossed
 
-    def _value_group(self, lnz: np.ndarray, options: EvalOptions) -> np.ndarray:
+    def _value_group(self, lnz: np.ndarray, options: EvalOptions,
+                     count: int = 1):
+        """Values of family members 0..count-1, shape (count, lnz.size), on
+        the contour through the middle member's saddle, and the mask of the
+        members this contour does not serve (see _assemble_family); their
+        values are to be discarded."""
         L, R = self.strip
         crossed = ()
         if np.isfinite(L) and np.isfinite(R) and (R - L) < _NARROW_STRIP:
             c, crossed = self._hop_contour()
         else:
-            c = self._saddle(float(np.median(lnz)))
-        T = self._truncation(c)
+            c = self._saddle(float(np.median(lnz)), (count - 1) // 2)
+        T = (self._truncation(c) if count == 1
+             else self._truncation(c, count - 1))
         correction = sum(self.residue(idx, k, lnz) for _, idx, k in crossed)
 
         n = 256
         t = np.linspace(0.0, T, n + 1)
         v = c + 1j * t
-        g = self._log_integrand(v)
-        vals = self._assemble(t, v, g, lnz, T) - correction
+        g = self._log_family(v, count)
+        vals, far = self._assemble_family(t, v, g, lnz, T)
+        vals -= correction
         prev = None
         while True:
             n *= 2
@@ -400,45 +467,65 @@ class MellinBarnesIntegral:
                 raise AccuracyError(
                     "contour quadrature did not converge within "
                     f"{options.max_quadrature_nodes} nodes",
-                    best_estimate=vals, error_bound=bound)
+                    best_estimate=vals if count > 1 else vals[0],
+                    error_bound=bound)
             t_new = (np.arange(n // 2) + 0.5) * (T / (n // 2))
             v2 = c + 1j * t_new
-            g2 = self._log_integrand(v2)
+            g2 = self._log_family(v2, count)
             t = np.concatenate([t, t_new])
             v = np.concatenate([v, v2])
-            g = np.concatenate([g, g2])
+            g = np.concatenate([g, g2], axis=1)
             prev = vals
-            vals = self._assemble(t, v, g, lnz, T) - correction
+            vals, far = self._assemble_family(t, v, g, lnz, T)
+            vals -= correction
             err = np.abs(vals - prev)
             tol = np.maximum(options.target_abs_tol,
                              options.target_rel_tol * np.abs(vals))
             # the trapezoid converges geometrically on an analytic integrand
             # (Trefethen & Weideman 2014): the finer level's error is far
             # below its change from the coarser one
-            if np.all(err <= tol):
-                return vals
+            if np.all((err <= tol) | far[:, None]):
+                return vals, far
+
+    @classmethod
+    def _assemble_family(cls, t, v, g, lnz, T):
+        """Trapezoid values of each member (rows of g), and the mask of the
+        members off whose saddle the contour runs so far that cancellation
+        amplifies rounding in f more than _MAX_CANCELLATION times at some
+        argument: the level-to-level change cannot see that noise."""
+        if len(g) == 1:
+            return cls._assemble(t, v, g[0], lnz, T)[None], np.zeros(1, bool)
+        vals, kappa = zip(*(cls._assemble(t, v, gk, lnz, T, condition=True)
+                            for gk in g))
+        return (np.array(vals),
+                np.max(kappa, axis=1) > _MAX_CANCELLATION)
 
     @staticmethod
-    def _assemble(t, v, g, lnz, T):
+    def _assemble(t, v, g, lnz, T, condition=False):
         """Uniform-grid trapezoid of (1/pi) Re f(t); node order is irrelevant
-        for the rule but fixed, so results are reproducible bit for bit."""
+        for the rule but fixed, so results are reproducible bit for bit.
+        With condition, also return sum w|f| / |sum w Re f| per argument."""
         n = t.size - 1
         h = T / n
         w = np.ones(t.size)
         w[np.argmin(t)] = 0.5
         w[np.argmax(t)] = 0.5
         out = np.empty_like(lnz)
+        kappa = np.empty_like(lnz)
         for j, lz in enumerate(lnz):
             lf = g - v * lz
             M = float(lf.real.max())
-            s = float(np.sum(w * np.exp(lf - M).real))
+            e = np.exp(lf - M)
+            s = float(np.sum(w * e.real))
+            if condition:
+                kappa[j] = float(w @ np.abs(e)) / abs(s) if s else np.inf
             mag = M + log(abs(s) * h / pi) if s != 0.0 else -np.inf
             if mag > 709.0:
                 raise AccuracyError("contour integral overflowed double precision",
                                     best_estimate=np.sign(s) * np.inf,
                                     error_bound=np.inf)
             out[j] = np.sign(s) * exp(mag) if np.isfinite(mag) else 0.0
-        return out
+        return (out, kappa) if condition else out
 
 
 # -- Meijer G front end ------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rfso_secrecy.errors import (AccuracyError, DegenerateParameterError,
                                  ParameterError, PoleCollisionError)
-from rfso_secrecy import dgg_from_preset
+from rfso_secrecy import dgg_from_preset, specfun
 from rfso_secrecy.specfun import (EvalOptions, MeijerGSpec,
                                   MellinBarnesIntegral, delta_expand,
                                   delta_expand_list, log_gamma_complex,
@@ -303,6 +303,83 @@ def test_group_stops_at_first_passing_doubling(st_link, monkeypatch):
     out = mb.value_many(ln_args, opts)
     assert sum(nodes) == n_pass + 1
     np.testing.assert_array_equal(out, vals)
+
+
+def _family_cases():
+    """(family base, per-member integrands, label): the Gamma(z - tau*v)
+    families of the scenario-1 closed forms, five members each."""
+    from rfso_secrecy.secrecy import _spsc1_density, _spsc1_survival, _sop1_tail
+    for preset in ("st", "mt", "wt"):
+        for detection in (1, 2):
+            link = dgg_from_preset(preset, eps=1.0, detection=detection,
+                                   electrical_snr=100.0)
+            tag = f"{preset}-{link.detection}"
+            yield (_sop1_tail(link, 1, link.j4_ladders),
+                   [_sop1_tail(link, z, link.j4_ladders) for z in range(1, 6)],
+                   tag + " sop1 tail")
+            yield (_spsc1_survival(link, 1),
+                   [_spsc1_survival(link, z) for z in range(1, 6)],
+                   tag + " spsc1 survival")
+            yield (_spsc1_density(link, 0),
+                   [_spsc1_density(link, z) for z in range(0, 5)],
+                   tag + " spsc1 density")
+
+
+def test_family_matches_members():
+    """One family evaluation equals evaluating every member on its own, for
+    every scenario-1 family across 120 units of log-argument."""
+    ln_args = np.linspace(-60.0, 60.0, 13)
+    for base, members, label in _family_cases():
+        family = base.value_many(ln_args, count=len(members))
+        assert family.shape == (len(members), ln_args.size)
+        for k, member in enumerate(members):
+            np.testing.assert_allclose(family[k], member.value_many(ln_args),
+                                       rtol=1e-12, atol=0.0,
+                                       err_msg=f"{label}, member {k}")
+
+
+def test_family_group_shares_one_gamma_pass(st_link, monkeypatch):
+    """A family group evaluates the gamma factors once per trapezoid level
+    (plus the truncation grid), not once per member."""
+    from rfso_secrecy.secrecy import _spsc1_survival
+    mb = _spsc1_survival(st_link, 1)
+    # one group, near the members' saddles: all of them stay on the contour
+    ln_args = np.array([-61.0, -60.0, -59.0])
+    members = [_spsc1_survival(st_link, z).value_many(ln_args)
+               for z in range(1, 6)]
+    nodes = []
+    log_integrand = mb._log_integrand
+    monkeypatch.setattr(mb, "_log_integrand",
+                        lambda v: nodes.append(v.size) or log_integrand(v))
+    # no member may leave the shared contour
+    monkeypatch.setattr(MellinBarnesIntegral, "_member", None)
+    family = mb.value_many(ln_args, count=5)
+    levels = len(nodes) - 2
+    assert levels >= 1
+    assert nodes == ([len(specfun._TRUNCATION_GRID) + 1, 257]
+                     + [256 << i for i in range(levels)])
+    np.testing.assert_allclose(family, members, rtol=1e-12, atol=0.0)
+
+
+def test_narrow_strip_family_takes_member_hop_path(monkeypatch):
+    """A family whose first member has a near-degenerate strip is evaluated
+    member by member, the first one on the hop path; exact values
+    Gamma(beta) (1 + z)^-beta, beta = eps + k."""
+    eps = 5e-7
+    base = MellinBarnesIntegral([(0.0, 1.0), (eps, -1.0)])
+    ln_args = np.log([0.5, 2.0])
+    hops = []
+    hop_contour = MellinBarnesIntegral._hop_contour
+    monkeypatch.setattr(MellinBarnesIntegral, "_hop_contour",
+                        lambda self: hops.append(self) or hop_contour(self))
+    family = base.value_many(ln_args, TIGHT, count=3)
+    assert len(hops) == 1 and hops[0].strip == base.strip
+    for k in range(3):
+        member = MellinBarnesIntegral([(0.0, 1.0), (eps + k, -1.0)])
+        np.testing.assert_array_equal(family[k],
+                                      member.value_many(ln_args, TIGHT))
+        ref = math.gamma(eps + k) * (1.0 + np.exp(ln_args)) ** -(eps + k)
+        np.testing.assert_allclose(family[k], ref, rtol=1e-8)
 
 
 def test_mpmath_cross_check_dense_parameters(st_link):

@@ -1,20 +1,16 @@
 """Fading-channel models for the two hops.
 
 RF hop: eta-mu multipath fading (integer mu).  Its SNR is the sum of two
-independent Gamma(mu) variables whose scales are in the ratio eta : 1, and
-its law is evaluated in one of two forms:
-
-* the two-branch exponential-sum form, elementary but with coefficients of
-  alternating sign that grow like powers of 1/K, K = (1/eta - eta)/4;
-* the positive Gamma mixture of Moschopoulos (1985): with rates a <= b,
-  SNR ~ Gamma(2mu + J, rate b), J ~ NegBin(mu, a/b), a series of positive
-  terms that converges fastest where the two-branch form cancels (eta
-  near 1).
-
-The two-branch form is evaluated first; each point whose terms cancel (all
-points of links near eta = 1, the lower tail of the others) is recomputed
-from the mixture, CDF points after a retry in the lower-incomplete-gamma
-two-branch form.
+independent Gamma(mu) variables whose scales are in the ratio eta : 1.  A
+link's law is a list of Gamma terms (weight w, integer shape n, rate lam):
+density sum w lam^n g^(n-1) e^(-lam g) / Gamma(n), survival sum w Q(n,
+lam g).  The two-branch list has 2mu terms at the two decay rates, with
+weights of alternating sign that grow like powers of 1/K, K = (1/eta -
+eta)/4; the positive Gamma mixture of Moschopoulos (1985), with rates a <=
+b, is SNR ~ Gamma(2mu + J, rate b), J ~ NegBin(mu, a/b), and converges
+fastest where the two-branch list cancels (eta near 1).  The closed-form
+secrecy sums read one list per link, point evaluations recompute the
+points where the two-branch sum cancels from the mixture.
 
 FSO hop: double generalized Gamma (DGG) turbulence with a pointing-error
 factor and either heterodyne (s=1) or intensity-modulation/direct-detection
@@ -106,19 +102,18 @@ class EtaMuLink:
 
     eta is the in-phase/quadrature power ratio, mu the integer number of
     multipath cluster pairs, avg_snr the linear mean SNR.  eta = 1 (|K| <=
-    1e-9) is rejected: the closed-form secrecy sums are built on the
-    two-branch coefficients coeff_A, X and Y, which are singular there.
+    1e-9) is rejected: the two-branch weights are singular there.
 
-    The conditioning of those coefficients, |coeff_A| * sum|Y| (while
-    coeff_A * sum(Y) = 1), grows without bound as eta -> 1 and with mu, and
-    the two-branch sums lose that many digits.  Every evaluation therefore
-    checks the sum of its terms' magnitudes against the sum, point by point,
-    and recomputes the points that cancel by more than 1e3 from the Gamma
-    mixture SNR ~ Gamma(2mu + J, rate b), J ~ NegBin(mu, a/b), a <= b the two
-    decay rates, whose terms are all positive.  The mixture's survival and
-    CDF are accurate to about 1e-17 absolute and its density to that times
-    b; in the lower tail the CDF and density also keep full relative
-    accuracy.
+    terms = (w, n, lam), the Gamma-term list of the closed-form secrecy
+    sums, has shapes 1..N in order at each rate (zero weights included).
+    The two-branch weights sum to 1, but the sum of their magnitudes grows
+    without bound as eta -> 1 and with mu, and sums over them lose that
+    many digits; past 1e3 the link takes the mixture Gamma(2mu + J, rate
+    b), J ~ NegBin(mu, p), a <= b the decay rates, p = a/b, truncated where
+    the weight left is below 2^-56.  Point evaluations apply the same test
+    point by point (_evaluate).  The mixture's survival and CDF are
+    accurate to about 1e-17 absolute and its density to that times b; in
+    the lower tail the CDF and density keep full relative accuracy.
     """
 
     def __init__(self, eta: float, mu: int, avg_snr: float):
@@ -142,38 +137,43 @@ class EtaMuLink:
         mu = self.mu
         k, K, phi = self.k, self.bigK, self.avg_snr
         self.decay = {1: 2.0 * mu * (k - K) / phi, 2: 2.0 * mu * (k + K) / phi}
-        self.X = {}
-        self.Y = {}
 
         def finite(value: float) -> float:
             if not isfinite(value):
                 raise OverflowError
             return value
 
-        # float ** and exp raise on overflow; a product overflows to inf
+        # the weight of shape mu - v at rate decay[N] is coeff_A * Y[N, v];
+        # float ** and exp raise on overflow, a product overflows to inf
         name = "coeff_A"
+        w = []
         try:
-            self.coeff_A = finite(k**mu / (K**mu * exp(lgamma(mu))))
-            for N in (1, 2):
-                shifted = k - K if N == 1 else k + K
+            A = finite(k**mu / (K**mu * exp(lgamma(mu))))
+            for N, shifted in ((1, k - K), (2, k + K)):
                 for v in range(mu):
-                    sgn = (-1.0)**v if N == 1 else (-1.0)**mu
-                    name = f"X[{N}, {v}]"
-                    self.X[(N, v)] = finite(sgn * (
-                        exp(lgamma(mu + v) - lgamma(v + 1) - lgamma(mu - v))
-                        * mu**(mu - v) / (4.0**v * phi**(mu - v) * K**v)))
                     name = f"Y[{N}, {v}]"
-                    self.Y[(N, v)] = finite(sgn * (
+                    sgn = (-1.0)**v if N == 1 else (-1.0)**mu
+                    w.append(finite(A * finite(sgn * (
                         exp(lgamma(mu + v) - lgamma(v + 1)) * K**(-v)
-                        / (2.0**(mu + v) * shifted**(mu - v))))
+                        / (2.0**(mu + v) * shifted**(mu - v))))))
         except (OverflowError, ZeroDivisionError):
             raise ParameterError(
                 f"eta = {self.eta}, mu = {mu}: the two-branch coefficient "
                 f"{name} is outside double range (mu too large, or eta too "
                 "close to 0, 1 or infinity)") from None
+        shapes = np.arange(mu, 0, -1)
+        self._branches = (np.array(w), np.concatenate([shapes, shapes]),
+                          np.repeat([self.decay[1], self.decay[2]], mu))
         # the decay rates are in the ratio eta : 1
         self._mix_rate = max(self.decay.values())
         self._mix_p = min(self.eta, 1.0 / self.eta)
+        if np.abs(self._branches[0]).sum() <= _COND_MAX:
+            self.terms = self._branches
+        else:
+            weights = np.array([wj for wj, _ in self._negbin()])
+            self.terms = (np.concatenate([np.zeros(2 * mu - 1), weights]),
+                          np.arange(1, 2 * mu + weights.size),
+                          np.full(2 * mu - 1 + weights.size, self._mix_rate))
 
     def with_avg_snr(self, avg_snr: float) -> "EtaMuLink":
         return EtaMuLink(self.eta, self.mu, avg_snr)
@@ -182,8 +182,8 @@ class EtaMuLink:
         """P(SNR > gamma); complement of the CDF, shared with the secrecy sums."""
         g = np.asarray(gamma, dtype=float)
         out = self._evaluate("sf", g)
-        # the coefficient identity A * sum(Y) = 1 holds only to rounding, and
-        # the mixture drops a weight below 2^-56; pin the exact endpoint
+        # the two-branch weights sum to 1 only to rounding, and the mixture
+        # drops a weight below 2^-56; pin the exact endpoint
         return np.where(g == 0.0, 1.0, out)
 
     def _evaluate(self, kind: str, g: np.ndarray):
@@ -194,10 +194,10 @@ class EtaMuLink:
 
         CDF points that fail the check are first retried in the
         lower-incomplete-gamma two-branch form, which on links away from
-        eta = 1 cancels only near g = 0.  The mixture needs about mu/p + b*g terms, p = min(eta,
-        1/eta), so it cannot take the lower tail of links far from eta = 1:
-        at the eta = 1e-6 surrogate, b*g reaches 5e5 where 1 - survival
-        cancels.
+        eta = 1 cancels only near g = 0.  The mixture needs about
+        mu/p + b*g terms, p = min(eta, 1/eta), so it cannot take the lower
+        tail of links far from eta = 1: at the eta = 1e-6 surrogate, b*g
+        reaches 5e5 where 1 - survival cancels.
         """
         out, mag = self._two_branch(kind, g)
         bad = ~(mag <= _COND_MAX * np.abs(out))
@@ -212,73 +212,62 @@ class EtaMuLink:
         return out.reshape(g.shape)[()]
 
     def _two_branch(self, kind: str, g: np.ndarray):
-        """Two-branch sum and the sum of its terms' magnitudes, both scaled
-        by coeff_A.  kind "cdf" is 1 - survival; "lower" is the same CDF as
-        coeff_A * sum Y * P(mu - v, lambda g)."""
+        """Two-branch sum over its terms (w, n, lam) and the sum of the
+        terms' magnitudes.  kind "cdf" is 1 - survival; "lower" is the same
+        CDF as sum w P(n, lam g)."""
         if kind == "cdf":
             out, mag = self._two_branch("sf", g)
             return 1.0 - out, 1.0 + mag
-        out = np.zeros_like(g)
-        mag = np.zeros_like(g)
-        for N in (1, 2):
-            l = self.decay[N]
-            for v in range(self.mu):
-                if kind == "pdf":
-                    t = self.X[(N, v)] * g**(self.mu - v - 1) * np.exp(-l * g)
-                elif kind == "lower":
-                    t = self.Y[(N, v)] * gammainc(self.mu - v, l * g)
-                else:
-                    poly = np.zeros_like(g)
-                    fact = 1.0
-                    for x in range(self.mu - v):
-                        if x:
-                            fact *= x
-                        poly += (l * g)**x / fact
-                    t = self.Y[(N, v)] * poly * np.exp(-l * g)
-                out += t
-                mag += np.abs(t)
-        return self.coeff_A * out, abs(self.coeff_A) * mag
+        w, n, lam = self._branches
+        t = _gamma_terms(kind, w, n, lam, lam * g[..., None])
+        return t.sum(axis=-1), np.abs(t).sum(axis=-1)
+
+    def _negbin(self):
+        """NegBin(mu, p) weights w_j with the ratios r_j = w_{j+1}/w_j =
+        q(mu + j)/(j + 1), up to the first j whose remaining weight is below
+        _SERIES_TOL: r_j falls with j, so once r_j < 1 the weights left sum
+        to at most w_j r_j/(1 - r_j)."""
+        mu, q = self.mu, 1.0 - self._mix_p
+        w, j = self._mix_p**mu, 0
+        while True:
+            r = q * (mu + j) / (j + 1)
+            yield w, r
+            if r < 1.0 and w * r <= _SERIES_TOL * (1.0 - r):
+                return
+            w *= r
+            j += 1
 
     def _mixture(self, kind: str, g: np.ndarray) -> np.ndarray:
         """Sum over j of w_j * (Gamma(2mu + j, rate b) pdf, cdf or sf at g),
-        w_j = NegBin(mu, p) weights.
-
-        The weight ratio r_j = w_{j+1}/w_j = q(mu + j)/(j + 1) falls with j,
-        so once r_j < 1 the weights left sum to at most w_j r_j/(1 - r_j).
-        For the pdf and cdf the term ratio is also at most r_j x/n (n the
-        current shape, x = b g; n + 1 for the cdf), which bounds the terms
-        left relative to the sum where x is small.
-        """
+        w_j = NegBin(mu, p) weights, truncated as in _negbin.  For the pdf
+        and cdf the term ratio is also at most r_j x/n (n the current shape,
+        x = b g; n + 1 for the cdf), which bounds the terms left relative to
+        the sum where x is small."""
         b, mu = self._mix_rate, self.mu
-        q = 1.0 - self._mix_p
         x = b * g
-        w = self._mix_p**mu
         out = np.zeros_like(x)
-        j = 0
-        while True:
+        for j, (w, r) in enumerate(self._negbin()):
             n = 2 * mu + j
-            if kind == "pdf":
-                t = w * b * np.exp(xlogy(n - 1, x) - x - gammaln(n))
-            elif kind == "cdf":
-                t = w * gammainc(n, x)
-            else:
-                t = w * gammaincc(n, x)
+            t = _gamma_terms(kind, w, n, b, x)
             out += t
-            r = q * (mu + j) / (j + 1)
-            if r < 1.0 and w * r <= _SERIES_TOL * (1.0 - r):
-                break
             if kind != "sf":
                 R = r * x / (n + 1 if kind == "cdf" else n)
                 if np.all((R < 1.0)
                           & (t * R <= _SERIES_TOL * (1.0 - R) * out)):
                     break
-            w *= r
-            j += 1
         return out
 
     def __repr__(self):
         return (f"EtaMuLink(eta={self.eta}, mu={self.mu}, "
                 f"avg_snr={self.avg_snr})")
+
+
+def _gamma_terms(kind: str, w, n, lam, x):
+    """w times the Gamma(n, rate lam) density ("pdf"), survival ("sf") or
+    distribution (otherwise) at g = x/lam."""
+    if kind == "pdf":
+        return w * lam * np.exp(xlogy(n - 1, x) - x - gammaln(n))
+    return w * (gammaincc(n, x) if kind == "sf" else gammainc(n, x))
 
 
 def eta_mu_pdf(link: EtaMuLink, gamma) -> np.ndarray:

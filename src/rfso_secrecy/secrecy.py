@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import exp, fsum, lgamma, log
+from math import exp, fsum, log
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaln, xlogy
 
 from .channels import DggLink, EtaMuLink, dgg_cdf, dgg_pdf, eta_mu_pdf
 from .dualhop import DualHopChannel, min_combine_cdf
@@ -94,12 +95,12 @@ class Scenario2Config:
 def _clamp_unit(x: float, label: str, rounding_bound: float = 0.0) -> float:
     """Clamp x to [0, 1].  rounding_bound bounds the rounding error of the
     sum that produced x; past _CLAMP_FLAG x is not a usable probability
-    (the two-branch coefficients of an eta-mu link near eta = 1 cancel)."""
+    (the sum's terms cancel beyond what double precision carries)."""
     if rounding_bound > _CLAMP_FLAG:
         raise AccuracyError(
-            f"{label}: the rounding bound of the eta-mu two-branch sum "
-            f"exceeds {_CLAMP_FLAG:g} (eta too close to 1 for this closed "
-            "form)", best_estimate=x, error_bound=rounding_bound)
+            f"{label}: the rounding bound of the closed-form sum exceeds "
+            f"{_CLAMP_FLAG:g} (its terms cancel)",
+            best_estimate=x, error_bound=rounding_bound)
     excess = max(0.0 - x, x - 1.0, 0.0)
     if excess > _CLAMP_FLAG:
         warnings.warn(f"{label} clamped to [0,1]; excess {excess:.3e}",
@@ -111,53 +112,78 @@ def _clamp_unit(x: float, label: str, rounding_bound: float = 0.0) -> float:
 # scenario 1
 # ---------------------------------------------------------------------------
 
+def _poisson_grid(link: EtaMuLink):
+    """The link's Gamma terms (w, n, lam) as Poisson kernels
+    Pois(x; lam g) = (lam g)^x e^(-lam g) / x!, x = n - 1:
+
+        pdf(g) = sum w lam Pois(x; lam g),  survival(g) = sum W Pois(x; lam g),
+
+    W the weight of the shapes above x at the same rate (at each rate the
+    shapes run 1..N).  Returns (lam, x, w, W)."""
+    w, n, lam = link.terms
+    W = ((lam == lam[:, None]) & (n >= n[:, None])) @ w
+    return lam, n - 1, w, W
+
+
+def _pairs(x, alpha, y, beta):
+    """Pois(x; alpha g) Pois(y; beta g) = c Pois(x + y; H g), H = alpha +
+    beta, for the main grid (x, alpha) against the eavesdropper grid (y,
+    beta): returns c, H and x + y, each of shape (x.size, y.size)."""
+    x, alpha = x[:, None], alpha[:, None]
+    H = alpha + beta
+    log_c = (gammaln(x + y + 1) - gammaln(x + 1) - gammaln(y + 1)
+             + xlogy(x, alpha / H) + xlogy(y, beta / H))
+    return np.exp(log_c), H, x + y
+
+
+def _family_at(family, ln_w, H, p):
+    """Member p of a Laplace-kernel family at the rate H, for each pair.
+
+    family(count, ln_w(rates)) evaluates members 0..count-1 at distinct
+    rates, shape (count, rates.size); it runs once per distinct member
+    count the rates need, so rates that need few members pay for few."""
+    rates, at = np.unique(H, return_inverse=True)
+    at = at.reshape(H.shape)
+    count = np.zeros(rates.size, dtype=int)
+    np.maximum.at(count, at, p + 1)
+    values = np.empty((count.max(), rates.size))
+    for K in np.unique(count):
+        sel = count == K
+        values[:K, sel] = np.reshape(family(K, ln_w(rates[sel])), (K, -1))
+    return values[p, at]
+
+
 def _sop1_terms(cfg: Scenario1Config, fso_tail):
     """Shared assembly for the scenario-1 outage sum: returns the unclamped
-    sum and the bound 2^-53 * |A_0 A_e| * sum|terms| on its rounding error.
+    sum and the bound 2^-53 * sum|terms| on its rounding error.
 
-    fso_tail(count, ln_w_array) must return the values of the size-(4,) FSO
-    integral block for each (N0, Ne) pair at z1 = 1..count, shape (count, 4):
-    either the full slope-tau kernel (lower bound) or its leading residues
-    (asymptote).
+    1 - SOP1 = int f_e(g) S_0(phi g) S_d(phi g) dg is one sum over pairs of
+    a main survival kernel and an eavesdropper density kernel, each pair a
+    Gamma(p + 1, rate F) average of S_d(phi g), F = phi lam_0 + lam_e.
+    That average is 1 - B3 (p + 1) T_p, and fso_tail(count, ln_w) must
+    return T_p = _sop1_tail(fso, p + 1, ...) for p < count at each ln_w,
+    shape (count, ln_w.size): either the full slope-tau kernel (lower
+    bound) or its leading residues (asymptote).
     """
-    rf0, rfe, fso = cfg.rf_main, cfg.rf_eve, cfg.fso_main
-    phi1 = cfg.phi1
-    lnphi = log(phi1)
-    tau = fso.tau
-    B3 = exp(fso.log_B3)
-    pairs = [(N0, Ne) for N0 in (1, 2) for Ne in (1, 2)]
-    F = {pair: phi1 * rf0.decay[pair[0]] + rfe.decay[pair[1]]
-         for pair in pairs}
-
-    ln_w = np.array([fso.log_B4 + tau * (lnphi - log(fso.electrical_snr)
-                                         - log(F[p])) for p in pairs])
-    g_cache = {}
-    for z1, vals in enumerate(fso_tail(rf0.mu + rfe.mu - 1, ln_w), start=1):
-        for p, v in zip(pairs, vals):
-            g_cache[(z1, p)] = float(v)
-
-    terms = []
-    for N0, Ne in pairs:
-        for v in range(rf0.mu):
-            for w in range(rfe.mu):
-                for x in range(rf0.mu - v):
-                    z1 = rfe.mu - w + x
-                    Fp = F[(N0, Ne)]
-                    coeff = ((rf0.decay[N0] * phi1) ** x / exp(lgamma(x + 1))
-                             * rfe.X[(Ne, w)] * rf0.Y[(N0, v)] / Fp ** z1)
-                    inner = exp(lgamma(z1)) - B3 * g_cache[(z1, (N0, Ne))]
-                    terms.append(coeff * inner)
-    scale = rf0.coeff_A * rfe.coeff_A
-    return (1.0 - scale * fsum(terms),
-            _EPS * abs(scale) * fsum(abs(t) for t in terms))
+    fso, phi1 = cfg.fso_main, cfg.phi1
+    lam0, x0, _, W0 = _poisson_grid(cfg.rf_main)
+    lame, xe, we, _ = _poisson_grid(cfg.rf_eve)
+    c, F, p = _pairs(x0, phi1 * lam0, xe, lame)
+    tail = _family_at(fso_tail, lambda rate: fso.log_B4 + fso.tau * (
+        log(phi1) - log(fso.electrical_snr) - np.log(rate)), F, p)
+    terms = ((W0[:, None] * we * c * lame / F)
+             * (1.0 - exp(fso.log_B3) * (p + 1) * tail)).ravel()
+    return 1.0 - fsum(terms), _EPS * fsum(np.abs(terms))
 
 
 def _sop1_tail(fso: DggLink, z1: int, j4_ladders) -> MellinBarnesIntegral:
-    """The FSO block of the scenario-1 outage sum: the survival kernel
-    against the Laplace kernel Gamma(z1 - tau*v)."""
+    """The FSO block of the scenario-1 outage sum: the CDF kernel against
+    the Laplace kernel Gamma(z1 - tau*v) / z1!.  Every Laplace kernel here
+    comes divided by z!, as the members of the engine's families do, which
+    keeps blocks of any z in double range."""
     return MellinBarnesIntegral.from_ladders(
-        j4_ladders + [(1, 0.0, -1.0), (1, float(z1), -fso.tau)],
-        [(1, 1.0, -1.0)] + fso.j3_ladders)
+        j4_ladders + [(1, 0.0, -1.0), (1, 0.0, -fso.tau)],
+        [(1, 1.0, -1.0)] + fso.j3_ladders)._member(z1)
 
 
 def _leading_residues(make, ladders, ln_w, tol):
@@ -190,9 +216,9 @@ def sop1_lower(cfg: Scenario1Config,
     fso = cfg.fso_main
 
     def tail(count, ln_w):
-        # the Gamma(z1 - tau*v) family z1 = 1..count on one contour
+        # the Gamma(z1 - tau*v) family z1 = 1..count on shared contours
         return _sop1_tail(fso, 1, fso.j4_ladders).value_many(
-            ln_w, options, count=count).reshape(count, -1)
+            ln_w, options, count=count)
 
     value, bound = _sop1_terms(cfg, tail)
     return _clamp_unit(value, "sop1_lower", bound)
@@ -238,81 +264,51 @@ def sop1_exact_quadrature(cfg: Scenario1Config, abs_tol: float = 1e-7) -> float:
 
 def _spsc1_survival(fso: DggLink, z: int) -> MellinBarnesIntegral:
     """The survival block of spsc1, int g^(z-1) e^(-lam g) (1 - F_fso)(g) dg
-    without the lam^-z: the survival kernel against Gamma(z - tau*v)."""
+    without the lam^-z and divided by z!: the survival kernel against
+    Gamma(z - tau*v) / z!."""
     return MellinBarnesIntegral.from_ladders(
-        fso.j4_ladders + [(1, 0.0), (1, float(z), -fso.tau)],
-        [(1, 1.0)] + fso.j3_ladders)
+        fso.j4_ladders + [(1, 0.0), (1, 0.0, -fso.tau)],
+        [(1, 1.0)] + fso.j3_ladders)._member(z)
 
 
 def _spsc1_density(fso: DggLink, z: int) -> MellinBarnesIntegral:
     """The density block of spsc1, int g^(z-1) e^(-lam g) f_fso-kernel(g) dg
-    without the lam^-z: the density kernel against Gamma(z - tau*v/s)."""
+    without the lam^-z and divided by z!: the density kernel against
+    Gamma(z - tau*v/s) / z!."""
     return MellinBarnesIntegral.from_ladders(
-        fso.j1_ladders + [(1, float(z), -fso.tau / fso.s)], [(1, fso.j2)])
+        fso.j1_ladders + [(1, 0.0, -fso.tau / fso.s)],
+        [(1, fso.j2)])._member(z)
 
 
 def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
     """Probability of strictly positive secrecy capacity, RF eavesdropper:
-    Pr(min-combined SNR > eavesdropper SNR)."""
-    rf0, rfe, fso = cfg.rf_main, cfg.rf_eve, cfg.fso_main
+    Pr(min-combined SNR > eavesdropper SNR).
+
+    With f_min = f_0 S_d + S_0 f_d the density of the minimum, SPSC1 is
+    int f_min (1 - S_e) dg: one sum over pairs of a main kernel and a kernel
+    of 1 - S_e (a unit term at rate 0, then -S_e's).  Each pair is a
+    Gamma(p + 1, rate H) average of S_d (survival block) or a Poisson
+    weight of f_d (density block), H = lam_0 + lam_e.
+    """
+    fso = cfg.fso_main
     tau, s = fso.tau, fso.s
-    B3 = exp(fso.log_B3)
-    B1s = exp(fso.log_B1) / s
     lnU = log(fso.electrical_snr)
-
-    lam_single = {N0: rf0.decay[N0] for N0 in (1, 2)}
-    lam_pair = {(N0, Ne): rf0.decay[N0] + rfe.decay[Ne]
-                for N0 in (1, 2) for Ne in (1, 2)}
-
-    def survival_blocks(count, lams):
-        """{z: survival block at each lam}, z = 1..count: one family."""
-        ln_w = np.array([fso.log_B4 - tau * lnU - tau * log(l) for l in lams])
-        vals = _spsc1_survival(fso, 1).value_many(ln_w, options, count=count)
-        return dict(enumerate(B3 * vals.reshape(count, -1), start=1))
-
-    def density_blocks(count, lams):
-        """{z: density block at each lam}, z = 0..count-1: one family."""
-        ln_w = np.array([fso.log_B2t_tau - (tau / s) * (lnU + log(l))
-                         for l in lams])
-        vals = _spsc1_density(fso, 0).value_many(ln_w, options, count=count)
-        return dict(enumerate(B1s * vals.reshape(count, -1)))
-
-    lams1 = [lam_single[1], lam_single[2]]
-    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    lams2 = [lam_pair[p] for p in pairs]
-
-    R1 = survival_blocks(rf0.mu, lams1)
-    R2 = density_blocks(rf0.mu, lams1)
-    R3 = survival_blocks(rf0.mu + rfe.mu - 1, lams2)
-    R4 = density_blocks(rf0.mu + rfe.mu - 1, lams2)
-
-    terms = []
-    for i0, N0 in enumerate((1, 2)):
-        l0 = rf0.decay[N0]
-        for v in range(rf0.mu):
-            z2 = rf0.mu - v
-            terms.append(rf0.X[(N0, v)] * R1[z2][i0] / l0**z2)
-            for x in range(rf0.mu - v):
-                terms.append(l0**x / exp(lgamma(x + 1)) * rf0.Y[(N0, v)]
-                             * R2[x][i0] / l0**x)
-            for ie, (Np, Ne) in enumerate(pairs):
-                if Np != N0:
-                    continue
-                H = lam_pair[(N0, Ne)]
-                le = rfe.decay[Ne]
-                for w in range(rfe.mu):
-                    for y in range(rfe.mu - w):
-                        z3 = z2 + y
-                        outer = (-rfe.coeff_A * le**y / exp(lgamma(y + 1))
-                                 * rfe.Y[(Ne, w)])
-                        terms.append(outer * rf0.X[(N0, v)]
-                                     * R3[z3][ie] / H**z3)
-                        for x in range(rf0.mu - v):
-                            z4 = x + y
-                            terms.append(outer * l0**x / exp(lgamma(x + 1))
-                                         * rf0.Y[(N0, v)] * R4[z4][ie] / H**z4)
-    return _clamp_unit(rf0.coeff_A * fsum(terms), "spsc1",
-                       _EPS * abs(rf0.coeff_A) * fsum(abs(t) for t in terms))
+    lam0, x0, w0, W0 = _poisson_grid(cfg.rf_main)
+    lame, xe, _, We = _poisson_grid(cfg.rf_eve)
+    c, H, p = _pairs(x0, lam0, np.append(0, xe), np.append(0.0, lame))
+    c *= np.append(1.0, -We)
+    survival = _family_at(
+        lambda K, ln_w: _spsc1_survival(fso, 1).value_many(ln_w, options,
+                                                           count=K),
+        lambda rate: fso.log_B4 - tau * (lnU + np.log(rate)), H, p)
+    density = _family_at(
+        lambda K, ln_w: _spsc1_density(fso, 0).value_many(ln_w, options,
+                                                          count=K),
+        lambda rate: fso.log_B2t_tau - (tau / s) * (lnU + np.log(rate)), H, p)
+    terms = np.concatenate([
+        c * (w0 * lam0)[:, None] / H * exp(fso.log_B3) * (p + 1) * survival,
+        c * W0[:, None] * (exp(fso.log_B1) / s) * density]).ravel()
+    return _clamp_unit(fsum(terms), "spsc1", _EPS * fsum(np.abs(terms)))
 
 
 # ---------------------------------------------------------------------------

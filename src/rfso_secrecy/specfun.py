@@ -22,7 +22,7 @@ log domain, where G-values far outside double range stay representable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log, pi
+from math import exp, lgamma, log, pi
 from typing import Sequence
 
 import numpy as np
@@ -58,6 +58,9 @@ _TRUNCATION_GRID = 1.25 ** np.arange(24)
 # |sum w Re f|) on the shared contour is evaluated on its own saddle: its
 # rounding noise, ~1e-13 times this factor, would pass the tolerance test.
 _MAX_CANCELLATION = 16.0
+# Families share one contour per run of this many members: the top member
+# sets the height and node count, which grow with its index (O(K^2) work).
+_FAMILY_RUN = 8
 
 
 @dataclass(frozen=True)
@@ -272,11 +275,13 @@ class MellinBarnesIntegral:
 
     def _saddle(self, lnz: float, member: int = 0) -> float:
         """Saddle of family member `member`, bracketed in member 0's strip
-        (the narrowest: raising the offset only moves poles outward)."""
+        (the narrowest: raising the offset only moves poles outward) at
+        min(2% of it, 0.02) from either pole: a saddle clipped further off
+        leaves the trapezoid sum cancelling."""
         L, R = self.strip
         if np.isfinite(L) and np.isfinite(R):
-            w = R - L
-            lo, hi = L + 0.02 * w, R - 0.02 * w
+            margin = 0.02 * min(R - L, 1.0)
+            lo, hi = L + margin, R - margin
         elif np.isfinite(L):
             lo = L + 1e-3
             hi = max(L + 1.0, 1.0)
@@ -330,20 +335,24 @@ class MellinBarnesIntegral:
     def _log_family(self, v: np.ndarray, count: int) -> np.ndarray:
         """Log-integrands of family members 0..count-1 at the nodes v, shape
         (count, v.size), from one gamma pass: by Gamma(x + 1) = x Gamma(x)
-        (DLMF 5.5.1) member k is member k-1 times a + k - 1 + b*v."""
+        (DLMF 5.5.1) member k is member k-1 times (a + k - 1 + b*v)/(a + k)."""
         g = self._log_integrand(v)
         if count == 1:
             return g[None]
         a, b = self.numer[-1]
-        steps = np.log(a + np.arange(count - 1)[:, None] + b * v)
+        j = a + np.arange(count - 1)[:, None]
+        steps = np.log((j + b * v) / (j + 1))
         return np.concatenate([g[None], g + np.cumsum(steps, axis=0)])
 
     def _member(self, k: int) -> "MellinBarnesIntegral":
-        """Family member k on its own: the last numerator offset raised by k."""
+        """Family member k on its own: the last numerator factor Gamma(a +
+        b*v) raised to Gamma(a + k + b*v), the integrand divided by
+        Gamma(a + k + 1)/Gamma(a + 1)."""
         a, b = self.numer[-1]
         member = MellinBarnesIntegral(self.numer[:-1] + ((a + k, b),),
                                       self.denom)
-        member._log_const, member._ln_shift = self._log_const, self._ln_shift
+        member._log_const = self._log_const - lgamma(a + k + 1) + lgamma(a + 1)
+        member._ln_shift = self._ln_shift
         return member
 
     # -- evaluation --------------------------------------------------------
@@ -358,9 +367,10 @@ class MellinBarnesIntegral:
         nearby arguments (they share contour and nodes).
 
         With count > 1, evaluate the family whose member k has the last
-        numerator factor Gamma(a + b*v) raised to Gamma(a + k + b*v), i.e.
-        the integrand times the Pochhammer product (a + b*v)_k, k < count,
-        on one contour per group; the result gets a leading member axis.
+        numerator factor Gamma(a + b*v) raised to Gamma(a + k + b*v) and
+        divided by (a + 1)_k (a > -1), which keeps long families in double
+        range, on one contour per group and run of _FAMILY_RUN members; the
+        result gets a leading member axis.
         Members the shared contour does not serve (a narrow strip, an
         AccuracyError, too much cancellation) are evaluated on their own.
         """
@@ -375,6 +385,11 @@ class MellinBarnesIntegral:
         if count > 1 and R - L < _NARROW_STRIP:
             # the hop path crosses member-specific residues
             return self._members_many(lnz, options, range(count))
+        if count > _FAMILY_RUN:
+            return np.concatenate([
+                self._member(k).value_many(lnz, options, min(
+                    _FAMILY_RUN, count - k)).reshape(-1, lnz.size)
+                for k in range(0, count, _FAMILY_RUN)])
         out = np.empty((count, lnz.size))
         order = np.argsort(lnz, kind="stable")
         start = 0

@@ -88,6 +88,40 @@ def test_eta_mu_coefficient_overflow_is_a_parameter_error(eta, mu):
         EtaMuLink(eta, mu, 1.0)
 
 
+@pytest.mark.parametrize("eta,mu", [
+    (50.0, 3), (20.0, 2), (5.0, 1), (0.3, 4),
+    pytest.param(1e-6, 2, marks=pytest.mark.xfail(strict=True, reason=(
+        "k - K cancels at the eta = 1e-6 surrogate: decay[1] and the "
+        "weights carry a 7.6e-12 relative error; computing (1 + eta)/2 "
+        "exactly moves fig9/fig10 closed forms by up to 2.4e-10, past the "
+        "recorded benchmark fingerprint")))])
+def test_two_branch_terms_sum_to_one(eta, mu):
+    """A well-conditioned link keeps the two-branch terms: shapes 1..mu at
+    each of the two decay rates, weights summing to 1 (the survival at 0)."""
+    link = EtaMuLink(eta, mu, 3.0)
+    w, n, lam = link.terms
+    assert sorted(set(lam)) == sorted(link.decay.values())
+    for rate in set(lam):
+        assert sorted(n[lam == rate]) == list(range(1, mu + 1))
+    assert w.sum() == pytest.approx(1.0, abs=1e-13)
+    assert np.abs(w).sum() <= 1e3
+
+
+@pytest.mark.parametrize("eta,mu", [(0.97, 4), (0.875, 3), (0.5, 8),
+                                    (2.0, 8), (1.0 + 1e-6, 2)])
+def test_mixture_terms_drop_at_most_the_series_tolerance(eta, mu):
+    """A link whose two-branch weights cancel takes the Gamma mixture:
+    shapes 1..N at the larger decay rate, non-negative weights (zero below
+    2mu) summing to 1 less a tail of at most 2^-56."""
+    link = EtaMuLink(eta, mu, 3.0)
+    w, n, lam = link.terms
+    assert np.all(lam == max(link.decay.values()))
+    assert list(n) == list(range(1, n.size + 1))
+    assert np.all(w[:2 * mu - 1] == 0.0) and np.all(w[2 * mu - 1:] > 0.0)
+    tail = 1.0 - math.fsum(w)
+    assert -1e-15 <= tail <= 2.0**-56 + 1e-15
+
+
 @given(eta=(st.floats(0.05, 0.9) | st.floats(0.9, 1.2)
             | st.floats(1.2, 100.0)).filter(
                 lambda eta: abs(1.0 / eta - eta) / 4.0 > 1e-9),

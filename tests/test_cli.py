@@ -204,6 +204,25 @@ def test_cli_rejects_overflowing_eta_mu_config(tmp_path, capsys):
     assert err.startswith("error: ") and "coefficient" in err
 
 
+def test_scenario1_config_near_eta_one_has_no_error_rows(tmp_path):
+    """Both RF links at eta 0.875, mu 3, whose two-branch sums cancel: the
+    closed forms come from the Gamma mixture, and no cell fails."""
+    p = tmp_path / "near_one.cfg"
+    p.write_text(
+        "[scenario]\nscenario = 1\neta0 = 0.875\nmu0 = 3\n"
+        "phi_sr_db = 10\neta_e = 0.875\nmu_e = 3\nphi_se_db = 0\n"
+        "turbulence = st\neps = 1\ns0 = 1\nUd_db = 20\n"
+        "target_rate = 0.5\n"
+        "[sweep]\naxis = Ud_db\nstart = 0\nstop = 40\npoints = 3\n"
+        "metrics = sop1,spsc1\nevaluators = closed,asymptotic\n")
+    out = tmp_path / "rows.csv"
+    assert main(["--config", str(p), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    closed = [r for r in rows if r[3] in ("closed", "asymptotic")]
+    assert len(closed) == 9  # 3 points x (2 closed + 1 asymptotic)
+    assert all(r[-1] == "" and r[4] for r in closed)
+
+
 def test_lognormal_preset_reports_unreachable(capsys):
     assert main(["--preset", "lognormal"]) == 2
     assert "unreachable" in capsys.readouterr().err

@@ -1,10 +1,13 @@
 """Closed-form secrecy metrics against their oracles."""
 
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rfso_secrecy import (EtaMuLink, RngStream, Scenario1Config,
                           Scenario2Config, dgg_from_preset, estimate_sop1,
@@ -15,6 +18,7 @@ from rfso_secrecy import (EtaMuLink, RngStream, Scenario1Config,
 from rfso_secrecy.errors import (AccuracyError, ClampExcessWarning,
                                  ParameterError, RfsoError)
 from rfso_secrecy.presets import figure_preset
+from rfso_secrecy.secrecy import _clamp_unit
 
 from conftest import db
 
@@ -109,17 +113,68 @@ def test_closed_form_matches_quadrature_oracle_scenario1():
     assert sop1_lower(cfg) == pytest.approx(val, abs=1e-8)
 
 
-def test_eta_near_one_raises_accuracy_error():
-    """Near eta = 1 the two-branch coefficients of the scenario-1 sums cancel
-    far beyond double precision; the sums raise instead of returning a
-    clamped 0 or 1."""
+def _agrees_with_mc(value, estimator, cfg, stream):
+    """value within 3 sigma of a 10^5-sample Monte Carlo estimate; a trip
+    must repeat on an independent stream to count (a real bias trips
+    both)."""
+    for seed in (2026, 6202):
+        est = estimator(cfg, 100_000, RngStream(seed, stream))
+        se = max(est.std_error,
+                 math.sqrt(max(value * (1.0 - value), 0.0) / est.n_samples))
+        if abs(value - est.value) <= 3.0 * se:
+            return True
+    return False
+
+
+def test_eta_near_one_matches_oracles():
+    """Near eta = 1 the two-branch weights cancel far beyond double
+    precision; both links take the Gamma mixture, and the scenario-1 sums
+    agree with the quadrature and Monte Carlo oracles."""
     cfg = _sc1(eta0=0.97, mu0=4, eta_e=0.97, mu_e=4)
-    for metric in (sop1_lower, sop1_asymptotic, spsc1):
-        with pytest.raises(AccuracyError) as info:
-            metric(cfg)
-        assert isinstance(info.value, RfsoError)
-        assert info.value.error_bound > 1e-9
-        assert np.isfinite(info.value.best_estimate)
+    lower = sop1_lower(cfg)
+    assert lower <= sop1_exact_quadrature(cfg) + 1e-7
+    assert _agrees_with_mc(lower, estimate_sop1, cfg, 10)
+    assert _agrees_with_mc(spsc1(cfg), estimate_spsc1, cfg, 11)
+    assert np.isfinite(sop1_asymptotic(cfg))
+
+
+def test_clamp_unit_rejects_a_large_rounding_bound():
+    """A closed-form sum whose rounding bound exceeds _CLAMP_FLAG is not a
+    usable probability: AccuracyError carries the sum and its bound."""
+    assert _clamp_unit(0.25, "sum", 1e-9) == 0.25
+    with pytest.raises(AccuracyError) as info:
+        _clamp_unit(0.25, "sum", 2e-9)
+    assert isinstance(info.value, RfsoError)
+    assert info.value.best_estimate == 0.25
+    assert info.value.error_bound == 2e-9
+
+
+_ETA = st.floats(0.05, 0.9) | st.floats(0.9, 1.1) | st.floats(1.1, 20.0)
+
+
+@given(eta0=_ETA, mu0=st.integers(1, 8), eta_e=_ETA, mu_e=st.integers(1, 8))
+@example(eta0=0.7, mu0=4, eta_e=0.7, mu_e=4)
+@example(eta0=0.875, mu0=3, eta_e=0.875, mu_e=3)
+@example(eta0=0.5, mu0=8, eta_e=0.5, mu_e=8)
+@example(eta0=2.0, mu0=8, eta_e=2.0, mu_e=8)
+@settings(max_examples=6, deadline=None)
+def test_scenario1_closed_forms_on_the_eta_mu_domain(eta0, mu0, eta_e, mu_e):
+    """sop1_lower bounds the exact outage from below and, with spsc1, agrees
+    with Monte Carlo for every eta the constructor accepts, near eta = 1
+    and up to mu = 8 included; the examples are links whose two-branch sums
+    used to exceed the rounding-bound guard."""
+    # eta = 1 itself is rejected by the constructor
+    assume(abs(1.0 / eta0 - eta0) > 4e-9 and abs(1.0 / eta_e - eta_e) > 4e-9)
+    cfg = Scenario1Config(
+        rf_main=EtaMuLink(eta0, mu0, db(10.0)),
+        rf_eve=EtaMuLink(eta_e, mu_e, db(0.0)),
+        fso_main=dgg_from_preset("st", eps=1.0, detection=1,
+                                 electrical_snr=db(20.0)),
+        target_rate=0.5)
+    lower = sop1_lower(cfg)
+    assert lower <= sop1_exact_quadrature(cfg) + 1e-7
+    assert _agrees_with_mc(lower, estimate_sop1, cfg, 20)
+    assert _agrees_with_mc(spsc1(cfg), estimate_spsc1, cfg, 21)
 
 
 # ---------------------------------------------------------------------------

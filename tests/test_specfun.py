@@ -364,7 +364,8 @@ def test_family_group_shares_one_gamma_pass(st_link, monkeypatch):
 def test_narrow_strip_family_takes_member_hop_path(monkeypatch):
     """A family whose first member has a near-degenerate strip is evaluated
     member by member, the first one on the hop path; exact values
-    Gamma(beta) (1 + z)^-beta, beta = eps + k."""
+    Gamma(beta) (1 + z)^-beta / (1 + eps)_k, beta = eps + k (member k is
+    divided by (a + 1)_k, a = eps the base offset)."""
     eps = 5e-7
     base = MellinBarnesIntegral([(0.0, 1.0), (eps, -1.0)])
     ln_args = np.log([0.5, 2.0])
@@ -376,9 +377,11 @@ def test_narrow_strip_family_takes_member_hop_path(monkeypatch):
     assert len(hops) == 1 and hops[0].strip == base.strip
     for k in range(3):
         member = MellinBarnesIntegral([(0.0, 1.0), (eps + k, -1.0)])
+        member._log_const = math.lgamma(eps + 1) - math.lgamma(eps + k + 1)
         np.testing.assert_array_equal(family[k],
                                       member.value_many(ln_args, TIGHT))
-        ref = math.gamma(eps + k) * (1.0 + np.exp(ln_args)) ** -(eps + k)
+        ref = (math.gamma(eps + 1) / (eps + k)
+               * (1.0 + np.exp(ln_args)) ** -(eps + k))
         np.testing.assert_allclose(family[k], ref, rtol=1e-8)
 
 

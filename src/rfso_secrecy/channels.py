@@ -379,9 +379,6 @@ class DggLink:
                        + (self.b2 - 0.5) * log(lam1)
                        + (1.0 - (lam1 + lam2) / 2.0) * log(2.0 * pi)
                        - lgamma(self.b1) - lgamma(self.b2))
-        self.log_B2 = (lam2 * log(self.b1) + lam1 * log(self.b2)
-                       - lam1 * log(lam1) - lam2 * log(lam2)
-                       - lam2 * log(self.omega1) - lam1 * log(self.omega2))
         # log of B2 * t^tau; the omega scales cancel out of this combination
         self.log_B2t_tau = self.tau * (self.log_B1 + self.log_zeta
                                        - log(1.0 + e2))

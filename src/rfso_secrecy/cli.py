@@ -103,9 +103,16 @@ def _parse_kv(path: str):
     return sections["scenario"], sections["sweep"]
 
 
-def _need(d: dict, key: str, conv, what: str):
+_REQUIRED = object()
+
+
+def _need(d: dict, key: str, conv, what: str, default=_REQUIRED):
+    """d[key] converted by conv; a missing key gives the default, or is an
+    error when there is none, and so is a value conv rejects."""
     if key not in d:
-        raise ConfigError(f"missing required key {key!r} for {what}")
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r} for {what}")
+        return default
     try:
         return conv(d[key])
     except ValueError as e:
@@ -119,7 +126,7 @@ def _build_scenario(sc: dict):
     eta0 = _need(sc, "eta0", float, "the main RF link")
     mu0 = _need(sc, "mu0", int, "the main RF link")
     phi_sr = _db(_need(sc, "phi_sr_db", float, "the main RF link"))
-    rate = float(sc.get("target_rate", 0.5))
+    rate = _need(sc, "target_rate", float, "the scenario", 0.5)
 
     if "turbulence" in sc:
         if any(k in sc for k in _DGG_EXPLICIT):
@@ -134,7 +141,8 @@ def _build_scenario(sc: dict):
         if missing:
             raise ConfigError("explicit DGG parameters incomplete; missing "
                               + ", ".join(missing))
-        dgg_kw = {k: (int(sc[k]) if k.startswith("lambda") else float(sc[k]))
+        dgg_kw = {k: _need(sc, k, int if k.startswith("lambda") else float,
+                           "the FSO link")
                   for k in _DGG_EXPLICIT}
     eps = _need(sc, "eps", float, "the FSO link")
     s0 = _need(sc, "s0", int, "the FSO link")
@@ -174,14 +182,10 @@ def _build_sweep(sw: dict) -> SweepSpec:
         stop=_need(sw, "stop", float, "the sweep"),
         points=_need(sw, "points", int, "the sweep"),
     )
-    if "metrics" in sw:
-        kwargs["metrics"] = _comma_list(sw["metrics"])
-    if "evaluators" in sw:
-        kwargs["evaluators"] = _comma_list(sw["evaluators"])
-    if "mc_samples" in sw:
-        kwargs["mc_samples"] = int(sw["mc_samples"])
-    if "seed" in sw:
-        kwargs["seed"] = int(sw["seed"])
+    for key, conv in (("metrics", _comma_list), ("evaluators", _comma_list),
+                      ("mc_samples", int), ("seed", int)):
+        if key in sw:
+            kwargs[key] = _need(sw, key, conv, "the sweep")
     return SweepSpec(**kwargs)
 
 

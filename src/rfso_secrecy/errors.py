@@ -15,7 +15,9 @@ class PoleCollisionError(ParameterError):
 
 
 class DegenerateParameterError(ParameterError):
-    """Residue-based evaluation hit coincident or integer-spaced poles."""
+    """The ascending and descending numerator pole families interlace, so no
+    vertical contour separates them.  (Coincident poles are not an error:
+    the residues handle poles of any order.)"""
 
 
 class UnsupportedCaseError(RfsoError):
@@ -45,5 +47,5 @@ class NumericsWarning(UserWarning):
 
 
 class ClampExcessWarning(NumericsWarning):
-    """A probability landed outside [0,1] by more than the flag threshold,
-    or a residue formula needed a parameter perturbation."""
+    """A probability landed outside [0,1] by more than the flag threshold
+    and was clamped."""

@@ -28,7 +28,7 @@ from .channels import DggLink, EtaMuLink, dgg_cdf, dgg_pdf, eta_mu_pdf
 from .dualhop import DualHopChannel, min_combine_cdf
 from .errors import AccuracyError, ClampExcessWarning, ParameterError
 from .specfun import (EvalOptions, MellinBarnesIntegral, TIGHT_OPTIONS,
-                      integer_spaced_ladders)
+                      _distinct)
 
 __all__ = [
     "Scenario1Config",
@@ -60,8 +60,8 @@ class Scenario1Config:
     target_rate: float = 0.5
 
     def __post_init__(self):
-        if self.target_rate < 0:
-            raise ParameterError("target_rate must be >= 0")
+        if not 0.0 <= self.target_rate < np.inf:
+            raise ParameterError("target_rate must be finite and >= 0")
 
     @property
     def phi1(self) -> float:
@@ -79,8 +79,8 @@ class Scenario2Config:
     target_rate: float = 0.5
 
     def __post_init__(self):
-        if self.target_rate < 0:
-            raise ParameterError("target_rate must be >= 0")
+        if not 0.0 <= self.target_rate < np.inf:
+            raise ParameterError("target_rate must be finite and >= 0")
         if self.fso_main.shape_key() != self.fso_eve.shape_key():
             raise ParameterError(
                 "fso_main and fso_eve must share all DGG shape parameters "
@@ -161,7 +161,7 @@ def _sop1_terms(cfg: Scenario1Config, fso_tail):
     a main survival kernel and an eavesdropper density kernel, each pair a
     Gamma(p + 1, rate F) average of S_d(phi g), F = phi lam_0 + lam_e.
     That average is 1 - B3 (p + 1) T_p, and fso_tail(count, ln_w) must
-    return T_p = _sop1_tail(fso, p + 1, ...) for p < count at each ln_w,
+    return T_p = _sop1_tail(fso, p + 1) for p < count at each ln_w,
     shape (count, ln_w.size): either the full slope-tau kernel (lower
     bound) or its leading residues (asymptote).
     """
@@ -176,38 +176,24 @@ def _sop1_terms(cfg: Scenario1Config, fso_tail):
     return 1.0 - fsum(terms), _EPS * fsum(np.abs(terms))
 
 
-def _sop1_tail(fso: DggLink, z1: int, j4_ladders) -> MellinBarnesIntegral:
+def _sop1_tail(fso: DggLink, z1: int) -> MellinBarnesIntegral:
     """The FSO block of the scenario-1 outage sum: the CDF kernel against
     the Laplace kernel Gamma(z1 - tau*v) / z1!.  Every Laplace kernel here
     comes divided by z!, as the members of the engine's families do, which
     keeps blocks of any z in double range."""
     return MellinBarnesIntegral.from_ladders(
-        j4_ladders + [(1, 0.0, -1.0), (1, 0.0, -fso.tau)],
+        fso.j4_ladders + [(1, 0.0, -1.0), (1, 0.0, -fso.tau)],
         [(1, 1.0, -1.0)] + fso.j3_ladders)._member(z1)
 
 
-def _leading_residues(make, ladders, ln_w, tol):
-    """Sum of the residues of make(ladders) at the first p poles of each of
-    its leading numerator factors, the ladders (p, q) in order: the leading
-    pole of every ladder entry.
-
-    Ladders with an entry an integer away from an earlier ladder's (a double
-    pole) have every entry moved by +1e-6 and by -1e-6, and the two sums are
-    averaged.
-    """
-    bad = integer_spaced_ladders(ladders, tol)
-    if bad:
-        warnings.warn("integer-spaced residue parameters; perturbing by 1e-6",
-                      ClampExcessWarning, stacklevel=3)
-    total = 0.0
-    shifts = (1e-6, -1e-6) if bad else (0.0,)
-    for d in shifts:
-        moved = [(p, q + d * p if i in bad else q)
-                 for i, (p, q) in enumerate(ladders)]
-        mb = make(moved)
-        total += sum(mb.residue(i, k, ln_w)
-                     for i, (p, _) in enumerate(moved) for k in range(p))
-    return total / len(shifts)
+def _leading_residues(mb: MellinBarnesIntegral, ladders, ln_w, tol):
+    """Sum of the residues of mb at the leading pole of every entry of the
+    ladders (p, q) that lead its numerator: the first p poles -(a + k)/b of
+    each leading factor Gamma(a + b*v), every distinct pole once (entries an
+    integer apart from an earlier ladder's make a double pole)."""
+    poles = np.concatenate([
+        -(a + np.arange(p)) / b for (p, _), (a, b) in zip(ladders, mb.numer)])
+    return mb.residue(_distinct(poles, tol), ln_w, tol).sum(axis=0)
 
 
 def sop1_lower(cfg: Scenario1Config,
@@ -217,8 +203,7 @@ def sop1_lower(cfg: Scenario1Config,
 
     def tail(count, ln_w):
         # the Gamma(z1 - tau*v) family z1 = 1..count on shared contours
-        return _sop1_tail(fso, 1, fso.j4_ladders).value_many(
-            ln_w, options, count=count)
+        return _sop1_tail(fso, 1).value_many(ln_w, options, count=count)
 
     value, bound = _sop1_terms(cfg, tail)
     return _clamp_unit(value, "sop1_lower", bound)
@@ -234,8 +219,8 @@ def sop1_asymptotic(cfg: Scenario1Config,
     fso = cfg.fso_main
 
     def tail(count, ln_w):
-        return [_leading_residues(lambda lad: _sop1_tail(fso, z1, lad),
-                                  fso.j4_ladders, ln_w,
+        mb = _sop1_tail(fso, 0)
+        return [_leading_residues(mb._member(z1), fso.j4_ladders, ln_w,
                                   options.pole_separation_tol)
                 for z1 in range(1, count + 1)]
 
@@ -315,13 +300,13 @@ def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
 # scenario 2
 # ---------------------------------------------------------------------------
 
-def _crossing(cfg: Scenario2Config, main_j4_ladders) -> MellinBarnesIntegral:
+def _crossing(cfg: Scenario2Config) -> MellinBarnesIntegral:
     """Integrand of Pr(main FSO SNR <= phi * eavesdropper FSO SNR): the
     eavesdropper's survival kernel against the main link's CDF kernel,
     whose ladders enter with slope -1 (the main j4 ladders lead)."""
     main, eve = cfg.fso_main, cfg.fso_eve
     return MellinBarnesIntegral.from_ladders(
-        [(p, q, -1.0) for p, q in main_j4_ladders] + eve.j4_ladders
+        [(p, q, -1.0) for p, q in main.j4_ladders] + eve.j4_ladders
         + [(1, 0.0)],
         [(1, 1.0)] + eve.j3_ladders
         + [(p, q, -1.0) for p, q in main.j3_ladders])
@@ -338,9 +323,8 @@ def _fso_crossing_integral(cfg: Scenario2Config, phi: float,
                            options: EvalOptions) -> float:
     """Pr(main FSO SNR <= phi * eavesdropper FSO SNR) as one G-value."""
     main, eve = cfg.fso_main, cfg.fso_eve
-    mb = _crossing(cfg, main.j4_ladders)
     return (exp(main.log_B3 + eve.log_B3)
-            * mb.value(_crossing_ln_z(cfg, phi), options))
+            * _crossing(cfg).value(_crossing_ln_z(cfg, phi), options))
 
 
 def sop2_lower(cfg: Scenario2Config,
@@ -359,10 +343,10 @@ def sop2_asymptotic(cfg: Scenario2Config,
     poles, so the integral is minus their residue sum)."""
     main, eve = cfg.fso_main, cfg.fso_eve
     phi2 = cfg.phi2
-    S = -_leading_residues(lambda lad: _crossing(cfg, lad), main.j4_ladders,
-                           _crossing_ln_z(cfg, phi2),
-                           options.pole_separation_tol)
-    crossing = exp(main.log_B3 + eve.log_B3) * float(S)
+    S = -float(_leading_residues(_crossing(cfg), main.j4_ladders,
+                                 _crossing_ln_z(cfg, phi2),
+                                 options.pole_separation_tol)[0])
+    crossing = exp(main.log_B3 + eve.log_B3) * S
     rf_ok = float(cfg.rf_main.survival(phi2 - 1.0))
     return _clamp_unit(1.0 - rf_ok * (1.0 - crossing), "sop2_asymptotic")
 

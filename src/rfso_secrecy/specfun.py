@@ -22,12 +22,13 @@ log domain, where G-values far outside double range stay representable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, lgamma, log, pi
+from math import exp, factorial, lgamma, log, pi
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import digamma, gammaln, gammasgn, loggamma
+from scipy.special import (digamma, gammaln, gammasgn, loggamma, polygamma,
+                           zeta)
 
 from .errors import (AccuracyError, DegenerateParameterError, ParameterError,
                      PoleCollisionError)
@@ -39,7 +40,6 @@ __all__ = [
     "TIGHT_OPTIONS",
     "delta_expand",
     "delta_expand_list",
-    "integer_spaced_ladders",
     "log_gamma_complex",
     "meijer_g",
 ]
@@ -123,6 +123,14 @@ def log_gamma_complex(z: complex) -> complex:
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise ParameterError(f"log-gamma pole at z={z.real}")
     return complex(loggamma(z))
+
+
+def _distinct(values, tol: float) -> np.ndarray:
+    """The values, in order, without those within tol of an earlier one."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    keep = np.diff(values[order], prepend=-np.inf) > tol
+    return values[np.sort(order[keep])]
 
 
 def delta_expand(p: int, q: float) -> list:
@@ -221,39 +229,59 @@ class MellinBarnesIntegral:
                      + sum(gammaln(a + b * v) for a, b in self.numer)
                      - sum(gammaln(a + b * v) for a, b in self.denom))
 
-    def residue(self, idx: int, k: int, ln_arguments):
-        """Residue of the integrand at the k-th pole v0 = -(a+k)/b of the
-        numerator factor idx, Gamma(a + b*v), at each log-argument.
+    def residue(self, poles, ln_arguments,
+                tol: float = EvalOptions.pole_separation_tol):
+        """Residues of the integrand at the distinct poles v0, shape (poles,
+        arguments), for poles of any order.
 
-        Zero where a denominator factor has a pole at v0 too; a second
-        numerator pole there makes v0 a multiple pole, which raises
-        DegenerateParameterError.
+        A factor Gamma(a + b*v) has a pole at v0 where a + b*v0 is within
+        tol*|b| of some -k; the order m of v0 is the count of numerator
+        factors with a pole there less that of denominator factors, and the
+        residue is zero where m <= 0.  In delta = v - v0 a pole factor is
+        (-1)^k (pi y / sin pi y) / (y Gamma(1 + k - y)), y = b*delta (DLMF
+        5.5.3), with ln(pi y / sin pi y) = sum zeta(2n) y^(2n) / n (DLMF
+        4.22.1); every log Gamma is a polygamma Taylor series (DLMF 5.15),
+        and z^-v = z^-v0 e^(-delta ln z).  The integrand is then
+        delta^-m exp(sum c_j delta^j), whose delta^(m-1) coefficient comes
+        from e_n = sum j c_j e_(n-j) / n; at m = 1 it is 1.
         """
-        a, b = self.numer[idx]
-        v0 = -(a + k) / b
-        # Gamma(a + b*v) ~ (-1)^k / (k! * b * (v - v0)) near v0
-        lg = (self._log_const - self._ln_shift * v0
-              - gammaln(k + 1.0) - log(abs(b)))
-        sg = (-1.0 if k % 2 else 1.0) * (1.0 if b > 0 else -1.0)
-        for j, (aj, bj) in enumerate(self.numer):
-            if j == idx:
-                continue
-            x = aj + bj * v0
-            s = gammasgn(x)
-            if s == 0.0:
-                raise DegenerateParameterError(
-                    f"numerator factors {idx} and {j} share the pole "
-                    f"v = {v0}")
-            sg *= s
-            lg += gammaln(x)
-        for aj, bj in self.denom:
-            x = aj + bj * v0
-            s = gammasgn(x)
-            if s == 0.0:
-                return np.zeros_like(ln_arguments, dtype=float)
-            sg *= s
-            lg -= gammaln(x)
-        return sg * np.exp(lg - v0 * ln_arguments)
+        v0 = np.atleast_1d(np.asarray(poles, dtype=float))[:, None]
+        lnz = np.atleast_1d(np.asarray(ln_arguments, dtype=float))
+        b = np.concatenate([self._nb, self._db])
+        side = np.concatenate([np.ones(self._nb.size),
+                               -np.ones(self._db.size)])
+        x = np.concatenate([self._na, self._da]) + b * v0
+        k = np.round(-x)
+        pole = (k >= 0) & (np.abs(x + k) <= tol * np.abs(b))
+        m = pole @ side
+        # a pole factor adds (-1)^k / (k! b) to the delta^-m coefficient and
+        # log Gamma(1 + k - y) to the series, a regular one Gamma(x) and
+        # log Gamma(x + y); the logs add up one factor at a time
+        xc = np.where(pole, k + 1.0, x)
+        lg = gammaln(xc)
+        lg = np.cumsum(np.concatenate([
+            self._log_const - self._ln_shift * v0,
+            side * np.where(pole, -lg - np.log(np.abs(b)), lg)], axis=1),
+            axis=1)[:, -1:]
+        sg = np.where(pole, np.where(k % 2, -1.0, 1.0) * np.sign(b),
+                      gammasgn(xc)).prod(axis=1, keepdims=True)
+        out = sg * np.exp(lg - v0 * lnz)
+        order = int(m.max(initial=1))
+        if order > 1:
+            c = [None]
+            for j in range(1, order):
+                t = (np.where(pole, (-1.0) ** (j + 1), 1.0)
+                     * polygamma(j - 1, xc) / factorial(j))
+                if j % 2 == 0:
+                    t = t + pole * 2.0 * zeta(j) / j
+                c.append((side * t * b**j).sum(axis=1, keepdims=True))
+            c[1] = c[1] - self._ln_shift - lnz
+            e = [np.ones_like(out)]
+            for n in range(1, order):
+                e.append(sum(j * c[j] * e[n - j] for j in range(1, n + 1)) / n)
+            out = out * np.stack(e)[np.maximum(m - 1, 0).astype(int),
+                                    np.arange(m.size)]
+        return np.where(m[:, None] > 0, out, 0.0)
 
     # -- contour placement -------------------------------------------------
 
@@ -425,20 +453,17 @@ class MellinBarnesIntegral:
 
     def _hop_contour(self):
         """For a near-degenerate strip: place the contour in the first wide
-        gap to the right and report the descending-factor poles it crossed."""
+        gap to the right and report the descending-factor poles it crossed,
+        in ascending order."""
         L, _ = self.strip
         poles = []
-        for idx, (a, b) in enumerate(self.numer):
-            if b < 0:
-                k = 0
-                while True:
-                    v0 = (a + k) / (-b)
-                    if v0 > L + 8.0:
-                        break
-                    poles.append((v0, idx, k))
-                    k += 1
+        for a, b in self.numer:
+            k = 0
+            while b < 0 and (a + k) / -b <= L + 8.0:
+                poles.append((a + k) / -b)
+                k += 1
         poles.sort()
-        positions = [p[0] for p in poles] + [L + 9.0]
+        positions = poles + [L + 9.0]
         best_gap, c = -1.0, positions[-1] - 0.5
         for i in range(len(positions) - 1):
             width = positions[i + 1] - positions[i]
@@ -448,8 +473,7 @@ class MellinBarnesIntegral:
             if width > best_gap:
                 best_gap = width
                 c = positions[i] + 0.5 * width
-        crossed = tuple(p for p in poles if p[0] < c)
-        return c, crossed
+        return c, [v for v in poles if v < c]
 
     def _value_group(self, lnz: np.ndarray, options: EvalOptions,
                      count: int = 1):
@@ -458,14 +482,16 @@ class MellinBarnesIntegral:
         members this contour does not serve (see _assemble_family); their
         values are to be discarded."""
         L, R = self.strip
-        crossed = ()
+        correction = 0.0
         if np.isfinite(L) and np.isfinite(R) and (R - L) < _NARROW_STRIP:
             c, crossed = self._hop_contour()
+            tol = options.pole_separation_tol
+            correction = self.residue(_distinct(crossed, tol), lnz,
+                                      tol).sum(axis=0)
         else:
             c = self._saddle(float(np.median(lnz)), (count - 1) // 2)
         T = (self._truncation(c) if count == 1
              else self._truncation(c, count - 1))
-        correction = sum(self.residue(idx, k, lnz) for _, idx, k in crossed)
 
         n = 256
         t = np.linspace(0.0, T, n + 1)
@@ -594,7 +620,8 @@ def _residue_series(integral: MellinBarnesIntegral, m: int, lnz: float,
         acc = 0.0
         small = 0
         for k in range(4000):
-            term = float(integral.residue(h, k, lnz))
+            term = float(integral.residue(-integral.numer[h][0] - k, lnz,
+                                          options.pole_separation_tol)[0, 0])
             acc += term
             if abs(term) <= max(options.target_abs_tol,
                                 options.target_rel_tol * abs(acc)) * 1e-2:
@@ -622,23 +649,3 @@ def meijer_g(spec: MeijerGSpec, options: EvalOptions | None = None) -> float:
     if _residue_series_ok(spec, bm, opts.pole_separation_tol):
         return _residue_series(integral, spec.m, log(spec.argument), opts)
     return integral.value(log(spec.argument), opts)
-
-
-def integer_spaced_ladders(ladders, tol: float) -> set:
-    """Indices of the ladders (p, q) one of whose entries (q+i)/p sits within
-    tol of an integer away from an entry of an earlier ladder.
-
-    Such entries put two poles of the integrand on top of each other, and a
-    residue sum over them is degenerate.  Callers move the reported ladders'
-    entries by +/-eps and average the two evaluations.
-    """
-    bad = set()
-    for j, (pj, qj) in enumerate(ladders):
-        for pi_, qi in ladders[:j]:
-            for k in range(pj):
-                # x = n: entry (qi + i)/pi_, i = -n mod pi_, is an integer
-                # away from entry (qj + k)/pj
-                x = qi - pi_ * (qj + k) / pj
-                if abs(x - round(x)) <= tol * pi_:
-                    bad.add(j)
-    return bad

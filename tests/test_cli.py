@@ -1,8 +1,11 @@
 """Config parsing, sweep mechanics, CSV stability, exit codes."""
 
+import re
+
 import pytest
 
 from rfso_secrecy import cli
+from rfso_secrecy.channels import TURBULENCE_PRESETS
 from rfso_secrecy.cli import ResultRow, load_config, main, run_sweep
 from rfso_secrecy.errors import ConfigError, RfsoError
 from rfso_secrecy.presets import SweepSpec, figure_preset
@@ -86,6 +89,34 @@ def test_config_rejections(tmp_path, old, new, fragment):
     with pytest.raises(ConfigError) as exc:
         load_config(str(p))
     assert fragment in str(exc.value)
+
+
+_EXPLICIT_DGG = "\n".join(f"{k} = {v}"
+                          for k, v in TURBULENCE_PRESETS["st"].items())
+
+
+@pytest.mark.parametrize("key,bad,fragment", [
+    ("target_rate", "half", "'target_rate'"),
+    ("mc_samples", "many", "'mc_samples'"), ("seed", "x1", "'seed'"),
+    ("a1", "one", "'a1'"), ("b2", "1.8.1", "'b2'"),
+    ("omega2", "1,0", "'omega2'"), ("lambda1", "1.5", "'lambda1'"),
+    ("lambda2", "nine", "'lambda2'"),
+    ("target_rate", "nan", "target_rate must"),
+    ("target_rate", "inf", "target_rate must"),
+])
+def test_cli_bad_value_exits_2_naming_the_key(tmp_path, capsys, key, bad,
+                                              fragment):
+    """A value its key's conversion or range check rejects, optional and
+    explicit DGG keys included, is a configuration error (exit 2) that names
+    the key."""
+    text = GOOD_CONFIG.replace("turbulence = st", _EXPLICIT_DGG)
+    text = re.sub(rf"^{key} = .*$", f"{key} = {bad}", text, flags=re.M)
+    assert f"{key} = {bad}" in text
+    p = tmp_path / "bad.cfg"
+    p.write_text(text)
+    assert main(["--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
 
 
 def test_config_error_carries_line_number(tmp_path):

@@ -1,6 +1,7 @@
 """Meijer G engine: identities, robustness, error contracts."""
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -232,8 +233,8 @@ def _saddle_cases():
             yield link._cdf_mb, tag + " cdf"
             yield link._sf_mb, tag + " survival"
             for z1 in (1, 4):
-                yield _sop1_tail(link, z1, link.j4_ladders), tag + " sop1 tail"
-            yield _crossing(cfg, link.j4_ladders), tag + " crossing"
+                yield _sop1_tail(link, z1), tag + " sop1 tail"
+            yield _crossing(cfg), tag + " crossing"
 
 
 def _bisect(f, lo, hi, args=(), **_):
@@ -314,8 +315,8 @@ def _family_cases():
             link = dgg_from_preset(preset, eps=1.0, detection=detection,
                                    electrical_snr=100.0)
             tag = f"{preset}-{link.detection}"
-            yield (_sop1_tail(link, 1, link.j4_ladders),
-                   [_sop1_tail(link, z, link.j4_ladders) for z in range(1, 6)],
+            yield (_sop1_tail(link, 1),
+                   [_sop1_tail(link, z) for z in range(1, 6)],
                    tag + " sop1 tail")
             yield (_spsc1_survival(link, 1),
                    [_spsc1_survival(link, z) for z in range(1, 6)],
@@ -466,6 +467,74 @@ def test_narrow_strip_arc_contour():
         spec = MeijerGSpec(1, 1, 1, 1, (a,), (0.0,), z)
         ref = math.exp(math.lgamma(eps)) * (1.0 + z) ** (a - 1.0)
         assert meijer_g(spec, TIGHT) == pytest.approx(ref, rel=1e-8)
+
+
+def test_hop_across_double_pole_matches_mpmath():
+    """Gamma(v) Gamma(eps - v)^2 has the strip (0, eps), so the contour hops
+    across the double poles eps + k: G^{1,2}_{2,1}(z | 1-eps, 1-eps; 0)."""
+    mp = pytest.importorskip("mpmath")
+    eps = 5e-7
+    mb = MellinBarnesIntegral([(0.0, 1.0), (eps, -1.0), (eps, -1.0)])
+    with mp.workdps(30):
+        a = 1 - mp.mpf(eps)
+        for z in (0.3, 1.0, 2.0, 7.0):
+            ref = float(mp.meijerg([[a, a], []], [[0], []], z))
+            assert mb.value(math.log(z), TIGHT) == pytest.approx(ref,
+                                                                 rel=1e-12)
+
+
+# Gamma ladders (p, q, slope) with exact rational parameters, and poles where
+# several of their factors meet: orders 2 and 3, non-unit slopes, ladders
+# that collapse with a constant and a shift, and denominator poles that lower
+# the order (case "lowered": 3 - 1 at v = -1).
+_MULTIPOLE_CASES = {
+    "slopes 2, 1/2": ([(1, F(3, 5), 2), (1, F(3, 20), F(1, 2)),
+                       (1, F(13, 10), -1)], [(1, F(2, 5), 1)],
+                      [F(-3, 10), F(-23, 10)]),
+    "order 3": ([(1, 0, 1), (1, 1, 1), (1, 3, 3), (1, F(1, 4), -1)],
+                [(1, F(1, 3), 1)], [F(-1), F(-2)]),
+    "lowered": ([(1, 0, 1), (1, 1, 1), (1, 2, 2), (1, F(7, 10), F(-1, 3))],
+                [(1, F(1, 2), F(1, 2)), (1, F(1, 5), 1)], [F(-1), F(-2)]),
+    "ladders": ([(2, F(6, 5), 1), (1, F(1, 10), 1), (1, F(1, 2), -1)],
+                [(3, F(1, 2), 1)], [F(-11, 10), F(-21, 10)]),
+}
+
+
+def _mp_residue(mp, numer, denom, pole, ln_z, r=F(1, 20), n=64):
+    """(1/2 pi i) times the integral of the expanded ladders' integrand
+    around a circle of radius r about the pole: the trapezoid rule, exact
+    to about (r / distance to the next pole)^n."""
+    def q(x):
+        return mp.mpf(x.numerator) / x.denominator
+
+    def f(v):
+        out = mp.exp(-v * ln_z)
+        for p, a, b in numer:
+            for i in range(p):
+                out *= mp.gamma(q(F(a + i, p)) + q(F(b)) * v)
+        for p, a, b in denom:
+            for i in range(p):
+                out /= mp.gamma(q(F(a + i, p)) + q(F(b)) * v)
+        return out
+
+    w = [mp.expjpi(2 * mp.mpf(j) / n) for j in range(n)]
+    return (q(r) / n * mp.fsum(f(q(pole) + q(r) * u) * u for u in w)).real
+
+
+@pytest.mark.parametrize("case", sorted(_MULTIPOLE_CASES))
+def test_multiple_pole_residues_match_mpmath(case):
+    mp = pytest.importorskip("mpmath")
+    numer, denom, poles = _MULTIPOLE_CASES[case]
+    mb = MellinBarnesIntegral.from_ladders(
+        [(p, float(a), float(b)) for p, a, b in numer],
+        [(p, float(a), float(b)) for p, a, b in denom])
+    ln_z = np.array([-20.0, -3.0, 0.0, 7.5, 30.0, 60.0])
+    got = mb.residue([float(v) for v in poles], ln_z)
+    assert got.shape == (len(poles), ln_z.size)
+    with mp.workdps(50):
+        ref = np.array([[float(_mp_residue(mp, numer, denom, v, mp.mpf(x)))
+                         for x in ln_z] for v in poles])
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
 
 
 def test_accuracy_error_carries_best_estimate():

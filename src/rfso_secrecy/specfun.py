@@ -7,7 +7,10 @@ The evaluator works on the Mellin-Barnes representation
 taken along a vertical line whose abscissa is placed at the (real-axis)
 saddle point of the integrand.  Saddle placement is what preserves relative
 accuracy when the result is exponentially small; a fixed abscissa loses all
-significant digits to cancellation as soon as |log z| is large.
+significant digits to cancellation as soon as |log z| is large.  The line
+integral over v = c + i*t is a trapezoid sum in s under t = alpha*sinh(s),
+alpha the distance from c to the nearest pole, which puts the nodes where
+the poles pinch the line.
 
 Plain Meijer G-functions are the special case where every slope is +/-1.
 The DGG parameter vectors are gamma ladders prod_{i<p} Gamma((q+i)/p + v),
@@ -15,8 +18,9 @@ up to 56 entries long; Gauss's multiplication formula collapses each into
 one factor Gamma(q + p*v) of slope p (MellinBarnesIntegral.from_ladders).
 The Laplace-transform kernels Gamma(z - tau*v) have non-integer slope; the
 engine treats every slope identically, and evaluates integrands that differ
-only in the integer z as one family on a shared contour.  Gamma products accumulate in the
-log domain, where G-values far outside double range stay representable.
+only in the integer z as one family on a shared contour.  Gamma products
+accumulate in the log domain, where G-values far outside double range stay
+representable.
 """
 
 from __future__ import annotations
@@ -45,9 +49,10 @@ __all__ = [
 ]
 
 # Strips narrower than this are escaped by hopping the contour across the
-# offending descending-factor pole(s) and adding the crossed residues: a line
-# (or arc) inside a width-w strip passes within w of a pole and would need
-# O(T/w) quadrature nodes to resolve the spike.
+# offending descending-factor pole(s) and adding the crossed residues.  A line
+# inside a width-w strip passes within w of a pole; the sinh-mapped trapezoid
+# resolves it in O(log(T/w)) nodes (Gamma(v) Gamma(1e-5 - v) takes 129), so
+# this threshold only picks the path.
 _NARROW_STRIP = 1e-6
 # Off-axis probe used when a denominator gamma argument sits near a real pole.
 _PROBE = 0.25j
@@ -493,14 +498,35 @@ class MellinBarnesIntegral:
         T = (self._truncation(c) if count == 1
              else self._truncation(c, count - 1))
 
-        n = 256
-        t = np.linspace(0.0, T, n + 1)
-        v = c + 1j * t
+        # the trapezoid in s on [0, S], t = alpha*sinh(s): the poles nearest
+        # the line, at t = +-i*d, map to Im s = +-pi/2 whatever d, so they no
+        # longer set the error rate and a level needs O(log(T/d)) nodes where
+        # a uniform grid in t needs O(T/d)
+        x = self._na + self._nb * c
+        d = float(np.min(np.where(x > 0, x, np.abs(x - np.round(x)))
+                         / np.abs(self._nb)))
+        alpha = min(d, T)
+        S = float(np.arcsinh(T / alpha))
+        n = 64
+        s = np.linspace(0.0, S, n + 1)
+        v = c + 1j * alpha * np.sinh(s)
+        # Jacobian alpha*cosh(s), halved at the two ends
+        jac = alpha * np.cosh(s)
+        jac[[0, -1]] *= 0.5
         g = self._log_family(v, count)
-        vals, far = self._assemble_family(t, v, g, lnz, T)
-        vals -= correction
         prev = None
         while True:
+            vals, far = self._assemble_family(v, g, jac * (S / n), lnz)
+            vals -= correction
+            # the trapezoid converges geometrically on an analytic integrand
+            # (Trefethen & Weideman 2014): the finer level's error is far
+            # below its change from the coarser one
+            if prev is not None and np.all(
+                    (np.abs(vals - prev)
+                     <= np.maximum(options.target_abs_tol,
+                                   options.target_rel_tol * np.abs(vals)))
+                    | far[:, None]):
+                return vals, far
             n *= 2
             if n > options.max_quadrature_nodes:
                 bound = (float(np.max(np.abs(vals - prev)))
@@ -510,47 +536,33 @@ class MellinBarnesIntegral:
                     f"{options.max_quadrature_nodes} nodes",
                     best_estimate=vals if count > 1 else vals[0],
                     error_bound=bound)
-            t_new = (np.arange(n // 2) + 0.5) * (T / (n // 2))
-            v2 = c + 1j * t_new
-            g2 = self._log_family(v2, count)
-            t = np.concatenate([t, t_new])
+            s_new = (np.arange(n // 2) + 0.5) * (S / (n // 2))
+            v2 = c + 1j * alpha * np.sinh(s_new)
             v = np.concatenate([v, v2])
-            g = np.concatenate([g, g2], axis=1)
+            jac = np.concatenate([jac, alpha * np.cosh(s_new)])
+            g = np.concatenate([g, self._log_family(v2, count)], axis=1)
             prev = vals
-            vals, far = self._assemble_family(t, v, g, lnz, T)
-            vals -= correction
-            err = np.abs(vals - prev)
-            tol = np.maximum(options.target_abs_tol,
-                             options.target_rel_tol * np.abs(vals))
-            # the trapezoid converges geometrically on an analytic integrand
-            # (Trefethen & Weideman 2014): the finer level's error is far
-            # below its change from the coarser one
-            if np.all((err <= tol) | far[:, None]):
-                return vals, far
 
     @classmethod
-    def _assemble_family(cls, t, v, g, lnz, T):
+    def _assemble_family(cls, v, g, w, lnz):
         """Trapezoid values of each member (rows of g), and the mask of the
         members off whose saddle the contour runs so far that cancellation
         amplifies rounding in f more than _MAX_CANCELLATION times at some
         argument: the level-to-level change cannot see that noise."""
         if len(g) == 1:
-            return cls._assemble(t, v, g[0], lnz, T)[None], np.zeros(1, bool)
-        vals, kappa = zip(*(cls._assemble(t, v, gk, lnz, T, condition=True)
+            return cls._assemble(v, g[0], w, lnz)[None], np.zeros(1, bool)
+        vals, kappa = zip(*(cls._assemble(v, gk, w, lnz, condition=True)
                             for gk in g))
         return (np.array(vals),
                 np.max(kappa, axis=1) > _MAX_CANCELLATION)
 
     @staticmethod
-    def _assemble(t, v, g, lnz, T, condition=False):
-        """Uniform-grid trapezoid of (1/pi) Re f(t); node order is irrelevant
-        for the rule but fixed, so results are reproducible bit for bit.
-        With condition, also return sum w|f| / |sum w Re f| per argument."""
-        n = t.size - 1
-        h = T / n
-        w = np.ones(t.size)
-        w[np.argmin(t)] = 0.5
-        w[np.argmax(t)] = 0.5
+    def _assemble(v, g, w, lnz, condition=False):
+        """Quadrature sum (1/pi) sum w Re f at the nodes v with weights w
+        (the mapped trapezoid's, Jacobian included); node order is
+        irrelevant for the rule but fixed, so results are reproducible bit
+        for bit.  With condition, also return sum w|f| / |sum w Re f| per
+        argument."""
         out = np.empty_like(lnz)
         kappa = np.empty_like(lnz)
         for j, lz in enumerate(lnz):
@@ -560,7 +572,7 @@ class MellinBarnesIntegral:
             s = float(np.sum(w * e.real))
             if condition:
                 kappa[j] = float(w @ np.abs(e)) / abs(s) if s else np.inf
-            mag = M + log(abs(s) * h / pi) if s != 0.0 else -np.inf
+            mag = M + log(abs(s) / pi) if s != 0.0 else -np.inf
             if mag > 709.0:
                 raise AccuracyError("contour integral overflowed double precision",
                                     best_estimate=np.sign(s) * np.inf,

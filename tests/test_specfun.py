@@ -278,18 +278,27 @@ def test_group_stops_at_first_passing_doubling(st_link, monkeypatch):
                + np.array([-1.0, 0.0, 1.0]))
     c = mb._saddle(float(np.median(ln_args)))
     T = mb._truncation(c)
-    # reference: the trapezoid levels 256, 512, ... on the same line
+    # reference: the trapezoid levels 64, 128, ... in s on [0, S], on the
+    # line t = alpha*sinh(s), alpha the distance from c to the nearest pole
+    x = mb._na + mb._nb * c
+    alpha = min(float(np.min(x / np.abs(mb._nb))), T)
+    S = np.arcsinh(T / alpha)
     opts = EvalOptions()
-    n = 256
-    t = np.linspace(0.0, T, n + 1)
-    g = mb._log_integrand(c + 1j * t)
-    vals = mb._assemble(t, c + 1j * t, g, ln_args, T)
+    n = 64
+    s = np.linspace(0.0, S, n + 1)
+    v = c + 1j * alpha * np.sinh(s)
+    jac = alpha * np.cosh(s)
+    jac[[0, -1]] *= 0.5
+    g = mb._log_integrand(v)
+    vals = mb._assemble(v, g, jac * (S / n), ln_args)
     while True:
         n *= 2
-        t_new = (np.arange(n // 2) + 0.5) * (T / (n // 2))
-        t = np.concatenate([t, t_new])
-        g = np.concatenate([g, mb._log_integrand(c + 1j * t_new)])
-        prev, vals = vals, mb._assemble(t, c + 1j * t, g, ln_args, T)
+        s_new = (np.arange(n // 2) + 0.5) * (S / (n // 2))
+        v_new = c + 1j * alpha * np.sinh(s_new)
+        v = np.concatenate([v, v_new])
+        jac = np.concatenate([jac, alpha * np.cosh(s_new)])
+        g = np.concatenate([g, mb._log_integrand(v_new)])
+        prev, vals = vals, mb._assemble(v, g, jac * (S / n), ln_args)
         if np.all(np.abs(vals - prev)
                   <= np.maximum(opts.target_abs_tol,
                                 opts.target_rel_tol * np.abs(vals))):
@@ -357,8 +366,8 @@ def test_family_group_shares_one_gamma_pass(st_link, monkeypatch):
     family = mb.value_many(ln_args, count=5)
     levels = len(nodes) - 2
     assert levels >= 1
-    assert nodes == ([len(specfun._TRUNCATION_GRID) + 1, 257]
-                     + [256 << i for i in range(levels)])
+    assert nodes == ([len(specfun._TRUNCATION_GRID) + 1, 65]
+                     + [64 << i for i in range(levels)])
     np.testing.assert_allclose(family, members, rtol=1e-12, atol=0.0)
 
 
@@ -467,6 +476,39 @@ def test_narrow_strip_arc_contour():
         spec = MeijerGSpec(1, 1, 1, 1, (a,), (0.0,), z)
         ref = math.exp(math.lgamma(eps)) * (1.0 + z) ** (a - 1.0)
         assert meijer_g(spec, TIGHT) == pytest.approx(ref, rel=1e-8)
+
+
+@pytest.mark.parametrize("beta", [1e-3, 1e-4, 1e-5])
+def test_narrow_strip_above_hop_threshold(beta):
+    """Gamma(v) Gamma(beta - v) on a strip wider than _NARROW_STRIP: the
+    line runs between two poles a distance beta apart, with no hop, and the
+    mapped trapezoid resolves them in a few levels; exact value
+    Gamma(beta) (1 + z)^-beta."""
+    assert beta > specfun._NARROW_STRIP
+    mb = MellinBarnesIntegral([(0.0, 1.0), (beta, -1.0)])
+    z = np.array([0.5, 2.0, 50.0])
+    ref = math.gamma(beta) * (1.0 + z) ** -beta
+    np.testing.assert_allclose(mb.value_many(np.log(z)), ref,
+                               rtol=1e-13, atol=0.0)
+
+
+def test_wt_survival_group_node_count(monkeypatch):
+    """A wt HD survival group at a log-argument the oracle_quad workload's
+    quadrature reaches: its line passes d = 0.059 from the nearest pole and
+    runs to T = 21.5 (T/d = 363), where a uniform trapezoid in t needs 4097
+    nodes.  The mapped one takes at most 513; the value is
+    G^{4,0}_{2,4}(z | 1, j3; j4, 0) by mpmath.meijerg at 50 digits."""
+    link = dgg_from_preset("wt", eps=1.0, detection=1, electrical_snr=100.0)
+    mb = link._sf_mb
+    nodes = []
+    log_integrand = mb._log_integrand
+    monkeypatch.setattr(mb, "_log_integrand",
+                        lambda v: nodes.append(v.size) or log_integrand(v))
+    out = mb.value(-16.16985022502494)
+    # the first gamma pass is the truncation grid
+    assert nodes[0] == len(specfun._TRUNCATION_GRID) + 1
+    assert sum(nodes[1:]) <= 513
+    assert out == pytest.approx(146.539715467697320726020585032, rel=1e-12)
 
 
 def test_hop_across_double_pole_matches_mpmath():

@@ -406,6 +406,9 @@ class MellinBarnesIntegral:
         result gets a leading member axis.
         Members the shared contour does not serve (a narrow strip, an
         AccuracyError, too much cancellation) are evaluated on their own.
+        With count = 1 the cancellation test is per argument: an argument
+        whose value lies decades below its group's is evaluated on its own
+        saddle, and an AccuracyError propagates.
         """
         if self.decay <= 0:
             raise ParameterError("contour integral diverges: numerator slope "
@@ -433,21 +436,18 @@ class MellinBarnesIntegral:
                     out[:, idx], far = self._value_group(lnz[idx], options,
                                                          count)
                 except AccuracyError:
-                    if count > 1:
-                        far = np.ones(count, dtype=bool)
-                    elif idx.size == 1:
+                    if count == 1:
                         raise
-                    else:
-                        # exponentially spread results cannot share one
-                        # contour: re-run the group one argument (one
-                        # saddle) at a time
-                        for j in idx:
-                            out[:, j] = self._value_group(lnz[j:j + 1],
-                                                          options)[0][:, 0]
-                        far = np.zeros(1, dtype=bool)
-                if np.any(far):
-                    out[np.ix_(far, idx)] = self._members_many(
-                        lnz[idx], options, np.flatnonzero(far))
+                    far = np.ones((count, idx.size), dtype=bool)
+                if count == 1:
+                    for j in idx[far[0]]:
+                        out[0, j] = self._value_group(lnz[j:j + 1],
+                                                      options)[0][0, 0]
+                else:
+                    members = np.flatnonzero(far[:, 0])
+                    if members.size:
+                        out[np.ix_(members, idx)] = self._members_many(
+                            lnz[idx], options, members)
                 start = i
         return out if count > 1 else out[0]
 
@@ -483,12 +483,14 @@ class MellinBarnesIntegral:
     def _value_group(self, lnz: np.ndarray, options: EvalOptions,
                      count: int = 1):
         """Values of family members 0..count-1, shape (count, lnz.size), on
-        the contour through the middle member's saddle, and the mask of the
-        members this contour does not serve (see _assemble_family); their
-        values are to be discarded."""
+        the contour through the middle member's saddle at the median
+        argument, and the mask, of the same shape, of the values this
+        contour does not serve (see _assemble_family); they are to be
+        discarded."""
         L, R = self.strip
         correction = 0.0
-        if np.isfinite(L) and np.isfinite(R) and (R - L) < _NARROW_STRIP:
+        hop = np.isfinite(L) and np.isfinite(R) and (R - L) < _NARROW_STRIP
+        if hop:
             c, crossed = self._hop_contour()
             tol = options.pole_separation_tol
             correction = self.residue(_distinct(crossed, tol), lnz,
@@ -517,6 +519,8 @@ class MellinBarnesIntegral:
         prev = None
         while True:
             vals, far = self._assemble_family(v, g, jac * (S / n), lnz)
+            # the hop contour is the same for every argument
+            far &= not hop
             vals -= correction
             # the trapezoid converges geometrically on an analytic integrand
             # (Trefethen & Weideman 2014): the finer level's error is far
@@ -525,7 +529,7 @@ class MellinBarnesIntegral:
                     (np.abs(vals - prev)
                      <= np.maximum(options.target_abs_tol,
                                    options.target_rel_tol * np.abs(vals)))
-                    | far[:, None]):
+                    | far):
                 return vals, far
             n *= 2
             if n > options.max_quadrature_nodes:
@@ -545,16 +549,22 @@ class MellinBarnesIntegral:
 
     @classmethod
     def _assemble_family(cls, v, g, w, lnz):
-        """Trapezoid values of each member (rows of g), and the mask of the
-        members off whose saddle the contour runs so far that cancellation
-        amplifies rounding in f more than _MAX_CANCELLATION times at some
-        argument: the level-to-level change cannot see that noise."""
-        if len(g) == 1:
-            return cls._assemble(v, g[0], w, lnz)[None], np.zeros(1, bool)
+        """Trapezoid values of each member (rows of g) at each argument, and
+        the mask, of the same shape, of the values whose sum cancels so much
+        that rounding in f is amplified more than _MAX_CANCELLATION times:
+        the level-to-level change cannot see that noise.  A family member
+        is masked at every argument once it is at any (the contour runs far
+        off its saddle); a lone member only at those arguments (its group
+        spans values decades apart), and a lone argument never (the contour
+        is already its own)."""
+        if g.shape[0] == 1 and lnz.size == 1:
+            return cls._assemble(v, g[0], w, lnz)[None], np.zeros((1, 1), bool)
         vals, kappa = zip(*(cls._assemble(v, gk, w, lnz, condition=True)
                             for gk in g))
-        return (np.array(vals),
-                np.max(kappa, axis=1) > _MAX_CANCELLATION)
+        far = np.array(kappa) > _MAX_CANCELLATION
+        if g.shape[0] > 1:
+            far[:] = far.any(axis=1, keepdims=True)
+        return np.array(vals), far
 
     @staticmethod
     def _assemble(v, g, w, lnz, condition=False):

@@ -113,6 +113,80 @@ def test_closed_form_matches_quadrature_oracle_scenario1():
     assert sop1_lower(cfg) == pytest.approx(val, abs=1e-8)
 
 
+def _quad_reference(cfg):
+    """The exact outage by scipy's scalar adaptive quadrature, one
+    integrand call per node, to tolerances far below the oracles'."""
+    from scipy.integrate import quad
+    from rfso_secrecy.channels import dgg_cdf, dgg_pdf, eta_mu_pdf
+    from rfso_secrecy.dualhop import DualHopChannel, min_combine_cdf
+    tight = dict(epsabs=1e-15, epsrel=1e-12, limit=2000)
+    if isinstance(cfg, Scenario1Config):
+        phi1 = cfg.phi1
+        ch = DualHopChannel(cfg.rf_main, cfg.fso_main)
+        return quad(lambda g: (min_combine_cdf(ch, phi1 * g + phi1 - 1.0)
+                               * float(eta_mu_pdf(cfg.rf_eve, g))),
+                    0, np.inf, **tight)[0]
+    phi2 = cfg.phi2
+    rf_fail = 1.0 - float(cfg.rf_main.survival(phi2 - 1.0))
+    val = quad(lambda g: (float(dgg_cdf(cfg.fso_main, phi2 * g + phi2 - 1.0))
+                          * float(dgg_pdf(cfg.fso_eve, g))),
+               0, np.inf, **tight)[0]
+    return val * (1.0 - rf_fail) + rf_fail
+
+
+@pytest.mark.parametrize("ud_db", [5.836, 32.695])
+@pytest.mark.parametrize("preset,label", [
+    ("fig3", "wt/s0=1"), ("fig3", "st/s0=1"), ("fig3", "mt/s0=1"),
+    ("fig5", "wt/s=1")])
+def test_quadrature_oracles_match_scalar_quad(preset, label, ud_db):
+    """The batched Gauss-Kronrod oracles against scipy.integrate.quad on the
+    fig3 HD curves and the fig5 wt curve, in both U_d strata of the
+    benchmark's oracle workload.  They return a Python float."""
+    cfg = dict(figure_preset(preset).curves)[label]
+    cfg = replace(cfg, fso_main=cfg.fso_main.with_electrical_snr(db(ud_db)))
+    oracle = (sop1_exact_quadrature if isinstance(cfg, Scenario1Config)
+              else sop2_exact_quadrature)
+    got = oracle(cfg)
+    assert type(got) is float
+    assert got == pytest.approx(_quad_reference(cfg), rel=1e-11, abs=0.0)
+
+
+def test_quadrature_oracle_extrapolates_singular_density(monkeypatch):
+    """fig5 st IM/DD: the eavesdropper's density grows like g^-0.53 at
+    g = 0, where bisection alone takes 50 to 70 passes.  The reference is
+    scalar quad on (0, 1) and (1, inf) apart, where its own extrapolation
+    converges (on (0, inf) at once it reports roundoff in the table)."""
+    from scipy.integrate import quad
+    from rfso_secrecy import secrecy
+    from rfso_secrecy.channels import dgg_cdf, dgg_pdf
+    passes = []
+    gk15 = secrecy._gk15
+    monkeypatch.setattr(secrecy, "_gk15",
+                        lambda *args: passes.append(1) or gk15(*args))
+    cfg = dict(figure_preset("fig5").curves)["st/s=2"]
+    cfg = replace(cfg, fso_main=cfg.fso_main.with_electrical_snr(db(5.836)))
+    phi2 = cfg.phi2
+
+    def f(g):
+        return (float(dgg_cdf(cfg.fso_main, phi2 * g + phi2 - 1.0))
+                * float(dgg_pdf(cfg.fso_eve, g)))
+
+    tight = dict(epsabs=1e-16, epsrel=1e-13, limit=2000)
+    val = quad(f, 0, 1, **tight)[0] + quad(f, 1, np.inf, **tight)[0]
+    rf_fail = 1.0 - float(cfg.rf_main.survival(phi2 - 1.0))
+    ref = val * (1.0 - rf_fail) + rf_fail
+    assert sop2_exact_quadrature(cfg) == pytest.approx(ref, abs=1e-10)
+    assert len(passes) <= 30
+
+
+def test_quadrature_oracle_raises_below_reachable_tolerance():
+    cfg = dict(figure_preset("fig3").curves)["wt/s0=1"]
+    with pytest.raises(AccuracyError) as exc:
+        sop1_exact_quadrature(cfg, abs_tol=1e-30)
+    assert 0.0 < exc.value.best_estimate < 1.0
+    assert exc.value.error_bound > 1e-30
+
+
 def _agrees_with_mc(value, estimator, cfg, stream):
     """value within 3 sigma of a 10^5-sample Monte Carlo estimate; a trip
     must repeat on an independent stream to count (a real bias trips

@@ -511,6 +511,29 @@ def test_wt_survival_group_node_count(monkeypatch):
     assert out == pytest.approx(146.539715467697320726020585032, rel=1e-12)
 
 
+def test_spread_group_masks_cancelling_arguments(monkeypatch):
+    """One group of wt HD survival arguments (ln z 4.68 to 8.33, a span
+    under 4) whose values run from 4e-3 down to 2e-45, as the quadrature
+    oracles' batched nodes give: no shared contour serves them all.  The
+    arguments whose sums cancel on it leave the convergence test and go to
+    their own saddles, so the group takes a few hundred gamma-pass nodes
+    (264,480 when it doubled to the node budget, raised AccuracyError and
+    was split), and every value equals a one-at-a-time evaluation."""
+    link = dgg_from_preset("wt", eps=1.0, detection=1, electrical_snr=100.0)
+    mb = link._sf_mb
+    lnz = np.array([4.677, 4.801, 4.889, 4.935, 4.954, 5.001, 5.098, 5.248,
+                    5.451, 5.713, 6.042, 6.448, 6.947, 7.561, 8.328])
+    ref = np.array([mb.value(x) for x in lnz])
+    assert ref[-1] < 1e-40 < 1e-3 < ref[0]
+    nodes = []
+    log_integrand = mb._log_integrand
+    monkeypatch.setattr(mb, "_log_integrand",
+                        lambda v: nodes.append(v.size) or log_integrand(v))
+    got = mb.value_many(lnz)
+    assert sum(nodes) < 4096
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
 def test_hop_across_double_pole_matches_mpmath():
     """Gamma(v) Gamma(eps - v)^2 has the strip (0, eps), so the contour hops
     across the double poles eps + k: G^{1,2}_{2,1}(z | 1-eps, 1-eps; 0)."""

@@ -242,40 +242,34 @@ def _with_axis(cfg, axis: str, value: float):
     raise ConfigError(f"unknown axis {axis!r}")
 
 
-def _cell_supported(metric: str, evaluator: str) -> bool:
-    if evaluator in ("asymptotic", "exact_quadrature"):
-        return metric in ("sop1", "sop2")
-    return True
-
-
 _CLOSED = {"sop1": secrecy.sop1_lower, "sop2": secrecy.sop2_lower,
            "spsc1": secrecy.spsc1, "spsc2": secrecy.spsc2}
 _ASYM = {"sop1": secrecy.sop1_asymptotic, "sop2": secrecy.sop2_asymptotic}
 _QUAD = {"sop1": secrecy.sop1_exact_quadrature,
          "sop2": secrecy.sop2_exact_quadrature}
+# the MC evaluator estimates the same quantity the closed form computes:
+# lower-bound event for SOP metrics, the crossing event for SPSC
+_MC = {"sop1": montecarlo.estimate_sop1, "sop2": montecarlo.estimate_sop2,
+       "spsc1": montecarlo.estimate_spsc1, "spsc2": montecarlo.estimate_spsc2}
+# metric -> function per evaluator; every table is a module-level dict,
+# because perfbench's tracer patches functions in a module's dicts one level
+# deep
+_EVALUATORS = {"closed": _CLOSED, "asymptotic": _ASYM,
+               "exact_quadrature": _QUAD, "mc": _MC}
+
+
+def _cell_supported(metric: str, evaluator: str) -> bool:
+    return metric in _EVALUATORS[evaluator]
 
 
 def _evaluate_cell(cfg, metric: str, evaluator: str, sweep: SweepSpec,
                    cell_index: int):
     """(value, std_error, n_samples); deterministic per (sweep.seed, index)."""
-    if evaluator == "closed":
-        return _CLOSED[metric](cfg), None, None
-    if evaluator == "asymptotic":
-        return _ASYM[metric](cfg), None, None
-    if evaluator == "exact_quadrature":
-        return _QUAD[metric](cfg), None, None
-    rng = RngStream(sweep.seed, stream_id=cell_index)
-    n = sweep.mc_samples
-    # the MC evaluator estimates the same quantity the closed form computes:
-    # lower-bound event for SOP metrics, the crossing event for SPSC
-    if metric == "sop1":
-        est = montecarlo.estimate_sop1(cfg, n, rng)
-    elif metric == "sop2":
-        est = montecarlo.estimate_sop2(cfg, n, rng)
-    elif metric == "spsc1":
-        est = montecarlo.estimate_spsc1(cfg, n, rng)
-    else:
-        est = montecarlo.estimate_spsc2(cfg, n, rng)
+    fn = _EVALUATORS[evaluator][metric]
+    if evaluator != "mc":
+        return fn(cfg), None, None
+    est = fn(cfg, sweep.mc_samples,
+             RngStream(sweep.seed, stream_id=cell_index))
     return est.value, est.std_error, est.n_samples
 
 

@@ -26,8 +26,7 @@ from scipy.special import gammaln, xlogy
 from .channels import DggLink, EtaMuLink, dgg_cdf, dgg_pdf, eta_mu_pdf
 from .dualhop import DualHopChannel, min_combine_cdf
 from .errors import AccuracyError, ClampExcessWarning, ParameterError
-from .specfun import (EvalOptions, MellinBarnesIntegral, TIGHT_OPTIONS,
-                      _distinct)
+from .specfun import EvalOptions, MellinBarnesIntegral, TIGHT_OPTIONS
 
 __all__ = [
     "Scenario1Config",
@@ -300,6 +299,14 @@ def _sop1_tail(fso: DggLink, z1: int) -> MellinBarnesIntegral:
     return MellinBarnesIntegral.from_ladders(
         fso.j4_ladders + [(1, 0.0, -1.0), (1, 0.0, -fso.tau)],
         [(1, 1.0, -1.0)] + fso.j3_ladders)._member(z1)
+
+
+def _distinct(values, tol: float) -> np.ndarray:
+    """The values, in order, without those within tol of an earlier one."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    keep = np.diff(values[order], prepend=-np.inf) > tol
+    return values[np.sort(order[keep])]
 
 
 def _leading_residues(mb: MellinBarnesIntegral, ladders, ln_w, tol):

@@ -10,7 +10,9 @@ accuracy when the result is exponentially small; a fixed abscissa loses all
 significant digits to cancellation as soon as |log z| is large.  The line
 integral over v = c + i*t is a trapezoid sum in s under t = alpha*sinh(s),
 alpha the distance from c to the nearest pole, which puts the nodes where
-the poles pinch the line.
+the poles pinch the line.  That is the one path for every strip, however
+narrow; a strip too narrow for a double-precision line between its poles
+raises DegenerateParameterError.
 
 Plain Meijer G-functions are the special case where every slope is +/-1.
 The DGG parameter vectors are gamma ladders prod_{i<p} Gamma((q+i)/p + v),
@@ -48,12 +50,6 @@ __all__ = [
     "meijer_g",
 ]
 
-# Strips narrower than this are escaped by hopping the contour across the
-# offending descending-factor pole(s) and adding the crossed residues.  A line
-# inside a width-w strip passes within w of a pole; the sinh-mapped trapezoid
-# resolves it in O(log(T/w)) nodes (Gamma(v) Gamma(1e-5 - v) takes 129), so
-# this threshold only picks the path.
-_NARROW_STRIP = 1e-6
 # Off-axis probe used when a denominator gamma argument sits near a real pole.
 _PROBE = 0.25j
 # Multiples of Stirling's truncation height tried until the integrand has
@@ -128,14 +124,6 @@ def log_gamma_complex(z: complex) -> complex:
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise ParameterError(f"log-gamma pole at z={z.real}")
     return complex(loggamma(z))
-
-
-def _distinct(values, tol: float) -> np.ndarray:
-    """The values, in order, without those within tol of an earlier one."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    keep = np.diff(values[order], prepend=-np.inf) > tol
-    return values[np.sort(order[keep])]
 
 
 def delta_expand(p: int, q: float) -> list:
@@ -404,11 +392,10 @@ class MellinBarnesIntegral:
         divided by (a + 1)_k (a > -1), which keeps long families in double
         range, on one contour per group and run of _FAMILY_RUN members; the
         result gets a leading member axis.
-        Members the shared contour does not serve (a narrow strip, an
-        AccuracyError, too much cancellation) are evaluated on their own.
-        With count = 1 the cancellation test is per argument: an argument
-        whose value lies decades below its group's is evaluated on its own
-        saddle, and an AccuracyError propagates.
+        A (member, argument) pair the group's contour does not serve (its sum
+        cancels too much, see _assemble_family) is evaluated on its own
+        saddle, and so is every pair of a family group that raises
+        AccuracyError; a lone integrand's AccuracyError propagates.
         """
         if self.decay <= 0:
             raise ParameterError("contour integral diverges: numerator slope "
@@ -418,9 +405,6 @@ class MellinBarnesIntegral:
             raise DegenerateParameterError(
                 "numerator pole families interlace; no separating contour")
         lnz = np.atleast_1d(np.asarray(ln_arguments, dtype=float))
-        if count > 1 and R - L < _NARROW_STRIP:
-            # the hop path crosses member-specific residues
-            return self._members_many(lnz, options, range(count))
         if count > _FAMILY_RUN:
             return np.concatenate([
                 self._member(k).value_many(lnz, options, min(
@@ -439,46 +423,12 @@ class MellinBarnesIntegral:
                     if count == 1:
                         raise
                     far = np.ones((count, idx.size), dtype=bool)
-                if count == 1:
-                    for j in idx[far[0]]:
-                        out[0, j] = self._value_group(lnz[j:j + 1],
-                                                      options)[0][0, 0]
-                else:
-                    members = np.flatnonzero(far[:, 0])
-                    if members.size:
-                        out[np.ix_(members, idx)] = self._members_many(
-                            lnz[idx], options, members)
+                for k, j in zip(*np.nonzero(far)):
+                    member = self._member(k) if count > 1 else self
+                    out[k, idx[j]] = member._value_group(
+                        lnz[idx[j]:idx[j] + 1], options)[0][0, 0]
                 start = i
         return out if count > 1 else out[0]
-
-    def _members_many(self, lnz, options, members):
-        """The given family members, each on its own contours."""
-        return np.array([self._member(k).value_many(lnz, options)
-                         for k in members])
-
-    def _hop_contour(self):
-        """For a near-degenerate strip: place the contour in the first wide
-        gap to the right and report the descending-factor poles it crossed,
-        in ascending order."""
-        L, _ = self.strip
-        poles = []
-        for a, b in self.numer:
-            k = 0
-            while b < 0 and (a + k) / -b <= L + 8.0:
-                poles.append((a + k) / -b)
-                k += 1
-        poles.sort()
-        positions = poles + [L + 9.0]
-        best_gap, c = -1.0, positions[-1] - 0.5
-        for i in range(len(positions) - 1):
-            width = positions[i + 1] - positions[i]
-            if width >= 0.5:
-                c = positions[i] + 0.5 * width
-                break
-            if width > best_gap:
-                best_gap = width
-                c = positions[i] + 0.5 * width
-        return c, [v for v in poles if v < c]
 
     def _value_group(self, lnz: np.ndarray, options: EvalOptions,
                      count: int = 1):
@@ -487,16 +437,7 @@ class MellinBarnesIntegral:
         argument, and the mask, of the same shape, of the values this
         contour does not serve (see _assemble_family); they are to be
         discarded."""
-        L, R = self.strip
-        correction = 0.0
-        hop = np.isfinite(L) and np.isfinite(R) and (R - L) < _NARROW_STRIP
-        if hop:
-            c, crossed = self._hop_contour()
-            tol = options.pole_separation_tol
-            correction = self.residue(_distinct(crossed, tol), lnz,
-                                      tol).sum(axis=0)
-        else:
-            c = self._saddle(float(np.median(lnz)), (count - 1) // 2)
+        c = self._saddle(float(np.median(lnz)), (count - 1) // 2)
         T = (self._truncation(c) if count == 1
              else self._truncation(c, count - 1))
 
@@ -504,11 +445,15 @@ class MellinBarnesIntegral:
         # the line, at t = +-i*d, map to Im s = +-pi/2 whatever d, so they no
         # longer set the error rate and a level needs O(log(T/d)) nodes where
         # a uniform grid in t needs O(T/d)
-        x = self._na + self._nb * c
-        d = float(np.min(np.where(x > 0, x, np.abs(x - np.round(x)))
-                         / np.abs(self._nb)))
+        d = float(np.min((self._na + self._nb * c) / np.abs(self._nb)))
         alpha = min(d, T)
-        S = float(np.arcsinh(T / alpha))
+        S = float(np.arcsinh(T / alpha)) if alpha > 0 else np.inf
+        if not np.isfinite(S):
+            # a strip a few ulps wide puts c on a pole, a subnormal one
+            # overflows T/alpha
+            raise DegenerateParameterError(
+                f"strip {self.strip} too narrow for a line between its "
+                "poles; no separating contour")
         n = 64
         s = np.linspace(0.0, S, n + 1)
         v = c + 1j * alpha * np.sinh(s)
@@ -519,9 +464,6 @@ class MellinBarnesIntegral:
         prev = None
         while True:
             vals, far = self._assemble_family(v, g, jac * (S / n), lnz)
-            # the hop contour is the same for every argument
-            far &= not hop
-            vals -= correction
             # the trapezoid converges geometrically on an analytic integrand
             # (Trefethen & Weideman 2014): the finer level's error is far
             # below its change from the coarser one
@@ -550,21 +492,17 @@ class MellinBarnesIntegral:
     @classmethod
     def _assemble_family(cls, v, g, w, lnz):
         """Trapezoid values of each member (rows of g) at each argument, and
-        the mask, of the same shape, of the values whose sum cancels so much
-        that rounding in f is amplified more than _MAX_CANCELLATION times:
-        the level-to-level change cannot see that noise.  A family member
-        is masked at every argument once it is at any (the contour runs far
-        off its saddle); a lone member only at those arguments (its group
-        spans values decades apart), and a lone argument never (the contour
-        is already its own)."""
+        the mask, of the same shape, of the (member, argument) pairs whose
+        sum cancels so much that rounding in f is amplified more than
+        _MAX_CANCELLATION times: the level-to-level change cannot see that
+        noise.  The contour runs far off the saddle of such a pair (its
+        value lies decades below the group's).  A lone member at a lone
+        argument is never masked: the contour is already its own."""
         if g.shape[0] == 1 and lnz.size == 1:
             return cls._assemble(v, g[0], w, lnz)[None], np.zeros((1, 1), bool)
         vals, kappa = zip(*(cls._assemble(v, gk, w, lnz, condition=True)
                             for gk in g))
-        far = np.array(kappa) > _MAX_CANCELLATION
-        if g.shape[0] > 1:
-            far[:] = far.any(axis=1, keepdims=True)
-        return np.array(vals), far
+        return np.array(vals), np.array(kappa) > _MAX_CANCELLATION
 
     @staticmethod
     def _assemble(v, g, w, lnz, condition=False):

@@ -280,6 +280,22 @@ def test_sop2_exact_quadrature_severe_pointing_mt():
     assert abs(sop2_exact_quadrature(cfg) - est.value) <= 3 * est.std_error
 
 
+@pytest.mark.parametrize("turb,eps", [("st", 3e-3), ("wt", 1e-3)])
+def test_strong_pointing_error(turb, eps):
+    """Pointing error this strong leaves the CDF integrands a strip eps^2/tau
+    about 5e-7 wide: the law still sums to 1, and the scenario-1 lower
+    bound stays below the exact-event quadrature."""
+    from rfso_secrecy.channels import dgg_cdf, dgg_survival
+    link = dgg_from_preset(turb, eps=eps, detection=1, electrical_snr=db(20.0))
+    gamma = np.array([1e-6, 1e-3, 1.0, 100.0])
+    np.testing.assert_allclose(
+        dgg_cdf(link, gamma) + dgg_survival(link, gamma), 1.0,
+        rtol=0.0, atol=1e-13)
+    cfg = Scenario1Config(EtaMuLink(20.0, 2, 1e4), EtaMuLink(20.0, 2, 1.0),
+                          link.with_electrical_snr(1e6))
+    assert sop1_lower(cfg) <= sop1_exact_quadrature(cfg) + 1e-7
+
+
 def test_spsc2_symmetry_anchor():
     for turb, s in (("st", 1), ("wt", 2)):
         fso = dgg_from_preset(turb, eps=1.0, detection=s,

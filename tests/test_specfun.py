@@ -371,28 +371,20 @@ def test_family_group_shares_one_gamma_pass(st_link, monkeypatch):
     np.testing.assert_allclose(family, members, rtol=1e-12, atol=0.0)
 
 
-def test_narrow_strip_family_takes_member_hop_path(monkeypatch):
-    """A family whose first member has a near-degenerate strip is evaluated
-    member by member, the first one on the hop path; exact values
-    Gamma(beta) (1 + z)^-beta / (1 + eps)_k, beta = eps + k (member k is
-    divided by (a + 1)_k, a = eps the base offset)."""
-    eps = 5e-7
-    base = MellinBarnesIntegral([(0.0, 1.0), (eps, -1.0)])
+def test_narrow_strip_family_values():
+    """A family whose first member's strip (0, eps) is as narrow as the
+    strong-pointing-error CDF integrands': every member on the mapped
+    trapezoid; exact values Gamma(beta) (1 + z)^-beta / (1 + eps)_k, beta =
+    eps + k (member k is divided by (a + 1)_k, a = eps the base offset)."""
     ln_args = np.log([0.5, 2.0])
-    hops = []
-    hop_contour = MellinBarnesIntegral._hop_contour
-    monkeypatch.setattr(MellinBarnesIntegral, "_hop_contour",
-                        lambda self: hops.append(self) or hop_contour(self))
-    family = base.value_many(ln_args, TIGHT, count=3)
-    assert len(hops) == 1 and hops[0].strip == base.strip
-    for k in range(3):
-        member = MellinBarnesIntegral([(0.0, 1.0), (eps + k, -1.0)])
-        member._log_const = math.lgamma(eps + 1) - math.lgamma(eps + k + 1)
-        np.testing.assert_array_equal(family[k],
-                                      member.value_many(ln_args, TIGHT))
-        ref = (math.gamma(eps + 1) / (eps + k)
-               * (1.0 + np.exp(ln_args)) ** -(eps + k))
-        np.testing.assert_allclose(family[k], ref, rtol=1e-8)
+    for eps in (5e-7, 1e-10):
+        base = MellinBarnesIntegral([(0.0, 1.0), (eps, -1.0)])
+        family = base.value_many(ln_args, TIGHT, count=3)
+        for k in range(3):
+            ref = (math.gamma(eps + 1) / (eps + k)
+                   * (1.0 + np.exp(ln_args)) ** -(eps + k))
+            np.testing.assert_allclose(family[k], ref, rtol=1e-12, atol=0.0,
+                                       err_msg=f"eps {eps}, member {k}")
 
 
 def test_mpmath_cross_check_dense_parameters(st_link):
@@ -478,18 +470,30 @@ def test_narrow_strip_arc_contour():
         assert meijer_g(spec, TIGHT) == pytest.approx(ref, rel=1e-8)
 
 
-@pytest.mark.parametrize("beta", [1e-3, 1e-4, 1e-5])
-def test_narrow_strip_above_hop_threshold(beta):
-    """Gamma(v) Gamma(beta - v) on a strip wider than _NARROW_STRIP: the
-    line runs between two poles a distance beta apart, with no hop, and the
-    mapped trapezoid resolves them in a few levels; exact value
-    Gamma(beta) (1 + z)^-beta."""
-    assert beta > specfun._NARROW_STRIP
+@pytest.mark.parametrize("beta", [1e-3, 1e-4, 1e-5, 1e-8, 1e-12, 1e-16])
+def test_narrow_strip_gamma_pair(beta):
+    """Gamma(v) Gamma(beta - v): the line runs between two poles a distance
+    beta apart, and the mapped trapezoid resolves them in a few levels
+    however narrow the strip; exact value Gamma(beta) (1 + z)^-beta."""
     mb = MellinBarnesIntegral([(0.0, 1.0), (beta, -1.0)])
     z = np.array([0.5, 2.0, 50.0])
     ref = math.gamma(beta) * (1.0 + z) ** -beta
     np.testing.assert_allclose(mb.value_many(np.log(z)), ref,
                                rtol=1e-13, atol=0.0)
+
+
+def test_unresolvable_strip_raises():
+    """A strip a few ulps wide puts the line on a pole, and a subnormal one
+    overflows the map's height ratio T/d: both raise the typed error of a
+    strip with no separating contour.  A strip 1e-300 wide still
+    evaluates."""
+    for numer in ([(-1.0, 1.0), (1.0 + 5e-15, -1.0)],
+                  [(0.0, 1.0), (1e-310, -1.0)]):
+        with pytest.raises(DegenerateParameterError):
+            MellinBarnesIntegral(numer).value(0.0)
+    mb = MellinBarnesIntegral([(0.0, 1.0), (1e-300, -1.0)])
+    assert mb.value(math.log(2.0)) == pytest.approx(
+        math.gamma(1e-300) * 3.0 ** -1e-300, rel=1e-13)
 
 
 def test_wt_survival_group_node_count(monkeypatch):
@@ -534,18 +538,18 @@ def test_spread_group_masks_cancelling_arguments(monkeypatch):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
-def test_hop_across_double_pole_matches_mpmath():
-    """Gamma(v) Gamma(eps - v)^2 has the strip (0, eps), so the contour hops
-    across the double poles eps + k: G^{1,2}_{2,1}(z | 1-eps, 1-eps; 0)."""
+def test_narrow_strip_double_pole_matches_mpmath():
+    """Gamma(v) Gamma(eps - v)^2 has the strip (0, eps) and double poles
+    at eps + k: G^{1,2}_{2,1}(z | 1-eps, 1-eps; 0)."""
     mp = pytest.importorskip("mpmath")
-    eps = 5e-7
-    mb = MellinBarnesIntegral([(0.0, 1.0), (eps, -1.0), (eps, -1.0)])
-    with mp.workdps(30):
-        a = 1 - mp.mpf(eps)
-        for z in (0.3, 1.0, 2.0, 7.0):
-            ref = float(mp.meijerg([[a, a], []], [[0], []], z))
-            assert mb.value(math.log(z), TIGHT) == pytest.approx(ref,
-                                                                 rel=1e-12)
+    for eps in (5e-7, 1e-10):
+        mb = MellinBarnesIntegral([(0.0, 1.0), (eps, -1.0), (eps, -1.0)])
+        with mp.workdps(30):
+            a = 1 - mp.mpf(eps)
+            for z in (0.3, 1.0, 2.0, 7.0):
+                ref = float(mp.meijerg([[a, a], []], [[0], []], z))
+                assert mb.value(math.log(z), TIGHT) == pytest.approx(
+                    ref, rel=1e-12)
 
 
 # Gamma ladders (p, q, slope) with exact rational parameters, and poles where

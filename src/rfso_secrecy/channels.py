@@ -117,14 +117,14 @@ class EtaMuLink:
     """
 
     def __init__(self, eta: float, mu: int, avg_snr: float):
-        if not eta > 0:
-            raise ParameterError("eta must be positive")
-        if mu != int(mu) or mu < 1:
+        if not 0 < eta < np.inf:
+            raise ParameterError("eta must be positive and finite")
+        if not (0 < mu < np.inf and mu == int(mu)):
             raise ParameterError(
                 "mu must be a positive integer; the exponential-sum expansion "
                 "of the eta-mu density does not admit non-integer mu")
-        if not avg_snr > 0:
-            raise ParameterError("avg_snr must be positive")
+        if not 0 < avg_snr < np.inf:
+            raise ParameterError("avg_snr must be positive and finite")
         self.eta = float(eta)
         self.mu = int(mu)
         self.avg_snr = float(avg_snr)
@@ -329,10 +329,10 @@ class DggLink:
         for name, val in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2),
                           ("omega1", omega1), ("omega2", omega2), ("eps", eps),
                           ("electrical_snr", electrical_snr)):
-            if not val > 0:
-                raise ParameterError(f"{name} must be positive")
-        if lambda1 != int(lambda1) or lambda2 != int(lambda2) \
-                or lambda1 < 1 or lambda2 < 1:
+            if not 0 < val < np.inf:
+                raise ParameterError(f"{name} must be positive and finite")
+        if not all(0 < lam < np.inf and lam == int(lam)
+                   for lam in (lambda1, lambda2)):
             raise ParameterError("lambda1, lambda2 must be positive integers")
         if abs(lambda1 * a2 - lambda2 * a1) > 1e-9 * lambda1 * a2:
             raise ParameterError(
@@ -454,40 +454,43 @@ class DggLink:
 
 
 def dgg_pdf(link: DggLink, gamma) -> np.ndarray:
-    """Density of the electrical SNR on the FSO hop."""
+    """Density of the electrical SNR on the FSO hop (0 at infinity)."""
     g = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if np.any(g <= 0):
-        raise ParameterError("gamma must be > 0")
-    vals = link._pdf_mb.value_many(link.ln_pdf_argument(g))
-    out = exp(link.log_B1) / link.s * vals / g
+    if not np.all(g > 0):
+        raise ParameterError("gamma must be > 0 (and not NaN)")
+    out = np.zeros_like(g)
+    finite = g < np.inf
+    x = g[finite]
+    vals = link._pdf_mb.value_many(link.ln_pdf_argument(x))
+    out[finite] = exp(link.log_B1) / link.s * vals / x
+    return out if np.ndim(gamma) else float(out[0])
+
+
+def _dgg_distribution(link: DggLink, gamma, mb: MellinBarnesIntegral,
+                      at_zero: float) -> np.ndarray:
+    """exp(log_B3) times the G-value of mb at gamma >= 0: the CDF (mb =
+    link._cdf_mb, at_zero = 0) or the survival (link._sf_mb, 1), exact at
+    the endpoints gamma = 0 and infinity; NaN is rejected."""
+    g = np.atleast_1d(np.asarray(gamma, dtype=float))
+    if not np.all(g >= 0):
+        raise ParameterError("gamma must be >= 0 (and not NaN)")
+    out = np.where(g == 0, at_zero, 1.0 - at_zero)
+    inside = (g > 0) & (g < np.inf)
+    if np.any(inside):
+        vals = mb.value_many(link.ln_cdf_argument(g[inside]))
+        out[inside] = exp(link.log_B3) * vals
     return out if np.ndim(gamma) else float(out[0])
 
 
 def dgg_cdf(link: DggLink, gamma) -> np.ndarray:
-    """Distribution of the electrical SNR on the FSO hop (0 at gamma = 0)."""
-    g = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if np.any(g < 0):
-        raise ParameterError("gamma must be >= 0")
-    out = np.zeros_like(g)
-    pos = g > 0
-    if np.any(pos):
-        vals = link._cdf_mb.value_many(link.ln_cdf_argument(g[pos]))
-        out[pos] = exp(link.log_B3) * vals
-    return out if np.ndim(gamma) else float(out[0])
+    """Distribution of the electrical SNR on the FSO hop."""
+    return _dgg_distribution(link, gamma, link._cdf_mb, 0.0)
 
 
 def dgg_survival(link: DggLink, gamma) -> np.ndarray:
     """P(SNR > gamma) through the complementary-CDF G-form (not 1 - cdf), so
     the deep upper tail keeps relative accuracy."""
-    g = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if np.any(g < 0):
-        raise ParameterError("gamma must be >= 0")
-    out = np.ones_like(g)
-    pos = g > 0
-    if np.any(pos):
-        vals = link._sf_mb.value_many(link.ln_cdf_argument(g[pos]))
-        out[pos] = exp(link.log_B3) * vals
-    return out if np.ndim(gamma) else float(out[0])
+    return _dgg_distribution(link, gamma, link._sf_mb, 1.0)
 
 
 def dgg_sample(link: DggLink, rng: RngStream, n: int) -> np.ndarray:

@@ -242,6 +242,18 @@ def _with_axis(cfg, axis: str, value: float):
     raise ConfigError(f"unknown axis {axis!r}")
 
 
+def _check_axis_range(sweep: SweepSpec):
+    """ConfigError unless both ends of the sweep lie in the domain of the
+    parameter its axis sets, without building a link: an SNR (from dB) or
+    eps positive and finite, target_rate finite and >= 0.  Each domain is
+    an interval, so every point between the ends is valid too."""
+    for v in (sweep.start, sweep.stop):
+        x = _db(v) if sweep.axis.endswith("_db") else v
+        if not (0 <= x < np.inf if sweep.axis == "target_rate"
+                else 0 < x < np.inf):
+            raise ConfigError(f"{sweep.axis} = {v:g} is outside its domain")
+
+
 _CLOSED = {"sop1": secrecy.sop1_lower, "sop2": secrecy.sop2_lower,
            "spsc1": secrecy.spsc1, "spsc2": secrecy.spsc2}
 _ASYM = {"sop1": secrecy.sop1_asymptotic, "sop2": secrecy.sop2_asymptotic}
@@ -367,6 +379,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         sweep = _override_sweep(sweep, args)
         for _, cfg in curves:
             _validate_compat(cfg, sweep)
+        _check_axis_range(sweep)
+        out = (sys.stdout if args.out == "-"
+               else open(args.out, "w", encoding="utf-8", newline="\n"))
     except (RfsoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -379,12 +394,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         rows, bad = run_sweep(cfg, sweep, jobs=args.jobs)
         failed = failed or bad
         lines.extend(r.to_csv() for r in rows)
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    out.write("\n".join(lines) + "\n")
+    if out is not sys.stdout:
+        out.close()
     return 3 if failed else 0
 
 

@@ -1,10 +1,9 @@
 """Decode-and-forward combination of the two hops.
 
-The end-to-end SNR of a DF relay is the minimum of the hop SNRs, so the
-combined CDF follows from order statistics.  The expanded forms below fold
-the RF exponential sums around the FSO G-function terms; the inclusion-
-exclusion identity is kept as a unit-test cross-check against transcription
-errors in the expansion.
+The end-to-end SNR of a DF relay is the minimum of the hop SNRs, so its
+CDF is 1 - S_rf S_fso and its density f_rf S_fso + f_fso S_rf, S the hop
+survivals.  The inclusion-exclusion form F_rf + F_fso - F_rf F_fso is kept
+as a unit-test cross-check.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ where the source material leaves them implicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 from .channels import (DggLink, EtaMuLink, dgg_from_preset, special_case)
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .secrecy import Scenario1Config, Scenario2Config
 
 __all__ = ["SweepSpec", "FigurePreset", "figure_preset", "PRESET_NAMES"]
@@ -21,7 +22,14 @@ AXES = ("phi_sr_db", "phi_se_db", "Ud_db", "Ue_db", "target_rate", "eps")
 
 
 def _db(x: float) -> float:
-    return 10.0 ** (x / 10.0)
+    """10^(x/10); ParameterError where that is not a finite float."""
+    try:
+        linear = 10.0 ** (x / 10.0)
+        if isfinite(linear):
+            return linear
+    except OverflowError:
+        pass
+    raise ParameterError(f"{x} dB has no finite linear value")
 
 
 @dataclass(frozen=True)

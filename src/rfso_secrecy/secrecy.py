@@ -276,9 +276,9 @@ def _sop1_terms(cfg: Scenario1Config, fso_tail):
     a main survival kernel and an eavesdropper density kernel, each pair a
     Gamma(p + 1, rate F) average of S_d(phi g), F = phi lam_0 + lam_e.
     That average is 1 - B3 (p + 1) T_p, and fso_tail(count, ln_w) must
-    return T_p = _sop1_tail(fso, p + 1) for p < count at each ln_w,
-    shape (count, ln_w.size): either the full slope-tau kernel (lower
-    bound) or its leading residues (asymptote).
+    return T_p, the block _laplace(fso._cdf_mb, tau, p + 1), for p < count
+    at each ln_w, shape (count, ln_w.size): either the full slope-tau
+    kernel (lower bound) or its leading residues (asymptote).
     """
     fso, phi1 = cfg.fso_main, cfg.phi1
     lam0, x0, _, W0 = _poisson_grid(cfg.rf_main)
@@ -291,14 +291,16 @@ def _sop1_terms(cfg: Scenario1Config, fso_tail):
     return 1.0 - fsum(terms), _EPS * fsum(np.abs(terms))
 
 
-def _sop1_tail(fso: DggLink, z1: int) -> MellinBarnesIntegral:
-    """The FSO block of the scenario-1 outage sum: the CDF kernel against
-    the Laplace kernel Gamma(z1 - tau*v) / z1!.  Every Laplace kernel here
-    comes divided by z!, as the members of the engine's families do, which
-    keeps blocks of any z in double range."""
-    return MellinBarnesIntegral.from_ladders(
-        fso.j4_ladders + [(1, 0.0, -1.0), (1, 0.0, -fso.tau)],
-        [(1, 1.0, -1.0)] + fso.j3_ladders)._member(z1)
+def _laplace(kernel: MellinBarnesIntegral, slope: float,
+             z: int) -> MellinBarnesIntegral:
+    """A Laplace block of the scenario-1 sums: a DGG link kernel (_cdf_mb,
+    _sf_mb or _pdf_mb) against the Laplace kernel Gamma(z - slope*v) / z!.
+    Every Laplace kernel here comes divided by z!, as the members of the
+    engine's families do, which keeps blocks of any z in double range."""
+    block = MellinBarnesIntegral(kernel.numer + ((0.0, -slope),),
+                                 kernel.denom)
+    block._log_const, block._ln_shift = kernel._log_const, kernel._ln_shift
+    return block._member(z)
 
 
 def _distinct(values, tol: float) -> np.ndarray:
@@ -326,7 +328,8 @@ def sop1_lower(cfg: Scenario1Config,
 
     def tail(count, ln_w):
         # the Gamma(z1 - tau*v) family z1 = 1..count on shared contours
-        return _sop1_tail(fso, 1).value_many(ln_w, options, count=count)
+        return _laplace(fso._cdf_mb, fso.tau, 1).value_many(ln_w, options,
+                                                             count=count)
 
     value, bound = _sop1_terms(cfg, tail)
     return _clamp_unit(value, "sop1_lower", bound)
@@ -342,7 +345,7 @@ def sop1_asymptotic(cfg: Scenario1Config,
     fso = cfg.fso_main
 
     def tail(count, ln_w):
-        mb = _sop1_tail(fso, 0)
+        mb = _laplace(fso._cdf_mb, fso.tau, 0)
         return [_leading_residues(mb._member(z1), fso.j4_ladders, ln_w,
                                   options.pole_separation_tol)
                 for z1 in range(1, count + 1)]
@@ -375,24 +378,6 @@ def sop1_exact_quadrature(cfg: Scenario1Config, abs_tol: float = 1e-7) -> float:
                        "sop1_exact_quadrature")
 
 
-def _spsc1_survival(fso: DggLink, z: int) -> MellinBarnesIntegral:
-    """The survival block of spsc1, int g^(z-1) e^(-lam g) (1 - F_fso)(g) dg
-    without the lam^-z and divided by z!: the survival kernel against
-    Gamma(z - tau*v) / z!."""
-    return MellinBarnesIntegral.from_ladders(
-        fso.j4_ladders + [(1, 0.0), (1, 0.0, -fso.tau)],
-        [(1, 1.0)] + fso.j3_ladders)._member(z)
-
-
-def _spsc1_density(fso: DggLink, z: int) -> MellinBarnesIntegral:
-    """The density block of spsc1, int g^(z-1) e^(-lam g) f_fso-kernel(g) dg
-    without the lam^-z and divided by z!: the density kernel against
-    Gamma(z - tau*v/s) / z!."""
-    return MellinBarnesIntegral.from_ladders(
-        fso.j1_ladders + [(1, 0.0, -fso.tau / fso.s)],
-        [(1, fso.j2)])._member(z)
-
-
 def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
     """Probability of strictly positive secrecy capacity, RF eavesdropper:
     Pr(min-combined SNR > eavesdropper SNR).
@@ -400,8 +385,10 @@ def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
     With f_min = f_0 S_d + S_0 f_d the density of the minimum, SPSC1 is
     int f_min (1 - S_e) dg: one sum over pairs of a main kernel and a kernel
     of 1 - S_e (a unit term at rate 0, then -S_e's).  Each pair is a
-    Gamma(p + 1, rate H) average of S_d (survival block) or a Poisson
-    weight of f_d (density block), H = lam_0 + lam_e.
+    Gamma(p + 1, rate H) average of S_d (survival block, the survival
+    kernel against Gamma(z - tau*v) / z!) or a Poisson weight of f_d
+    (density block, the density kernel against Gamma(z - tau*v/s) / z!),
+    H = lam_0 + lam_e, each without the H^-z.
     """
     fso = cfg.fso_main
     tau, s = fso.tau, fso.s
@@ -411,12 +398,12 @@ def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
     c, H, p = _pairs(x0, lam0, np.append(0, xe), np.append(0.0, lame))
     c *= np.append(1.0, -We)
     survival = _family_at(
-        lambda K, ln_w: _spsc1_survival(fso, 1).value_many(ln_w, options,
-                                                           count=K),
+        lambda K, ln_w: _laplace(fso._sf_mb, tau, 1).value_many(
+            ln_w, options, count=K),
         lambda rate: fso.log_B4 - tau * (lnU + np.log(rate)), H, p)
     density = _family_at(
-        lambda K, ln_w: _spsc1_density(fso, 0).value_many(ln_w, options,
-                                                          count=K),
+        lambda K, ln_w: _laplace(fso._pdf_mb, tau / s, 0).value_many(
+            ln_w, options, count=K),
         lambda rate: fso.log_B2t_tau - (tau / s) * (lnU + np.log(rate)), H, p)
     terms = np.concatenate([
         c * (w0 * lam0)[:, None] / H * exp(fso.log_B3) * (p + 1) * survival,

@@ -14,10 +14,12 @@ the poles pinch the line.  That is the one path for every strip, however
 narrow; a strip too narrow for a double-precision line between its poles
 raises DegenerateParameterError.
 
-Plain Meijer G-functions are the special case where every slope is +/-1.
-The DGG parameter vectors are gamma ladders prod_{i<p} Gamma((q+i)/p + v),
-up to 56 entries long; Gauss's multiplication formula collapses each into
-one factor Gamma(q + p*v) of slope p (MellinBarnesIntegral.from_ladders).
+Plain Meijer G-functions are the special case where every slope is +/-1;
+meijer_g evaluates them on the same contour (there is no residue-series
+path: the residues serve only the asymptotes).  The DGG parameter vectors
+are gamma ladders prod_{i<p} Gamma((q+i)/p + v), up to 56 entries long;
+Gauss's multiplication formula collapses each into one factor Gamma(q +
+p*v) of slope p (MellinBarnesIntegral.from_ladders).
 The Laplace-transform kernels Gamma(z - tau*v) have non-integer slope; the
 engine treats every slope identically, and evaluates integrands that differ
 only in the integer z as one family on a shared contour.  Gamma products
@@ -393,7 +395,7 @@ class MellinBarnesIntegral:
         range, on one contour per group and run of _FAMILY_RUN members; the
         result gets a leading member axis.
         A (member, argument) pair the group's contour does not serve (its sum
-        cancels too much, see _assemble_family) is evaluated on its own
+        cancels too much, see _assemble) is evaluated on its own
         saddle, and so is every pair of a family group that raises
         AccuracyError; a lone integrand's AccuracyError propagates.
         """
@@ -435,11 +437,9 @@ class MellinBarnesIntegral:
         """Values of family members 0..count-1, shape (count, lnz.size), on
         the contour through the middle member's saddle at the median
         argument, and the mask, of the same shape, of the values this
-        contour does not serve (see _assemble_family); they are to be
-        discarded."""
+        contour does not serve (see _assemble); they are to be discarded."""
         c = self._saddle(float(np.median(lnz)), (count - 1) // 2)
-        T = (self._truncation(c) if count == 1
-             else self._truncation(c, count - 1))
+        T = self._truncation(c, count - 1)
 
         # the trapezoid in s on [0, S], t = alpha*sinh(s): the poles nearest
         # the line, at t = +-i*d, map to Im s = +-pi/2 whatever d, so they no
@@ -463,7 +463,8 @@ class MellinBarnesIntegral:
         g = self._log_family(v, count)
         prev = None
         while True:
-            vals, far = self._assemble_family(v, g, jac * (S / n), lnz)
+            vals, ratio = self._assemble(v, g, jac * (S / n), lnz)
+            far = ratio > _MAX_CANCELLATION
             # the trapezoid converges geometrically on an analytic integrand
             # (Trefethen & Weideman 2014): the finer level's error is far
             # below its change from the coarser one
@@ -489,44 +490,35 @@ class MellinBarnesIntegral:
             g = np.concatenate([g, self._log_family(v2, count)], axis=1)
             prev = vals
 
-    @classmethod
-    def _assemble_family(cls, v, g, w, lnz):
-        """Trapezoid values of each member (rows of g) at each argument, and
-        the mask, of the same shape, of the (member, argument) pairs whose
-        sum cancels so much that rounding in f is amplified more than
-        _MAX_CANCELLATION times: the level-to-level change cannot see that
-        noise.  The contour runs far off the saddle of such a pair (its
-        value lies decades below the group's).  A lone member at a lone
-        argument is never masked: the contour is already its own."""
-        if g.shape[0] == 1 and lnz.size == 1:
-            return cls._assemble(v, g[0], w, lnz)[None], np.zeros((1, 1), bool)
-        vals, kappa = zip(*(cls._assemble(v, gk, w, lnz, condition=True)
-                            for gk in g))
-        return np.array(vals), np.array(kappa) > _MAX_CANCELLATION
-
     @staticmethod
-    def _assemble(v, g, w, lnz, condition=False):
-        """Quadrature sum (1/pi) sum w Re f at the nodes v with weights w
-        (the mapped trapezoid's, Jacobian included); node order is
-        irrelevant for the rule but fixed, so results are reproducible bit
-        for bit.  With condition, also return sum w|f| / |sum w Re f| per
-        argument."""
-        out = np.empty_like(lnz)
-        kappa = np.empty_like(lnz)
-        for j, lz in enumerate(lnz):
-            lf = g - v * lz
-            M = float(lf.real.max())
-            e = np.exp(lf - M)
-            s = float(np.sum(w * e.real))
-            if condition:
-                kappa[j] = float(w @ np.abs(e)) / abs(s) if s else np.inf
-            mag = M + log(abs(s) / pi) if s != 0.0 else -np.inf
-            if mag > 709.0:
-                raise AccuracyError("contour integral overflowed double precision",
-                                    best_estimate=np.sign(s) * np.inf,
-                                    error_bound=np.inf)
-            out[j] = np.sign(s) * exp(mag) if np.isfinite(mag) else 0.0
-        return (out, kappa) if condition else out
+    def _assemble(v, g, w, lnz):
+        """Quadrature sums (1/pi) sum w Re f at the nodes v with weights w
+        (the mapped trapezoid's, Jacobian included) of each member (rows of
+        g) at each argument, and their cancellation ratios sum w|f| / |sum w
+        Re f|, both of shape (members, arguments).  Past _MAX_CANCELLATION
+        the ratio amplifies rounding in f more than the level-to-level
+        change can see: the contour runs far off the saddle of such a pair
+        (its value lies decades below the group's).  A lone (member,
+        argument) pair gets ratio 0: the contour is already its own.  Node
+        order is irrelevant for the rule but fixed, so results are
+        reproducible bit for bit."""
+        out = np.empty((len(g), lnz.size))
+        ratio = np.zeros_like(out)
+        for k, gk in enumerate(g):
+            for j, lz in enumerate(lnz):
+                lf = gk - v * lz
+                M = float(lf.real.max())
+                e = np.exp(lf - M)
+                s = float(np.sum(w * e.real))
+                if out.size > 1:
+                    ratio[k, j] = float(w @ np.abs(e)) / abs(s) if s else np.inf
+                mag = M + log(abs(s) / pi) if s != 0.0 else -np.inf
+                if mag > 709.0:
+                    raise AccuracyError(
+                        "contour integral overflowed double precision",
+                        best_estimate=np.sign(s) * np.inf, error_bound=np.inf)
+                out[k, j] = np.sign(s) * exp(mag) if np.isfinite(mag) else 0.0
+        return out, ratio
 
 
 # -- Meijer G front end ------------------------------------------------------
@@ -536,8 +528,7 @@ def _spec_factors(spec: MeijerGSpec):
     """Express the G-function as gamma factors of the contour variable.
 
     Parameter groups are sorted first, which makes evaluation invariant (bit
-    for bit) under permutations inside each group.  The first m numerator
-    factors are the Gamma(b_h + v), h < m.
+    for bit) under permutations inside each group.
     """
     bm = sorted(spec.b_params[:spec.m])
     bq = sorted(spec.b_params[spec.m:])
@@ -545,67 +536,16 @@ def _spec_factors(spec: MeijerGSpec):
     ap = sorted(spec.a_params[spec.n:])
     numer = [(b, 1.0) for b in bm] + [(1.0 - a, -1.0) for a in an]
     denom = [(1.0 - b, -1.0) for b in bq] + [(a, 1.0) for a in ap]
-    return MellinBarnesIntegral(numer, denom), bm
-
-
-def _residue_series_ok(spec: MeijerGSpec, bm, tol: float) -> bool:
-    """Power-series fast path applies only to cleanly separated lower
-    parameters (no pair equal or integer-spaced) and small arguments, where
-    the series has no growing terms to cancel.
-
-    Dense parameter ladders (the DGG channel vectors) technically clear any
-    tiny separation tolerance yet still lose all precision to the huge
-    Gamma(near-pole) factors, so the gate also demands O(1) gaps and few
-    parameters; everything else goes to the contour, which has no such
-    pathology.
-    """
-    if spec.m == 0 or spec.m > 6 or spec.argument > 1.0:
-        return False
-    if spec.p > spec.q or (spec.p == spec.q and spec.argument >= 1.0):
-        return False
-    gap_floor = max(tol, 0.05)
-    for i in range(len(bm)):
-        for j in range(i + 1, len(bm)):
-            d = abs(bm[i] - bm[j])
-            if d <= gap_floor or abs(d - round(d)) <= gap_floor:
-                return False
-    return True
-
-
-def _residue_series(integral: MellinBarnesIntegral, m: int, lnz: float,
-                    options: EvalOptions) -> float:
-    """Sum of residues over the left pole families v = -b_h - k, h < m."""
-    total = 0.0
-    for h in range(m):
-        acc = 0.0
-        small = 0
-        for k in range(4000):
-            term = float(integral.residue(-integral.numer[h][0] - k, lnz,
-                                          options.pole_separation_tol)[0, 0])
-            acc += term
-            if abs(term) <= max(options.target_abs_tol,
-                                options.target_rel_tol * abs(acc)) * 1e-2:
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-        else:
-            raise AccuracyError("residue series did not converge",
-                                best_estimate=total + acc, error_bound=np.inf)
-        total += acc
-    return total
+    return MellinBarnesIntegral(numer, denom)
 
 
 def meijer_g(spec: MeijerGSpec, options: EvalOptions | None = None) -> float:
-    """Evaluate G^{m,n}_{p,q}(z | a; b) for positive real z.
+    """Evaluate G^{m,n}_{p,q}(z | a; b) for positive real z on the contour
+    of every other integrand (MellinBarnesIntegral.value).
 
     Deterministic for fixed inputs.  Raises AccuracyError (carrying the best
     estimate and an error bound) when the node budget runs out, and
     PoleCollisionError / DegenerateParameterError for inadmissible parameters.
     """
-    opts = options or EvalOptions()
-    integral, bm = _spec_factors(spec)
-    if _residue_series_ok(spec, bm, opts.pole_separation_tol):
-        return _residue_series(integral, spec.m, log(spec.argument), opts)
-    return integral.value(log(spec.argument), opts)
+    return _spec_factors(spec).value(log(spec.argument),
+                                     options or EvalOptions())

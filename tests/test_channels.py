@@ -13,6 +13,7 @@ from rfso_secrecy import (DggLink, EtaMuLink, RngStream, dgg_cdf,
                           dgg_from_preset, dgg_pdf, dgg_sample,
                           dgg_sample_inverse_cdf, eta_mu_cdf, eta_mu_pdf,
                           eta_mu_sample, special_case)
+from rfso_secrecy.channels import TURBULENCE_PRESETS, dgg_survival
 from rfso_secrecy.errors import ParameterError, UnsupportedCaseError
 
 from conftest import gamma_gamma_pointing_pdf, ks_statistic
@@ -287,6 +288,41 @@ def test_dgg_snr_distribution_free_of_omega_scales():
     for g in (0.3, 5.0, 40.0):
         assert float(dgg_cdf(a, g)) == pytest.approx(float(dgg_cdf(b, g)),
                                                      rel=1e-12)
+
+
+@pytest.mark.parametrize("eta,mu,phi", [
+    (float("nan"), 1, 1.0), (float("inf"), 1, 1.0), (1.0, float("nan"), 1.0),
+    (2.0, float("inf"), 1.0), (2.0, 2, float("inf")), (2.0, 2, float("nan"))])
+def test_eta_mu_rejects_non_finite_parameters(eta, mu, phi):
+    with pytest.raises(ParameterError):
+        EtaMuLink(eta, mu, phi)
+
+
+@pytest.mark.parametrize("name", ["a1", "b2", "omega1", "lambda1", "eps",
+                                  "electrical_snr"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_dgg_rejects_non_finite_parameters(name, bad):
+    kw = dict(TURBULENCE_PRESETS["wt"], eps=1.0, detection=1,
+              electrical_snr=10.0)
+    kw[name] = bad
+    with pytest.raises(ParameterError):
+        DggLink(**kw)
+
+
+def test_dgg_laws_reject_nan_and_take_infinity_as_an_endpoint(wt_link):
+    for law in (dgg_pdf, dgg_cdf, dgg_survival):
+        for gamma in (float("nan"), [1.0, float("nan")]):
+            with pytest.raises(ParameterError):
+                law(wt_link, gamma)
+    assert dgg_cdf(wt_link, np.inf) == 1.0
+    assert dgg_survival(wt_link, np.inf) == 0.0
+    assert dgg_pdf(wt_link, np.inf) == 0.0
+    g = np.array([0.0, wt_link.electrical_snr, np.inf])
+    F, S = dgg_cdf(wt_link, g), dgg_survival(wt_link, g)
+    assert (F[0], F[2], S[0], S[2]) == (0.0, 1.0, 1.0, 0.0)
+    assert F[1] + S[1] == pytest.approx(1.0, rel=1e-12)
+    np.testing.assert_array_equal(dgg_pdf(wt_link, g[1:]),
+                                  [dgg_pdf(wt_link, g[1]), 0.0])
 
 
 def test_dgg_rejects_inconsistent_ladder():

@@ -235,6 +235,46 @@ def test_cli_rejects_overflowing_eta_mu_config(tmp_path, capsys):
     assert err.startswith("error: ") and "coefficient" in err
 
 
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_cli_unwritable_out_exits_2_before_any_cell(tmp_path, capsys,
+                                                    monkeypatch, where):
+    out = tmp_path if where == "a directory" else tmp_path / "no" / "x.csv"
+    # the output must be opened before any cell is evaluated
+    monkeypatch.setattr(cli, "run_sweep", None)
+    assert main(["--preset", "fig2", "--points", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "fig6", "--axis", "eps", "--start", "-1", "--stop", "1"],
+    ["--preset", "fig6", "--axis", "target_rate", "--start", "-1"],
+    ["--preset", "fig6", "--axis", "Ud_db", "--stop", "4000"],
+    ["--preset", "fig1", "--axis", "phi_se_db", "--start", "-4000"],
+    ["--preset", "fig2", "--axis", "Ue_db", "--stop", "inf"],
+])
+def test_cli_axis_outside_the_parameter_domain_exits_2(capsys, monkeypatch,
+                                                        argv):
+    monkeypatch.setattr(cli, "run_sweep", None)
+    assert main(argv + ["--points", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+@pytest.mark.parametrize("ud_db", ["4000", "inf", "nan"])
+def test_cli_non_finite_snr_in_config_exits_2(tmp_path, capsys, scenario,
+                                              ud_db):
+    text = GOOD_CONFIG.replace("Ud_db = 20", f"Ud_db = {ud_db}")
+    if scenario == 1:
+        text = (text.replace("scenario = 2", "scenario = 1")
+                .replace("se = 1\nUe_db = -10",
+                         "eta_e = 5\nmu_e = 1\nphi_se_db = 0")
+                .replace("spsc2", "spsc1"))
+    p = tmp_path / "bad_snr.cfg"
+    p.write_text(text)
+    assert main(["--config", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_scenario1_config_near_eta_one_has_no_error_rows(tmp_path):
     """Both RF links at eta 0.875, mu 3, whose two-branch sums cancel: the
     closed forms come from the Gamma mixture, and no cell fails."""

@@ -155,16 +155,13 @@ def test_bessel_nonzero_order_vs_scipy():
         assert meijer_g(spec, TIGHT) == pytest.approx(float(ref), rel=1e-10)
 
 
-def test_residue_and_contour_paths_agree():
-    # separated non-integer-spaced lower parameters, small argument: the
-    # series fast path applies; a huge separation tolerance forces the
-    # contour route instead
-    spec = MeijerGSpec(2, 0, 0, 2, (), (0.3, 0.0), 0.25)
-    fast = meijer_g(spec, TIGHT)
-    forced = meijer_g(spec, EvalOptions(target_abs_tol=1e-300,
-                                        target_rel_tol=1e-12,
-                                        pole_separation_tol=10.0))
-    assert fast == pytest.approx(forced, rel=1e-10)
+def test_meijer_g_with_upper_parameter_vs_mpmath():
+    """G^{3,1}_{1,3}(0.4 | 0.2; 0.5, 0.1, 1.3) against mpmath at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    spec = MeijerGSpec(3, 1, 1, 3, (0.2,), (0.5, 0.1, 1.3), 0.4)
+    with mp.workdps(30):
+        ref = float(mp.meijerg([[0.2], []], [[0.5, 0.1, 1.3], []], 0.4))
+    assert meijer_g(spec, TIGHT) == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("preset", ["st", "mt", "wt"])
@@ -220,7 +217,7 @@ def test_truncation_height_covers_large_slope_mass(mt_link_imdd):
 def _saddle_cases():
     """(integrand, label) for every contour integrand family of a link."""
     from rfso_secrecy import EtaMuLink, Scenario2Config
-    from rfso_secrecy.secrecy import _crossing, _sop1_tail
+    from rfso_secrecy.secrecy import _crossing, _laplace
     for preset in ("st", "mt", "wt"):
         for detection in (1, 2):
             link = dgg_from_preset(preset, eps=1.0, detection=detection,
@@ -233,7 +230,8 @@ def _saddle_cases():
             yield link._cdf_mb, tag + " cdf"
             yield link._sf_mb, tag + " survival"
             for z1 in (1, 4):
-                yield _sop1_tail(link, z1), tag + " sop1 tail"
+                yield (_laplace(link._cdf_mb, link.tau, z1),
+                       tag + " sop1 tail")
             yield _crossing(cfg), tag + " crossing"
 
 
@@ -290,7 +288,7 @@ def test_group_stops_at_first_passing_doubling(st_link, monkeypatch):
     jac = alpha * np.cosh(s)
     jac[[0, -1]] *= 0.5
     g = mb._log_integrand(v)
-    vals = mb._assemble(v, g, jac * (S / n), ln_args)
+    vals = mb._assemble(v, g[None], jac * (S / n), ln_args)[0][0]
     while True:
         n *= 2
         s_new = (np.arange(n // 2) + 0.5) * (S / (n // 2))
@@ -298,7 +296,8 @@ def test_group_stops_at_first_passing_doubling(st_link, monkeypatch):
         v = np.concatenate([v, v_new])
         jac = np.concatenate([jac, alpha * np.cosh(s_new)])
         g = np.concatenate([g, mb._log_integrand(v_new)])
-        prev, vals = vals, mb._assemble(v, g, jac * (S / n), ln_args)
+        prev, vals = vals, mb._assemble(v, g[None], jac * (S / n),
+                                        ln_args)[0][0]
         if np.all(np.abs(vals - prev)
                   <= np.maximum(opts.target_abs_tol,
                                 opts.target_rel_tol * np.abs(vals))):
@@ -307,7 +306,7 @@ def test_group_stops_at_first_passing_doubling(st_link, monkeypatch):
 
     nodes = []
     log_integrand = mb._log_integrand
-    monkeypatch.setattr(mb, "_truncation", lambda _c: T)
+    monkeypatch.setattr(mb, "_truncation", lambda _c, _member: T)
     monkeypatch.setattr(mb, "_log_integrand",
                         lambda v: nodes.append(v.size) or log_integrand(v))
     out = mb.value_many(ln_args, opts)
@@ -318,21 +317,19 @@ def test_group_stops_at_first_passing_doubling(st_link, monkeypatch):
 def _family_cases():
     """(family base, per-member integrands, label): the Gamma(z - tau*v)
     families of the scenario-1 closed forms, five members each."""
-    from rfso_secrecy.secrecy import _spsc1_density, _spsc1_survival, _sop1_tail
+    from rfso_secrecy.secrecy import _laplace
     for preset in ("st", "mt", "wt"):
         for detection in (1, 2):
             link = dgg_from_preset(preset, eps=1.0, detection=detection,
                                    electrical_snr=100.0)
             tag = f"{preset}-{link.detection}"
-            yield (_sop1_tail(link, 1),
-                   [_sop1_tail(link, z) for z in range(1, 6)],
-                   tag + " sop1 tail")
-            yield (_spsc1_survival(link, 1),
-                   [_spsc1_survival(link, z) for z in range(1, 6)],
-                   tag + " spsc1 survival")
-            yield (_spsc1_density(link, 0),
-                   [_spsc1_density(link, z) for z in range(0, 5)],
-                   tag + " spsc1 density")
+            for kernel, slope, z0, name in (
+                    (link._cdf_mb, link.tau, 1, "sop1 tail"),
+                    (link._sf_mb, link.tau, 1, "spsc1 survival"),
+                    (link._pdf_mb, link.tau / link.s, 0, "spsc1 density")):
+                yield (_laplace(kernel, slope, z0),
+                       [_laplace(kernel, slope, z) for z in range(z0, z0 + 5)],
+                       f"{tag} {name}")
 
 
 def test_family_matches_members():
@@ -351,11 +348,11 @@ def test_family_matches_members():
 def test_family_group_shares_one_gamma_pass(st_link, monkeypatch):
     """A family group evaluates the gamma factors once per trapezoid level
     (plus the truncation grid), not once per member."""
-    from rfso_secrecy.secrecy import _spsc1_survival
-    mb = _spsc1_survival(st_link, 1)
+    from rfso_secrecy.secrecy import _laplace
+    mb = _laplace(st_link._sf_mb, st_link.tau, 1)
     # one group, near the members' saddles: all of them stay on the contour
     ln_args = np.array([-61.0, -60.0, -59.0])
-    members = [_spsc1_survival(st_link, z).value_many(ln_args)
+    members = [_laplace(st_link._sf_mb, st_link.tau, z).value_many(ln_args)
                for z in range(1, 6)]
     nodes = []
     log_integrand = mb._log_integrand
@@ -460,8 +457,8 @@ def test_interlaced_poles_rejected():
 
 
 def test_narrow_strip_arc_contour():
-    # admissible strip of width 5e-7 triggers the arc-deformed contour;
-    # exact value: Gamma(1-a+b) z^b (1+z)^(a-b-1)
+    # admissible strip of width 5e-7, on the same mapped trapezoid as any
+    # other strip; exact value: Gamma(1-a+b) z^b (1+z)^(a-b-1)
     eps = 5e-7
     a = 1.0 - eps
     for z in (0.5, 2.0):

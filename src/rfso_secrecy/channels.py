@@ -53,6 +53,9 @@ __all__ = [
 # there the two-branch coefficients have kappa = 1 (no cancellation).
 ETA_LIMIT_SURROGATE = 1e-6
 
+# The pointing-error ratio's domain ends where eps^2 would overflow.
+EPS_MAX = 2.0**512
+
 # The two-branch sums lose about log10(sum|term| / |sum|) digits to
 # cancellation; up to this ratio their rounding error stays near 1e-13
 # relative.  Points whose terms exceed it use the Gamma mixture.
@@ -350,6 +353,9 @@ class DggLink:
         self.omega1, self.omega2 = float(omega1), float(omega2)
         self.lambda1, self.lambda2 = int(lambda1), int(lambda2)
         self.eps = float(eps)
+        if not self.eps < EPS_MAX:
+            raise ParameterError(f"eps must be below {EPS_MAX:.6g} (2^512), "
+                                 "where eps^2 stays finite")
         self.electrical_snr = float(electrical_snr)
 
         lam1, lam2, e2 = self.lambda1, self.lambda2, self.eps**2

@@ -20,8 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from . import montecarlo, secrecy
-from .channels import DggLink, EtaMuLink, RngStream, TURBULENCE_PRESETS
-from .errors import ConfigError, RfsoError
+from .channels import (EPS_MAX, DggLink, EtaMuLink, RngStream,
+                       TURBULENCE_PRESETS)
+from .errors import ConfigError, ParameterError, RfsoError
 from .presets import AXES, EVALUATORS, METRICS, SweepSpec, _db, figure_preset
 from .secrecy import Scenario1Config, Scenario2Config
 
@@ -242,15 +243,23 @@ def _with_axis(cfg, axis: str, value: float):
     raise ConfigError(f"unknown axis {axis!r}")
 
 
-def _check_axis_range(sweep: SweepSpec):
+def _check_axis_range(sweep: SweepSpec, curves):
     """ConfigError unless both ends of the sweep lie in the domain of the
-    parameter its axis sets, without building a link: an SNR (from dB) or
-    eps positive and finite, target_rate finite and >= 0.  Each domain is
-    an interval, so every point between the ends is valid too."""
+    parameter its axis sets, without building a link: an SNR (from dB)
+    positive and finite, eps positive and below EPS_MAX, target_rate as
+    every curve's config accepts it (2^rate or 4^rate finite).  Each domain
+    is an interval, so every point between the ends is valid too."""
     for v in (sweep.start, sweep.stop):
+        if sweep.axis == "target_rate":
+            try:
+                for _, cfg in curves:
+                    replace(cfg, target_rate=float(v))
+            except ParameterError as exc:
+                raise ConfigError(f"target_rate = {v:g} is outside its "
+                                  f"domain: {exc}") from None
+            continue
         x = _db(v) if sweep.axis.endswith("_db") else v
-        if not (0 <= x < np.inf if sweep.axis == "target_rate"
-                else 0 < x < np.inf):
+        if not 0 < x < (EPS_MAX if sweep.axis == "eps" else np.inf):
             raise ConfigError(f"{sweep.axis} = {v:g} is outside its domain")
 
 
@@ -379,7 +388,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sweep = _override_sweep(sweep, args)
         for _, cfg in curves:
             _validate_compat(cfg, sweep)
-        _check_axis_range(sweep)
+        _check_axis_range(sweep, curves)
         out = (sys.stdout if args.out == "-"
                else open(args.out, "w", encoding="utf-8", newline="\n"))
     except (RfsoError, OSError) as exc:

@@ -86,8 +86,9 @@ class Scenario1Config:
     target_rate: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.target_rate < np.inf:
-            raise ParameterError("target_rate must be finite and >= 0")
+        if not 0.0 <= self.target_rate < 1024.0:
+            raise ParameterError("target_rate must be >= 0 and below 1024, "
+                                 "where phi1 = 2^rate stays finite")
 
     @property
     def phi1(self) -> float:
@@ -105,8 +106,9 @@ class Scenario2Config:
     target_rate: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.target_rate < np.inf:
-            raise ParameterError("target_rate must be finite and >= 0")
+        if not 0.0 <= self.target_rate < 512.0:
+            raise ParameterError("target_rate must be >= 0 and below 512, "
+                                 "where phi2 = 4^rate stays finite")
         if self.fso_main.shape_key() != self.fso_eve.shape_key():
             raise ParameterError(
                 "fso_main and fso_eve must share all DGG shape parameters "

@@ -7,12 +7,18 @@ The evaluator works on the Mellin-Barnes representation
 taken along a vertical line whose abscissa is placed at the (real-axis)
 saddle point of the integrand.  Saddle placement is what preserves relative
 accuracy when the result is exponentially small; a fixed abscissa loses all
-significant digits to cancellation as soon as |log z| is large.  The line
+significant digits to cancellation as soon as |log z| is large.  A
+value_many call places the saddles of all its groups of nearby arguments in
+one vectorised, safeguarded Newton iteration (trigamma on the numerator
+factors, a secant on the denominator's), and their heights from Stirling's
+formula, checked at the first trapezoid level's node c + iT.  The line
 integral over v = c + i*t is a trapezoid sum in s under t = alpha*sinh(s),
 alpha the distance from c to the nearest pole, which puts the nodes where
-the poles pinch the line.  That is the one path for every strip, however
-narrow; a strip too narrow for a double-precision line between its poles
-raises DegenerateParameterError.
+the poles pinch the line.  The sums are updated level by level as the nodes
+double and accepted when the change from the level before, or the geometric
+rate of the last two changes, puts the error within tolerance.  That is the
+one path for every strip, however narrow; a strip too narrow for a
+double-precision line between its poles raises DegenerateParameterError.
 
 Plain Meijer G-functions are the special case where every slope is +/-1;
 meijer_g evaluates them on the same contour (there is no residue-series
@@ -30,11 +36,10 @@ representable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, factorial, lgamma, log, pi
+from math import asinh, factorial, isfinite, lgamma, log, pi
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import (digamma, gammaln, gammasgn, loggamma, polygamma,
                            zeta)
 
@@ -54,9 +59,15 @@ __all__ = [
 
 # Off-axis probe used when a denominator gamma argument sits near a real pole.
 _PROBE = 0.25j
-# Multiples of Stirling's truncation height tried until the integrand has
-# decayed (up to 170x).
+# Multiples of the estimated truncation height that a line failing its check
+# walks up until the integrand has decayed (up to 170x).
 _TRUNCATION_GRID = 1.25 ** np.arange(24)
+# The doublings a half-open strip's saddle search tries per digamma pass,
+# and the points a finite bracket's first pass takes.
+_DOUBLINGS = 2.0 ** np.arange(16)
+_QUARTERS = np.linspace(0.0, 1.0, 5)
+# The recurrence steps that move a denominator digamma argument (see _dlog).
+_SHIFTS = np.arange(3.0)
 # A family member whose trapezoid sum cancels more than this (sum w|f| over
 # |sum w Re f|) on the shared contour is evaluated on its own saddle: its
 # rounding noise, ~1e-13 times this factor, would pass the tolerance test.
@@ -165,13 +176,17 @@ class MellinBarnesIntegral:
             raise ParameterError("at least one numerator gamma factor required")
         if any(b == 0 for _, b in self.numer + self.denom):
             raise ParameterError("gamma factor slopes must be nonzero")
+        # the strip of all but the last numerator factor, the one a family
+        # raises (see _strips)
         L, R = -np.inf, np.inf
-        for a, b in self.numer:
+        for a, b in self.numer[:-1]:
             if b > 0:
                 L = max(L, -a / b)
             else:
                 R = min(R, a / (-b))
-        self.strip = (L, R)
+        self._rest = (L, R)
+        a, b = self.numer[-1]
+        self.strip = (max(L, -a / b), R) if b > 0 else (L, min(R, a / (-b)))
         self.decay = (pi / 2.0) * (sum(abs(b) for _, b in self.numer)
                                    - sum(abs(b) for _, b in self.denom))
         # log-integrand terms _log_const - _ln_shift*v of collapsed ladders
@@ -181,6 +196,10 @@ class MellinBarnesIntegral:
         self._nb = np.array([b for _, b in self.numer])
         self._da = np.array([a for a, _ in self.denom])
         self._db = np.array([b for _, b in self.denom])
+        # signs (numerator +1) and |slopes| of all factors (see _truncation)
+        self._sign = np.concatenate([np.ones(self._na.size),
+                                     -np.ones(self._da.size)])
+        self._slope = np.abs(np.concatenate([self._nb, self._db]))
 
     @classmethod
     def from_ladders(cls, numer, denom=()):
@@ -280,72 +299,198 @@ class MellinBarnesIntegral:
 
     # -- contour placement -------------------------------------------------
 
-    def _dlog(self, c: float, lnz: float, member: int = 0) -> float:
-        """d/dc of the log-integrand magnitude of a family member on the
-        real axis."""
-        out = -lnz - self._ln_shift
-        x = self._na + self._nb * c
+    def _strips(self, member):
+        """Strips (L, R) of family members `member` (an array): member k
+        raises the last numerator offset a to a + k, which moves that
+        factor's poles outward."""
+        a, b = self.numer[-1]
+        L, R = self._rest
+        end = -(a + member) / b
+        if b > 0:
+            return np.maximum(L, end), np.full(end.shape, R)
+        return np.full(end.shape, L), np.minimum(R, end)
+
+    def _dlog(self, c, off):
+        """d/dc of the log-integrand magnitude on the real axis at c, less
+        the -ln z term, for the numerator offsets `off` (rows of a family
+        member's offsets); its denominator part; and the derivative of its
+        numerator part by the trigamma psi'(x) = zeta(2, x) (DLMF
+        25.11.12).  The denominator's probe-shifted complex digamma has no
+        real trigamma in scipy."""
         # numerator arguments are positive everywhere inside the strip
-        out += float(self._nb @ digamma(np.maximum(x, 1e-12)))
+        x = np.maximum(off + c[:, None] * self._nb, 1e-12)
+        h = digamma(x) @ self._nb - self._ln_shift
+        den = np.zeros(c.size)
         if self._da.size:
-            xd = self._da + self._db * c + _PROBE
-            out -= float(self._db @ digamma(xd).real)
-        if member:
-            a, b = self.numer[-1]
-            x = a + b * c
-            out += sum(b / (x + j) for j in range(member))
-        return out
+            # scipy's complex digamma takes a slow series (~8 us) for
+            # -1 < Re z < 2; there psi(z) = psi(z + 3) - sum_{j<3} 1/(z + j)
+            # (DLMF 5.5.2), whose real parts need no complex arithmetic
+            xd = self._da + c[:, None] * self._db
+            near = (xd > -1.0) & (xd < 2.0)
+            w = xd[..., None] + _SHIFTS
+            den = (digamma(xd + 3.0 * near + _PROBE).real - near * (
+                w / (w * w + _PROBE.imag**2)).sum(axis=-1)) @ self._db
+        return h - den, den, zeta(2.0, x) @ self._nb**2
 
-    def _saddle(self, lnz: float, member: int = 0) -> float:
-        """Saddle of family member `member`, bracketed in member 0's strip
-        (the narrowest: raising the offset only moves poles outward) at
-        min(2% of it, 0.02) from either pole: a saddle clipped further off
-        leaves the trapezoid sum cancelling."""
-        L, R = self.strip
-        if np.isfinite(L) and np.isfinite(R):
-            margin = 0.02 * min(R - L, 1.0)
-            lo, hi = L + margin, R - margin
-        elif np.isfinite(L):
-            lo = L + 1e-3
-            hi = max(L + 1.0, 1.0)
-            for _ in range(400):
-                if self._dlog(hi, lnz, member) > 0:
-                    break
-                hi *= 2.0
+    def _saddle(self, lnz, member, own=False):
+        """Saddles of family members `member` at the log-arguments lnz,
+        placed together (arrays that broadcast).  Each point iterates on its
+        own, so its saddle does not depend on the others (up to the rounding
+        of a matrix product's rows).
+
+        The bracket is member 0's strip (a contour the family shares: raising
+        the offset only moves poles outward), or the member's `own`, less
+        min(2% of it, 0.02) at either pole, since a saddle clipped further
+        off leaves the trapezoid sum cancelling.  The derivative less ln z
+        does not depend on the argument, so one digamma pass over each
+        member's abscissae serves every point: the bracket's ends and
+        quarter points, or, in a half-open strip, 1e-3 past its pole and 16
+        doublings outward (as many more passes as the search needs).
+        Inside the sub-bracket a safeguarded Newton iteration runs on h/u,
+        h = _dlog - ln z and u = 1/(c - L) + 1/(R - c) over the solved
+        member's strip, which cancels h's poles at its ends.  The
+        denominator part enters h' by a secant through the last two iterates,
+        and a step that leaves the bracket bisects it instead."""
+        lnz = np.asarray(lnz, dtype=float).ravel()
+        if np.ndim(member):
+            keys, inv = np.unique(member, return_inverse=True)
         else:
-            hi = R - 1e-3
-            lo = min(R - 1.0, -1.0)
-            for _ in range(400):
-                if self._dlog(lo, lnz, member) < 0:
+            keys, inv = np.array([member]), np.zeros(lnz.size, dtype=int)
+        Lh, Rh = self._strips(keys)
+        L, R = (Lh, Rh) if own else self._strips(0 * keys)
+        off = self._na + np.zeros((keys.size, 1))
+        off[:, -1] += keys
+        # one pass over each member's abscissae: a finite bracket's ends and
+        # quarter points, a half-open one's start and first 16 doublings
+        finite = isfinite(self.strip[0]) and isfinite(self.strip[1])
+        if finite:
+            sgn, margin = 1.0, 0.02 * np.minimum(R - L, 1.0)
+            P = (L + margin)[:, None] + np.outer(R - L - 2.0 * margin,
+                                                 _QUARTERS)
+        else:
+            sgn = 1.0 if isfinite(self.strip[0]) else -1.0
+            end = L if sgn > 0 else R
+            P = np.column_stack([end + sgn * 1e-3, np.outer(sgn * np.maximum(
+                sgn * end + 1.0, 1.0), _DOUBLINGS)])
+        # huge gamma arguments overflow here before _truncation rejects them
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            K, D, N = (e.reshape(P.shape) for e in self._dlog(
+                P.ravel(), np.repeat(off, P.shape[1], axis=0)))
+            while True:
+                H = K[inv] - lnz[:, None]
+                past = sgn * H[:, 1:] > 0
+                found = past.any(axis=1)
+                if found.all() or finite or P.shape[1] > 400:
                     break
-                lo *= 2.0
-        if self._dlog(lo, lnz, member) >= 0:
-            return lo
-        if self._dlog(hi, lnz, member) <= 0:
-            return hi
-        return brentq(self._dlog, lo, hi, args=(lnz, member), xtol=1e-12,
-                      rtol=4.0 * np.finfo(float).eps)
+                new = P[:, -1:] * 2.0 * _DOUBLINGS
+                P = np.column_stack([P, new])
+                K, D, N = (np.column_stack([e, f.reshape(new.shape)])
+                           for e, f in zip((K, D, N), self._dlog(
+                               new.ravel(), np.repeat(off, 16, axis=0))))
+            # the first abscissa past the root, and the one before it
+            j = np.where(found, past.argmax(axis=1), P.shape[1] - 2) + 1
+            a, b = (j - 1, j) if sgn > 0 else (j, j - 1)
+            rows = np.arange(lnz.size)
+            lo, hi, hlo, hhi = P[inv, a], P[inv, b], H[rows, a], H[rows, b]
+            c = np.where(hlo >= 0, lo, hi)
+            act = np.nonzero((hlo < 0) & (hhi > 0))[0]
+            if act.size < lnz.size:
+                inv, a, b, lnz = inv[act], a[act], b[act], lnz[act]
+                lo, hi, hlo, hhi = lo[act], hi[act], hlo[act], hhi[act]
+            off, Lh, Rh, dp = off[inv], Lh[inv], Rh[inv], D[inv, a]
 
-    def _truncation(self, c: float, member: int = 0) -> float:
-        """Height T with |f(c + iT)| <= e^-50 |f(c)| for family member
-        `member`, negligible for ~1e-15 work.  Stirling's estimate ignores
-        ln|slope| and log Gamma(x_j), decisive for a large slope mass, so one
-        gamma pass over a geometric grid raises it to the first height where
-        log |f| has dropped by 50.  The lower members have dropped further
-        there: |(x + ibt)_k| grows with t and with k for x > 0."""
-        rho = float((self._na + self._nb * c - 0.5).sum()) + member
-        if self._da.size:
-            rho -= float((self._da + self._db * c - 0.5).sum())
-        lam = 50.0
-        T = (lam + max(rho, 0.0) * log(2.0)) / self.decay
-        for _ in range(4):
-            T = (lam + max(rho, 0.0) * np.log1p(abs(T))) / self.decay
-        heights = max(T, 4.0 / self.decay) * _TRUNCATION_GRID
-        g = self._log_family(c + 1j * np.concatenate([[0.0], heights]),
-                             member + 1)[-1]
-        # a NaN drop (f(c) not finite) keeps Stirling's guess
-        low = ~(g[1:].real - g[0].real > -lam)
-        return float(heights[np.argmax(low)] if low.any() else heights[-1])
+            def newton(x, h, slope):
+                il, ir = 1.0 / (x - Lh), 1.0 / (Rh - x)
+                u = il + ir
+                dphi = slope * u - h * (ir * ir - il * il)
+                return x - h * u / dphi, dphi
+
+            # the secant of the denominator part starts on the bracket; the
+            # iteration from Newton's step off either end, else regula falsi
+            xp, dslope = lo.copy(), (D[inv, b] - dp) / (hi - lo)
+            x, xh = newton(np.array([lo, hi]), np.array([hlo, hhi]),
+                           np.array([N[inv, a], N[inv, b]]) - dslope)[0]
+            x = np.where((x > lo) & (x < hi), x, np.where(
+                (xh > lo) & (xh < hi), xh,
+                lo - hlo * (hi - lo) / (hhi - hlo)))
+            for _ in range(100):
+                h, den, nslope = self._dlog(x, off)
+                h -= lnz
+                neg = h < 0
+                np.copyto(lo, x, where=neg)
+                np.copyto(hi, x, where=~neg)
+                dslope = (den - dp) / (x - xp)
+                xn, dphi = newton(x, h, nslope - dslope)
+                done = np.abs(xn - x) <= 1e-7 * (1.0 + np.abs(x))
+                if done.all():
+                    c[act] = np.minimum(np.maximum(xn, lo), hi)
+                    return c
+                if done.any():
+                    c[act[done]] = np.minimum(np.maximum(xn, lo), hi)[done]
+                    keep = ~done
+                    act, lo, hi, x, den, xn, off, lnz, Lh, Rh, dphi = (
+                        e[keep] for e in (act, lo, hi, x, den, xn, off, lnz,
+                                          Lh, Rh, dphi))
+                xp, dp = x, den
+                x = np.where((xn > lo) & (xn < hi) & (dphi > 0), xn,
+                             0.5 * (lo + hi))
+        c[act] = 0.5 * (lo + hi)
+        return c
+
+    @staticmethod
+    def _spike(x):
+        """log Gamma(x) - log Gamma(max(x, 1)) summed over the last axis of
+        numerator arguments x: a factor near its pole (0 < x < 1) spikes at
+        t = 0 over a width ~x that carries little of the integral, so the
+        truncation height measures the integrand's drop from Gamma(1)
+        there."""
+        return (gammaln(x) - gammaln(np.maximum(x, 1.0))).sum(axis=-1)
+
+    def _truncation(self, c, member):
+        """Heights T, one per line c, at which |f(c + iT)| has dropped to
+        e^-51 |f(c)| (less the _spike) for family members `member` (arrays
+        that broadcast): negligible for ~1e-15 work, with a margin of 1 for
+        the check of _value_group.  For each factor Stirling's formula at w =
+        x + i|b|T, ln|Gamma(w)| ~ (x - 1/2) ln|w| - |b|T arg w - x + ln(2
+        pi)/2 (DLMF 5.11.1), against log Gamma(x) on the axis.  For large T
+        the drop is rho ln T + sum (x - 1/2) ln|b| + ln(2 pi)/2 - log
+        Gamma(x) - decay*T (signed sums over numerator less denominator
+        factors); its root starts Newton's iteration on the full form,
+        concave in T, whose iterates stay above the root.  The lower members
+        have dropped further there: |(x + ibt)_k| grows with t and with k
+        for x > 0."""
+        c = np.asarray(c, dtype=float).ravel()
+        n, sg = self._na.size, self._sign
+        x = np.concatenate([self._na + c[:, None] * self._nb,
+                            self._da + c[:, None] * self._db], axis=1)
+        x[:, n - 1] += member
+        if np.abs(x).max(initial=0.0) > 1e11:
+            # log Gamma(x) rounds by about |x ln x| ulps of 1: past 1e-3,
+            # the log-integrand is noise no contour resolves
+            raise AccuracyError(
+                f"gamma factor arguments up to {np.abs(x).max():.3g} leave "
+                "the log-integrand's rounding error above 1e-3",
+                best_estimate=np.nan, error_bound=np.inf)
+        with np.errstate(invalid="ignore"):
+            lg0 = gammaln(x) @ sg - self._spike(x[:, :n])
+        stirling = 0.5 * log(2.0 * pi) * (n - self._da.size)
+        C = (x - 0.5) @ (sg * np.log(self._slope)) + stirling - lg0
+        rho, target = (x - 0.5) @ sg, 51.0
+        T = np.maximum((target + C) / self.decay, 1.0)
+        for _ in range(2):
+            T = np.maximum(T - (self.decay * T - rho * np.log(T) - target - C)
+                           / (self.decay - rho / T), 1e-3)
+        for _ in range(30):
+            y = self._slope * T[:, None]
+            r2 = x * x + y * y
+            ang = np.arctan2(y, x)
+            drop = (((x - 0.5) * 0.5 * np.log(r2) - y * ang - x) @ sg
+                    + stirling - lg0)
+            step = (drop + target) / -((ang + 0.5 * y / r2) @ (sg * self._slope))
+            T = np.where(T > step, T - step, 0.5 * T)
+            if (np.abs(step) <= 0.02 * T).all():
+                return T
+        return T
 
     def _log_integrand(self, v: np.ndarray) -> np.ndarray:
         out = self._log_const - self._ln_shift * v
@@ -413,67 +558,102 @@ class MellinBarnesIntegral:
                     _FAMILY_RUN, count - k)).reshape(-1, lnz.size)
                 for k in range(0, count, _FAMILY_RUN)])
         out = np.empty((count, lnz.size))
+        far = np.zeros((count, lnz.size), dtype=bool)
         order = np.argsort(lnz, kind="stable")
-        start = 0
+        groups, start = [], 0
         for i in range(1, lnz.size + 1):
             if i == lnz.size or lnz[order[i]] - lnz[order[start]] > 4.0:
-                idx = order[start:i]
-                try:
-                    out[:, idx], far = self._value_group(lnz[idx], options,
-                                                         count)
-                except AccuracyError:
-                    if count == 1:
-                        raise
-                    far = np.ones((count, idx.size), dtype=bool)
-                for k, j in zip(*np.nonzero(far)):
-                    member = self._member(k) if count > 1 else self
-                    out[k, idx[j]] = member._value_group(
-                        lnz[idx[j]:idx[j] + 1], options)[0][0, 0]
+                groups.append(order[start:i])
                 start = i
+        # every group's contour through the middle member's saddle at the
+        # median argument, placed together
+        c = self._saddle([0.5 * (lnz[i[(i.size - 1) // 2]] + lnz[i[i.size // 2]])
+                          for i in groups], (count - 1) // 2)
+        T = self._truncation(c, count - 1)
+        for idx, ci, Ti in zip(groups, c, T):
+            try:
+                out[:, idx], far[:, idx] = self._value_group(
+                    lnz[idx], ci, Ti, options, count)
+            except AccuracyError:
+                if count == 1:
+                    raise
+                far[:, idx] = True
+        k, j = np.nonzero(far)
+        if k.size:
+            c = self._saddle(lnz[j], k, own=True)
+            T = self._truncation(c, k)
+            for kk, jj, ci, Ti in zip(k, j, c, T):
+                member = self._member(kk) if count > 1 else self
+                out[kk, jj] = member._value_group(lnz[jj:jj + 1], ci, Ti,
+                                                  options)[0][0, 0]
         return out if count > 1 else out[0]
 
-    def _value_group(self, lnz: np.ndarray, options: EvalOptions,
-                     count: int = 1):
+    def _value_group(self, lnz: np.ndarray, c: float, T: float,
+                     options: EvalOptions, count: int = 1):
         """Values of family members 0..count-1, shape (count, lnz.size), on
-        the contour through the middle member's saddle at the median
-        argument, and the mask, of the same shape, of the values this
-        contour does not serve (see _assemble); they are to be discarded."""
-        c = self._saddle(float(np.median(lnz)), (count - 1) // 2)
-        T = self._truncation(c, count - 1)
-
-        # the trapezoid in s on [0, S], t = alpha*sinh(s): the poles nearest
-        # the line, at t = +-i*d, map to Im s = +-pi/2 whatever d, so they no
-        # longer set the error rate and a level needs O(log(T/d)) nodes where
-        # a uniform grid in t needs O(T/d)
-        d = float(np.min((self._na + self._nb * c) / np.abs(self._nb)))
-        alpha = min(d, T)
-        S = float(np.arcsinh(T / alpha)) if alpha > 0 else np.inf
-        if not np.isfinite(S):
-            # a strip a few ulps wide puts c on a pole, a subnormal one
-            # overflows T/alpha
-            raise DegenerateParameterError(
-                f"strip {self.strip} too narrow for a line between its "
-                "poles; no separating contour")
-        n = 64
-        s = np.linspace(0.0, S, n + 1)
-        v = c + 1j * alpha * np.sinh(s)
+        the line through c truncated at height T, and the mask, of the same
+        shape, of the values this contour does not serve (see _assemble);
+        they are to be discarded."""
+        x = self._na + self._nb * c
+        # a strip a few ulps wide leaves c on a pole or so near one that
+        # a + b*c rounds by more than 1e-3 of itself; a subnormal one
+        # overflows T/alpha
+        if not np.all(x > 2e-13 * (np.abs(self._na) + np.abs(self._nb * c))):
+            raise self._degenerate()
+        d = float(np.min(x / np.abs(self._nb)))
+        x[-1] += count - 1
+        ref = None
+        while True:
+            # the trapezoid in s on [0, S], t = alpha*sinh(s): the poles
+            # nearest the line, at t = +-i*d, map to Im s = +-pi/2 whatever
+            # d, so they no longer set the error rate and a level needs
+            # O(log(T/d)) nodes where a uniform grid in t needs O(T/d)
+            alpha = min(d, float(T))
+            S = asinh(float(T) / alpha)
+            if not isfinite(S):
+                raise self._degenerate()
+            n = 64
+            s = np.linspace(0.0, S, n + 1)
+            t = alpha * np.sinh(s)
+            g = self._log_family(c + 1j * t, count)
+            if ref is not None:
+                break
+            # the height's check on the level's last node: the top member
+            # has dropped by 50 from the axis at c + iT (a NaN drop passes);
+            # a line that fails takes the first _TRUNCATION_GRID height above
+            # T where it has, and its level again
+            with np.errstate(invalid="ignore"):
+                ref = g[-1, 0].real - self._spike(x)
+            if not g[-1, -1].real - ref > -50.0:
+                break
+            heights = T * _TRUNCATION_GRID[1:]
+            low = ~(self._log_family(c + 1j * heights, count)[-1].real - ref
+                    > -50.0)
+            T = heights[np.argmax(low)] if low.any() else heights[-1]
         # Jacobian alpha*cosh(s), halved at the two ends
         jac = alpha * np.cosh(s)
         jac[[0, -1]] *= 0.5
-        g = self._log_family(v, count)
-        prev = None
+        scale = g.real.max(axis=1)
+        sums, mass = self._assemble(t, g, jac, lnz, scale)
+        prev = change = None
         while True:
-            vals, ratio = self._assemble(v, g, jac * (S / n), lnz)
+            vals, ratio = self._values(sums * (S / n), mass * (S / n),
+                                       scale[:, None] - c * lnz)
             far = ratio > _MAX_CANCELLATION
             # the trapezoid converges geometrically on an analytic integrand
             # (Trefethen & Weideman 2014): the finer level's error is far
-            # below its change from the coarser one
-            if prev is not None and np.all(
-                    (np.abs(vals - prev)
-                     <= np.maximum(options.target_abs_tol,
-                                   options.target_rel_tol * np.abs(vals)))
-                    | far):
-                return vals, far
+            # below its change from the coarser one, and from the third level
+            # on the rate of the last two changes predicts it
+            if prev is not None:
+                tol = np.maximum(options.target_abs_tol,
+                                 options.target_rel_tol * np.abs(vals))
+                last, change = change, np.abs(vals - prev)
+                ok = (change <= tol) | far
+                if last is not None:
+                    # predicted error change * (change / last) <= tol / 100
+                    ok |= change <= 0.1 * np.sqrt(tol) * np.sqrt(last)
+                if ok.all():
+                    return vals, far
             n *= 2
             if n > options.max_quadrature_nodes:
                 bound = (float(np.max(np.abs(vals - prev)))
@@ -483,42 +663,57 @@ class MellinBarnesIntegral:
                     f"{options.max_quadrature_nodes} nodes",
                     best_estimate=vals if count > 1 else vals[0],
                     error_bound=bound)
-            s_new = (np.arange(n // 2) + 0.5) * (S / (n // 2))
-            v2 = c + 1j * alpha * np.sinh(s_new)
-            v = np.concatenate([v, v2])
-            jac = np.concatenate([jac, alpha * np.cosh(s_new)])
-            g = np.concatenate([g, self._log_family(v2, count)], axis=1)
-            prev = vals
+            # the new level's midpoints: S_2n = S_n/2 + (S/2n) * their sum
+            s = (np.arange(n // 2) + 0.5) * (S / (n // 2))
+            t = alpha * np.sinh(s)
+            g = self._log_family(c + 1j * t, count)
+            top = g.real.max(axis=1)
+            if (top > scale).any():
+                rescale = np.exp(scale - np.maximum(scale, top))
+                scale = np.maximum(scale, top)
+                sums, mass = sums * rescale[:, None], mass * rescale
+            new_sums, new_mass = self._assemble(t, g, alpha * np.cosh(s), lnz,
+                                                scale)
+            sums, mass, prev = sums + new_sums, mass + new_mass, vals
+
+    def _degenerate(self):
+        return DegenerateParameterError(
+            f"strip {self.strip} too narrow for a line between its poles; no "
+            "separating contour")
 
     @staticmethod
-    def _assemble(v, g, w, lnz):
-        """Quadrature sums (1/pi) sum w Re f at the nodes v with weights w
-        (the mapped trapezoid's, Jacobian included) of each member (rows of
-        g) at each argument, and their cancellation ratios sum w|f| / |sum w
-        Re f|, both of shape (members, arguments).  Past _MAX_CANCELLATION
-        the ratio amplifies rounding in f more than the level-to-level
-        change can see: the contour runs far off the saddle of such a pair
-        (its value lies decades below the group's).  A lone (member,
-        argument) pair gets ratio 0: the contour is already its own.  Node
-        order is irrelevant for the rule but fixed, so results are
-        reproducible bit for bit."""
-        out = np.empty((len(g), lnz.size))
-        ratio = np.zeros_like(out)
-        for k, gk in enumerate(g):
-            for j, lz in enumerate(lnz):
-                lf = gk - v * lz
-                M = float(lf.real.max())
-                e = np.exp(lf - M)
-                s = float(np.sum(w * e.real))
-                if out.size > 1:
-                    ratio[k, j] = float(w @ np.abs(e)) / abs(s) if s else np.inf
-                mag = M + log(abs(s) / pi) if s != 0.0 else -np.inf
-                if mag > 709.0:
-                    raise AccuracyError(
-                        "contour integral overflowed double precision",
-                        best_estimate=np.sign(s) * np.inf, error_bound=np.inf)
-                out[k, j] = np.sign(s) * exp(mag) if np.isfinite(mag) else 0.0
-        return out, ratio
+    def _assemble(t, g, w, lnz, scale):
+        """Trapezoid sums sum w Re f at the nodes c + i*t with weights w of
+        each member (rows of g) at each argument, shape (members, arguments),
+        and sum w |f| of each member, on the scale exp(scale_k - c ln z).  On
+        the line Re v = c, so |f| = exp(Re g - c ln z): each member is scaled
+        once by a = w exp(Re g - scale), and each argument adds only a cos(Im
+        g - t ln z), expanded as cos Im g cos(t ln z) + sin Im g sin(t ln z)
+        so that the members share the tables in t ln z.  Node order is
+        fixed, so results are reproducible bit for bit."""
+        a = w * np.exp(g.real - scale[:, None])
+        tz = np.outer(t, lnz)
+        return ((a * np.cos(g.imag)) @ np.cos(tz)
+                + (a * np.sin(g.imag)) @ np.sin(tz)), a.sum(axis=1)
+
+    @staticmethod
+    def _values(sums, mass, log_scale):
+        """Values (1/pi) exp(log_scale) * sums of the trapezoid sums, and
+        their cancellation ratios sum w|f| / |sum w Re f|.  Past
+        _MAX_CANCELLATION the ratio amplifies rounding in f more than the
+        level-to-level change can see: the contour runs far off the saddle
+        of such a pair (its value lies decades below the group's).  A lone
+        (member, argument) pair gets ratio 0: the contour is already its
+        own."""
+        a = np.abs(sums)
+        with np.errstate(divide="ignore"):
+            mag = log_scale + np.log(a / pi)
+            ratio = mass[:, None] / a if a.size > 1 else np.zeros_like(a)
+        if (mag > 709.0).any():
+            raise AccuracyError(
+                "contour integral overflowed double precision",
+                best_estimate=np.sign(sums) * np.inf, error_bound=np.inf)
+        return np.copysign(np.exp(mag), sums), ratio
 
 
 # -- Meijer G front end ------------------------------------------------------

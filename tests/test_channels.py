@@ -14,7 +14,8 @@ from rfso_secrecy import (DggLink, EtaMuLink, RngStream, dgg_cdf,
                           dgg_sample_inverse_cdf, eta_mu_cdf, eta_mu_pdf,
                           eta_mu_sample, special_case)
 from rfso_secrecy.channels import TURBULENCE_PRESETS, dgg_survival
-from rfso_secrecy.errors import ParameterError, UnsupportedCaseError
+from rfso_secrecy.errors import (AccuracyError, ParameterError,
+                                 UnsupportedCaseError)
 
 from conftest import gamma_gamma_pointing_pdf, ks_statistic
 
@@ -421,3 +422,21 @@ def test_turbulence_presets_consistent():
         assert link.lambda1 * link.a2 == pytest.approx(link.lambda2 * link.a1)
         assert len(link.j4) == link.delta_order
         assert len(link.j3) == link.s
+
+
+def test_eps_whose_square_overflows_rejected():
+    """eps^2 overflows from 2^512 on: a ParameterError, not an untyped
+    OverflowError; just below it the link builds."""
+    with pytest.raises(ParameterError):
+        dgg_from_preset("wt", eps=2.0**512, detection=1, electrical_snr=100.0)
+    with np.errstate(invalid="ignore"):  # its constants reach inf - inf
+        dgg_from_preset("wt", eps=2.0**511, detection=1, electrical_snr=100.0)
+
+
+def test_eps_beyond_double_resolution_raises_accuracy_error():
+    """At eps = 1e100 the gamma ladders carry offsets eps^2/tau ~ 5e199,
+    where log Gamma keeps no digit of the contour variable: a typed
+    AccuracyError rather than a value."""
+    link = dgg_from_preset("wt", eps=1e100, detection=1, electrical_snr=100.0)
+    with pytest.raises(AccuracyError):
+        dgg_cdf(link, [1.0, 100.0])

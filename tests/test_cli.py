@@ -251,6 +251,10 @@ def test_cli_unwritable_out_exits_2_before_any_cell(tmp_path, capsys,
     ["--preset", "fig6", "--axis", "Ud_db", "--stop", "4000"],
     ["--preset", "fig1", "--axis", "phi_se_db", "--start", "-4000"],
     ["--preset", "fig2", "--axis", "Ue_db", "--stop", "inf"],
+    # eps^2 and 2^rate overflow there
+    ["--preset", "fig6", "--axis", "eps", "--start", "1", "--stop", "1e200"],
+    ["--preset", "fig6", "--axis", "target_rate", "--stop", "2000"],
+    ["--preset", "fig7", "--axis", "target_rate", "--stop", "600"],
 ])
 def test_cli_axis_outside_the_parameter_domain_exits_2(capsys, monkeypatch,
                                                         argv):

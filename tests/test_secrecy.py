@@ -502,3 +502,12 @@ def test_spsc_mirrored_monotonicity():
     assert np.all(np.diff(vals1) >= -1e-9)
     vals2 = [spsc2(_sc2(ue_db=x)) for x in np.linspace(-20.0, 10.0, 5)]
     assert np.all(np.diff(vals2) <= 1e-9)
+
+
+def test_target_rate_whose_threshold_overflows_rejected(fig3_cfg, fig5_cfg):
+    """phi1 = 2^rate overflows from rate 1024 on and phi2 = 4^rate from 512:
+    a ParameterError at construction, not an OverflowError later."""
+    for cfg, limit in ((fig3_cfg, 1024.0), (fig5_cfg, 512.0)):
+        with pytest.raises(ParameterError):
+            replace(cfg, target_rate=limit)
+        assert replace(cfg, target_rate=limit / 2).target_rate == limit / 2

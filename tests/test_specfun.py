@@ -235,83 +235,202 @@ def _saddle_cases():
             yield _crossing(cfg), tag + " crossing"
 
 
-def _bisect(f, lo, hi, args=(), **_):
+def _bisect(f, lo, hi):
     """Reference root finder: plain bisection to the last representable
     midpoint."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if f(mid, *args) > 0:
+        if f(mid) > 0:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def test_saddle_matches_reference_bisection(monkeypatch):
-    """Brent's saddle lies inside the strip and on the root that bisection
-    of the same bracket finds, for every integrand family across 120
-    units of log-argument."""
-    from rfso_secrecy import specfun
+def _reference_saddle(mb, x, member=0):
+    """Saddle of family member `member` at log-argument x by bisection of
+    the derivative on the placement's bracket: member 0's strip less
+    min(2% of it, 0.02) at a finite pair of poles, else from 1e-3 past the
+    pole to the first doubling of max(|pole| + 1, 1) past the root."""
+    off = mb._na.copy()
+    off[-1] += member
+
+    def h(c):
+        return float(mb._dlog(np.array([c]), off[None])[0][0]) - x
+    L, R = mb.strip
+    if np.isfinite(L) and np.isfinite(R):
+        margin = 0.02 * min(R - L, 1.0)
+        lo, hi = L + margin, R - margin
+    elif np.isfinite(L):
+        lo, hi = L + 1e-3, max(L + 1.0, 1.0)
+        while h(hi) <= 0:
+            lo, hi = hi, 2.0 * hi
+    else:
+        lo, hi = min(R - 1.0, -1.0), R - 1e-3
+        while h(lo) >= 0:
+            lo, hi = 2.0 * lo, lo
+    if h(lo) >= 0:
+        return lo
+    if h(hi) <= 0:
+        return hi
+    return _bisect(h, lo, hi)
+
+
+def _mirrored(mb):
+    """The integrand with every slope negated: a right-open strip becomes
+    a left-open one."""
+    out = MellinBarnesIntegral([(a, -b) for a, b in mb.numer],
+                               [(a, -b) for a, b in mb.denom])
+    out._ln_shift = -mb._ln_shift
+    return out
+
+
+def test_saddle_matches_reference_bisection():
+    """The placement's saddle lies inside the strip and on the root that
+    bisection of the same bracket finds, for every integrand family and
+    their mirror images (finite, right-open and left-open strips) across
+    120 units of log-argument."""
     ln_args = np.linspace(-60.0, 60.0, 13)
     cases = list(_saddle_cases())
-    got = [[mb._saddle(x) for x in ln_args] for mb, _ in cases]
-    monkeypatch.setattr(specfun, "brentq", _bisect)
-    for (mb, label), saddles in zip(cases, got):
+    cases += [(_mirrored(mb), label + " mirrored") for mb, label in cases
+              if not np.isfinite(mb.strip[1])]
+    assert {tuple(np.isfinite(mb.strip)) for mb, _ in cases} == {
+        (True, True), (True, False), (False, True)}
+    for mb, label in cases:
         L, R = mb.strip
-        for x, c in zip(ln_args, saddles):
+        for x, c in zip(ln_args, mb._saddle(ln_args, 0)):
             assert L < c < R, (label, x)
-            ref = mb._saddle(x)
+            ref = _reference_saddle(mb, x)
             assert abs(c - ref) <= 1e-10 * (1.0 + abs(c)), (label, x)
 
 
+def test_saddles_placed_together_equal_placed_alone():
+    """Placing the saddles of a call together gives each the saddle it gets
+    alone (up to the rounding of a matrix product's rows): on finite,
+    right-open and left-open strips, for every member of a family, in
+    member 0's strip and in the member's own (the bracket a masked pair
+    gets)."""
+    ln_args = np.linspace(-60.0, 60.0, 7)
+    cases = [(mb, 1) for mb, _ in _saddle_cases()]
+    cases += [(_mirrored(mb), 1) for mb, _ in _saddle_cases()
+              if not np.isfinite(mb.strip[1])]
+    cases += [(base, len(members)) for base, members, _ in _family_cases()]
+    for mb, count in cases:
+        for own in (False, True):
+            members = np.repeat(np.arange(count), ln_args.size)
+            args = np.tile(ln_args, count)
+            together = mb._saddle(args, members, own)
+            alone = [mb._saddle([x], k, own)[0] for x, k in zip(args, members)]
+            np.testing.assert_allclose(together, alone, rtol=1e-14, atol=0)
+            for k in range(count):
+                np.testing.assert_allclose(mb._saddle(ln_args, k, own),
+                                           together[members == k],
+                                           rtol=1e-14, atol=0)
+
+
+def _trapezoid_levels(mb, ln_args, c, T, opts):
+    """The mapped trapezoid's levels 64, 128, ... in s on [0, S], on the line
+    t = alpha*sinh(s), alpha the distance from c to the nearest pole, each
+    summed from scratch, and the node count of each; the first level that
+    the acceptance rule takes ends the list.  The rule: a level passes when
+    its change from the level before is within the tolerance, or, from the
+    third level on, when that change times its ratio to the change before
+    (the geometric rate) is within a hundredth of it."""
+    x = mb._na + mb._nb * c
+    alpha = min(float(np.min(x / np.abs(mb._nb))), T)
+    S = np.arcsinh(T / alpha)
+    levels, changes = [], []
+    n = 64
+    while True:
+        s = np.linspace(0.0, S, n + 1)
+        w = alpha * np.cosh(s) * (S / n)
+        w[[0, -1]] *= 0.5
+        f = np.exp(mb._log_integrand(c + 1j * alpha * np.sinh(s))[None]
+                   - (c + 1j * alpha * np.sinh(s))[None] * ln_args[:, None])
+        levels.append(((f.real * w).sum(axis=1) / np.pi, n + 1))
+        if len(levels) > 1:
+            vals = levels[-1][0]
+            tol = np.maximum(opts.target_abs_tol,
+                             opts.target_rel_tol * np.abs(vals))
+            changes.append(np.abs(vals - levels[-2][0]))
+            ok = changes[-1] <= tol
+            if len(changes) > 1:
+                ok |= changes[-1] ** 2 / changes[-2] <= 0.01 * tol
+            if ok.all():
+                return levels
+        n *= 2
+
+
+def test_low_height_walks_up_the_grid(st_link, monkeypatch):
+    """A truncation height that fails its check at the first level's node
+    c + iT walks up _TRUNCATION_GRID in one gamma pass and evaluates the
+    level again; the value equals the one from the estimated height."""
+    mb = st_link._sf_mb
+    ln_args = np.array([float(st_link.ln_cdf_argument(st_link.electrical_snr))])
+    ref = mb.value_many(ln_args)
+    low = mb._truncation
+    monkeypatch.setattr(mb, "_truncation", lambda c, k: low(c, k) / 20.0)
+    nodes = []
+    log_family = mb._log_family
+    monkeypatch.setattr(mb, "_log_family",
+                        lambda v, k: nodes.append(v.size) or log_family(v, k))
+    np.testing.assert_allclose(mb.value_many(ln_args), ref, rtol=1e-12,
+                               atol=0.0)
+    assert nodes[:3] == [65, len(specfun._TRUNCATION_GRID) - 1, 65]
+
+
+def _group_nodes(mb, monkeypatch, ln_args, c, T, opts):
+    """A contour group's values on the line through c truncated at T, and
+    the gamma-pass nodes it evaluated."""
+    nodes = []
+    log_integrand = mb._log_integrand
+    monkeypatch.setattr(mb, "_log_integrand",
+                        lambda v: nodes.append(v.size) or log_integrand(v))
+    out, far = mb._value_group(ln_args, c, T, opts)
+    assert not far.any()
+    return out[0], sum(nodes)
+
+
 def test_group_stops_at_first_passing_doubling(st_link, monkeypatch):
-    """A contour group evaluates the nodes of the first doubling whose
-    change passes the tolerance, and returns that level's values: no
-    confirming doubling."""
+    """A contour group evaluates the nodes of the first level its rule
+    accepts, derived by hand in _trapezoid_levels, and returns that level's
+    values: no confirming level."""
     mb = st_link._sf_mb
     # one group: the log-arguments span less than 4
     ln_args = (st_link.ln_cdf_argument(st_link.electrical_snr)
                + np.array([-1.0, 0.0, 1.0]))
-    c = mb._saddle(float(np.median(ln_args)))
-    T = mb._truncation(c)
-    # reference: the trapezoid levels 64, 128, ... in s on [0, S], on the
-    # line t = alpha*sinh(s), alpha the distance from c to the nearest pole
-    x = mb._na + mb._nb * c
-    alpha = min(float(np.min(x / np.abs(mb._nb))), T)
-    S = np.arcsinh(T / alpha)
     opts = EvalOptions()
-    n = 64
-    s = np.linspace(0.0, S, n + 1)
-    v = c + 1j * alpha * np.sinh(s)
-    jac = alpha * np.cosh(s)
-    jac[[0, -1]] *= 0.5
-    g = mb._log_integrand(v)
-    vals = mb._assemble(v, g[None], jac * (S / n), ln_args)[0][0]
-    while True:
-        n *= 2
-        s_new = (np.arange(n // 2) + 0.5) * (S / (n // 2))
-        v_new = c + 1j * alpha * np.sinh(s_new)
-        v = np.concatenate([v, v_new])
-        jac = np.concatenate([jac, alpha * np.cosh(s_new)])
-        g = np.concatenate([g, mb._log_integrand(v_new)])
-        prev, vals = vals, mb._assemble(v, g[None], jac * (S / n),
-                                        ln_args)[0][0]
-        if np.all(np.abs(vals - prev)
-                  <= np.maximum(opts.target_abs_tol,
-                                opts.target_rel_tol * np.abs(vals))):
-            break
-    n_pass = n
+    c = float(mb._saddle([np.median(ln_args)], 0)[0])
+    T = float(mb._truncation([c], 0)[0])
+    levels = _trapezoid_levels(mb, ln_args, c, T, opts)
+    out, nodes = _group_nodes(mb, monkeypatch, ln_args, c, T, opts)
+    assert nodes == levels[-1][1]
+    np.testing.assert_allclose(out, levels[-1][0], rtol=1e-13, atol=0.0)
 
-    nodes = []
-    log_integrand = mb._log_integrand
-    monkeypatch.setattr(mb, "_truncation", lambda _c, _member: T)
-    monkeypatch.setattr(mb, "_log_integrand",
-                        lambda v: nodes.append(v.size) or log_integrand(v))
-    out = mb.value_many(ln_args, opts)
-    assert sum(nodes) == n_pass + 1
-    np.testing.assert_array_equal(out, vals)
+
+def test_group_rate_accepts_before_the_change(monkeypatch):
+    """The wt HD survival group at ln z = -16.33 of the oracle_quad workload:
+    the geometric rate of the changes accepts its fourth level, 513 nodes,
+    whose change alone is above the tolerance (the change-only rule took
+    1025).  The value is G^{4,0}_{2,4}(z | 1, j3; j4, 0) by mpmath.meijerg
+    at 50 digits."""
+    mb = dgg_from_preset("wt", eps=1.0, detection=1,
+                         electrical_snr=100.0)._sf_mb
+    ln_args = np.array([-16.33])
+    opts = specfun.TIGHT_OPTIONS
+    c = float(mb._saddle(ln_args, 0)[0])
+    T = float(mb._truncation([c], 0)[0])
+    levels = _trapezoid_levels(mb, ln_args, c, T, opts)
+    assert [n for _, n in levels] == [65, 129, 257, 513]
+    change = np.abs(levels[-1][0] - levels[-2][0])
+    assert np.all(change > opts.target_rel_tol * np.abs(levels[-1][0]))
+    out, nodes = _group_nodes(mb, monkeypatch, ln_args, c, T, opts)
+    assert nodes == 513
+    np.testing.assert_allclose(out, levels[-1][0], rtol=1e-13, atol=0.0)
+    assert out[0] == pytest.approx(146.541188572294211048272346926,
+                                   rel=1e-12)
 
 
 def _family_cases():
@@ -346,8 +465,8 @@ def test_family_matches_members():
 
 
 def test_family_group_shares_one_gamma_pass(st_link, monkeypatch):
-    """A family group evaluates the gamma factors once per trapezoid level
-    (plus the truncation grid), not once per member."""
+    """A family group evaluates the gamma factors once per trapezoid level,
+    not once per member."""
     from rfso_secrecy.secrecy import _laplace
     mb = _laplace(st_link._sf_mb, st_link.tau, 1)
     # one group, near the members' saddles: all of them stay on the contour
@@ -361,10 +480,10 @@ def test_family_group_shares_one_gamma_pass(st_link, monkeypatch):
     # no member may leave the shared contour
     monkeypatch.setattr(MellinBarnesIntegral, "_member", None)
     family = mb.value_many(ln_args, count=5)
-    levels = len(nodes) - 2
+    levels = len(nodes) - 1
     assert levels >= 1
-    assert nodes == ([len(specfun._TRUNCATION_GRID) + 1, 65]
-                     + [64 << i for i in range(levels)])
+    # the trapezoid levels; the first holds the truncation height's check
+    assert nodes == [65] + [64 << i for i in range(levels)]
     np.testing.assert_allclose(family, members, rtol=1e-12, atol=0.0)
 
 
@@ -497,8 +616,9 @@ def test_wt_survival_group_node_count(monkeypatch):
     """A wt HD survival group at a log-argument the oracle_quad workload's
     quadrature reaches: its line passes d = 0.059 from the nearest pole and
     runs to T = 21.5 (T/d = 363), where a uniform trapezoid in t needs 4097
-    nodes.  The mapped one takes at most 513; the value is
-    G^{4,0}_{2,4}(z | 1, j3; j4, 0) by mpmath.meijerg at 50 digits."""
+    nodes.  The mapped one takes 513, the truncation height's check
+    included; the value is G^{4,0}_{2,4}(z | 1, j3; j4, 0) by
+    mpmath.meijerg at 50 digits."""
     link = dgg_from_preset("wt", eps=1.0, detection=1, electrical_snr=100.0)
     mb = link._sf_mb
     nodes = []
@@ -506,9 +626,7 @@ def test_wt_survival_group_node_count(monkeypatch):
     monkeypatch.setattr(mb, "_log_integrand",
                         lambda v: nodes.append(v.size) or log_integrand(v))
     out = mb.value(-16.16985022502494)
-    # the first gamma pass is the truncation grid
-    assert nodes[0] == len(specfun._TRUNCATION_GRID) + 1
-    assert sum(nodes[1:]) <= 513
+    assert sum(nodes) <= 513
     assert out == pytest.approx(146.539715467697320726020585032, rel=1e-12)
 
 

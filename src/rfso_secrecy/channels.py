@@ -14,8 +14,9 @@ points where the two-branch sum cancels from the mixture.
 
 FSO hop: double generalized Gamma (DGG) turbulence with a pointing-error
 factor and either heterodyne (s=1) or intensity-modulation/direct-detection
-(s=2) conversion to electrical SNR.  PDF/CDF are Meijer G-functions
-evaluated through :mod:`rfso_secrecy.specfun`.
+(s=2) conversion to electrical SNR.  Its density, CDF and survival are
+Mellin-Barnes integrals built from the law's own Mellin transform, 4 to 6
+gamma factors each, evaluated through :mod:`rfso_secrecy.specfun`.
 
 All stored SNRs are linear; dB conversion happens at the CLI boundary only.
 """
@@ -23,7 +24,7 @@ All stored SNRs are linear; dB conversion happens at the CLI boundary only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, isfinite, lgamma, log, pi, sqrt
+from math import exp, isfinite, lgamma, log, log1p, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -65,8 +66,8 @@ _COND_MAX = 1e3
 _SERIES_TOL = 2.0**-56
 
 # Turbulence fits for the DGG model.  lambda1/lambda2 must equal a1/a2
-# exactly for the Meijer G forms, so a1 is stored as that ratio (the quoted
-# field fits 1.86 and 2.17 are what the integer pairs 17/9 and 28/13
+# exactly for the law's integer slopes, so a1 is stored as that ratio (the
+# quoted field fits 1.86 and 2.17 are what the integer pairs 17/9 and 28/13
 # approximate).
 TURBULENCE_PRESETS = {
     "st": dict(a1=17.0 / 9.0, a2=1.0, b1=0.5, b2=1.8,
@@ -316,15 +317,25 @@ class DggLink:
     """One DGG-faded FSO hop with pointing error and detection law.
 
     Shape pairs (a1, b1), (a2, b2) with scales omega1, omega2 describe the
-    two irradiance factors; lambda1/lambda2 must equal a1/a2 exactly (the
-    G-function forms assume it).  eps is the pointing-error ratio,
-    detection "hd" (s=1) or "imdd" (s=2), electrical_snr the linear
-    electrical SNR of the hop.
+    two irradiance factors; lambda1/lambda2 (integers) must equal a1/a2
+    exactly.  eps is the pointing-error ratio, detection "hd" (s=1) or
+    "imdd" (s=2), electrical_snr U the linear electrical SNR of the hop:
+    SNR = U (I/E[I])^s for the irradiance I.
 
-    The G-function parameter vectors j1, j3, j4 are stored as gamma ladders
-    (p, q), the entries (q+i)/p for i < p, which MellinBarnesIntegral.
-    from_ladders collapses into one gamma factor each; j3, j4 and
-    delta_order remain as read-only views of the expanded vectors.
+    The laws come from their Mellin transform, by the generalized-Gamma
+    moments Gamma(b + r/a)/Gamma(b) b^(-r/a) and the pointing factor's
+    eps^2/(eps^2 + r); with tau = a2*lambda1, so that 1/a1 = lambda2/tau,
+
+        E[(SNR/U)^(tau*v/s)] = exp(ln_norm - v*ln_scale) K(v) / tau,
+        K(v) = Gamma(eps^2/tau + v) Gamma(b1 + lambda2 v) Gamma(b2 + lambda1 v)
+               / Gamma(j2 + v),  j2 = 1 + eps^2/tau,
+
+    ln_scale = tau ln E[I] + lambda2 ln b1 + lambda1 ln b2 (free of the
+    omega scales).  Mellin inversion gives the density from K(v) (_pdf_mb,
+    at ln_pdf_argument), the CDF and survival from K(s*v) Gamma(-/+v) /
+    Gamma(1 -/+ v) (_cdf_mb, _sf_mb, at ln_cdf_argument).  j3, j4 and
+    delta_order are read-only views of the paper's expanded G-function
+    vectors.
     """
 
     def __init__(self, a1, a2, b1, b2, omega1, omega2, lambda1, lambda2,
@@ -339,8 +350,8 @@ class DggLink:
             raise ParameterError("lambda1, lambda2 must be positive integers")
         if abs(lambda1 * a2 - lambda2 * a1) > 1e-9 * lambda1 * a2:
             raise ParameterError(
-                "lambda1/lambda2 must equal a1/a2 (the ladder expansion of "
-                "the G-function parameters requires it exactly)")
+                "lambda1/lambda2 must equal a1/a2 (the law's gamma slopes "
+                "lambda2 = tau/a1, lambda1 = tau/a2 require it exactly)")
         if detection in ("hd", 1):
             self.detection, self.s = "hd", 1
         elif detection in ("imdd", 2):
@@ -359,41 +370,25 @@ class DggLink:
         self.electrical_snr = float(electrical_snr)
 
         lam1, lam2, e2 = self.lambda1, self.lambda2, self.eps**2
-        s = self.s
-        self.tau = self.a2 * lam1
-        self.j2 = 1.0 + e2 / self.tau
-        # j1 = [eps^2/tau] + psi; j4 spreads every j1 entry x over s
-        self.j1_ladders = [(1, e2 / self.tau), (lam2, self.b1),
-                           (lam1, self.b2)]
-        self.j3_ladders = [(s, self.j2)]
-        self.j4_ladders = [(s * p, q) for p, q in self.j1_ladders]
+        b1, b2, tau = self.b1, self.b2, self.a2 * lam1
+        self.tau, self.j2 = tau, 1.0 + e2 / tau
+
+        def kernel(k):
+            # the factors of K(k*v), numerator and denominator
+            return ([(e2 / tau, k), (b1, k * lam2), (b2, k * lam1)],
+                    [(self.j2, k)])
 
         # Mellin-Barnes integrands reused by every evaluation on this link
-        self._pdf_mb = MellinBarnesIntegral.from_ladders(self.j1_ladders,
-                                                         [(1, self.j2)])
-        self._cdf_mb = MellinBarnesIntegral.from_ladders(
-            self.j4_ladders + [(1, 0.0, -1.0)],
-            [(1, 1.0, -1.0)] + self.j3_ladders)
-        self._sf_mb = MellinBarnesIntegral.from_ladders(
-            self.j4_ladders + [(1, 0.0)], [(1, 1.0)] + self.j3_ladders)
-
-        # log zeta = sum over psi of lgamma(1/tau + psi); the pdf kernel at
-        # 1/tau also has Gamma(x)/Gamma(x + 1) = 1/x, x = (1 + eps^2)/tau
-        self.log_zeta = (self._pdf_mb.log_kernel(1.0 / self.tau)
-                         + log((1.0 + e2) / self.tau))
-        self.log_B1 = (log(e2) + (self.b1 - 0.5) * log(lam2)
-                       + (self.b2 - 0.5) * log(lam1)
-                       + (1.0 - (lam1 + lam2) / 2.0) * log(2.0 * pi)
-                       - lgamma(self.b1) - lgamma(self.b2))
-        # log of B2 * t^tau; the omega scales cancel out of this combination
-        self.log_B2t_tau = self.tau * (self.log_B1 + self.log_zeta
-                                       - log(1.0 + e2))
-        self.log_B3 = (log(e2) + (self.b1 - 0.5) * log(lam2)
-                       + (self.b2 - 0.5) * log(lam1)
-                       + (1.0 - s * (lam1 + lam2) / 2.0) * log(2.0 * pi)
-                       + (self.b1 + self.b2 - 2.0) * log(s)
-                       - log(self.tau) - lgamma(self.b1) - lgamma(self.b2))
-        self.log_B4 = s * (self.log_B2t_tau - (lam1 + lam2) * log(s))
+        self._pdf_mb = MellinBarnesIntegral(*kernel(1.0))
+        numer, denom = kernel(float(self.s))
+        self._cdf_mb = MellinBarnesIntegral(numer + [(0.0, -1.0)],
+                                            [(1.0, -1.0)] + denom)
+        self._sf_mb = MellinBarnesIntegral(numer + [(0.0, 1.0)],
+                                           [(1.0, 1.0)] + denom)
+        self.ln_norm = log(e2) - lgamma(b1) - lgamma(b2)
+        self.ln_scale = tau * (-log1p(1.0 / e2)
+                               + lgamma(b1 + lam2 / tau) - lgamma(b1)
+                               + lgamma(b2 + lam1 / tau) - lgamma(b2))
 
     # -- expanded parameter vectors (read-only views for G-function users) --
 
@@ -403,11 +398,13 @@ class DggLink:
 
     @property
     def j4(self) -> list:
-        return [x for p, q in self.j4_ladders for x in delta_expand(p, q)]
+        # each factor Gamma(q + p*v) of K(s*v) is the ladder of p entries
+        return [x for q, p in self._cdf_mb.numer[:-1]
+                for x in delta_expand(p, q)]
 
     @property
     def delta_order(self) -> int:
-        return sum(p for p, _ in self.j4_ladders)
+        return int(sum(p for _, p in self._cdf_mb.numer[:-1]))
 
     # -- derived scale quantities -------------------------------------------
 
@@ -426,31 +423,21 @@ class DggLink:
                        self.detection, self.electrical_snr)
 
     def ln_pdf_argument(self, gamma):
-        return (self.log_B2t_tau
+        return (self.ln_scale
                 + (self.tau / self.s) * (np.log(gamma) - log(self.electrical_snr)))
 
     def ln_cdf_argument(self, gamma):
-        return (self.log_B4
+        return (self.s * self.ln_scale
                 + self.tau * (np.log(gamma) - log(self.electrical_snr)))
 
-    def snr_moment(self, r: float) -> float:
-        """E[SNR^r] from the Mellin transform of the density."""
-        sig = r * self.s / self.tau
-        lnK = self.log_B2t_tau - (self.tau / self.s) * log(self.electrical_snr)
-        return exp(self.log_B1 - log(self.tau) - sig * lnK
-                   + self._pdf_mb.log_kernel(sig))
-
     def sampler_scale(self) -> float:
-        """Scale constant c of the physical sampler SNR = U*(I/c)^s,
-        calibrated so the sampler's first moment matches the analytic mean."""
-        s, e2 = self.s, self.eps**2
-        log_EIs = (lgamma(self.b1 + s / self.a1) - lgamma(self.b1)
-                   - (s / self.a1) * log(self.b1)
-                   + lgamma(self.b2 + s / self.a2) - lgamma(self.b2)
-                   - (s / self.a2) * log(self.b2)
-                   + log(e2) - log(e2 + s))
-        return exp((log(self.electrical_snr) + log_EIs
-                    - log(self.snr_moment(1.0))) / s)
+        """E[I], the scale c of the physical sampler SNR = U*(I/c)^s, from
+        the generalized-Gamma moments Gamma(b + 1/a)/Gamma(b) b^(-1/a) of the
+        two irradiance factors and the pointing factor's eps^2/(eps^2 + 1)."""
+        return exp(lgamma(self.b1 + 1.0 / self.a1) - lgamma(self.b1)
+                   - log(self.b1) / self.a1
+                   + lgamma(self.b2 + 1.0 / self.a2) - lgamma(self.b2)
+                   - log(self.b2) / self.a2 - log1p(1.0 / self.eps**2))
 
     def __repr__(self):
         return (f"DggLink(a1={self.a1:.6g}, a2={self.a2:.6g}, b1={self.b1}, "
@@ -468,15 +455,16 @@ def dgg_pdf(link: DggLink, gamma) -> np.ndarray:
     finite = g < np.inf
     x = g[finite]
     vals = link._pdf_mb.value_many(link.ln_pdf_argument(x))
-    out[finite] = exp(link.log_B1) / link.s * vals / x
+    out[finite] = exp(link.ln_norm) / link.s * vals / x
     return out if np.ndim(gamma) else float(out[0])
 
 
 def _dgg_distribution(link: DggLink, gamma, mb: MellinBarnesIntegral,
                       at_zero: float) -> np.ndarray:
-    """exp(log_B3) times the G-value of mb at gamma >= 0: the CDF (mb =
-    link._cdf_mb, at_zero = 0) or the survival (link._sf_mb, 1), exact at
-    the endpoints gamma = 0 and infinity; NaN is rejected."""
+    """exp(ln_norm)/tau times the value of mb at ln_cdf_argument(gamma),
+    gamma >= 0: the CDF (mb = link._cdf_mb, at_zero = 0) or the survival
+    (link._sf_mb, 1), exact at the endpoints gamma = 0 and infinity; NaN is
+    rejected."""
     g = np.atleast_1d(np.asarray(gamma, dtype=float))
     if not np.all(g >= 0):
         raise ParameterError("gamma must be >= 0 (and not NaN)")
@@ -484,7 +472,7 @@ def _dgg_distribution(link: DggLink, gamma, mb: MellinBarnesIntegral,
     inside = (g > 0) & (g < np.inf)
     if np.any(inside):
         vals = mb.value_many(link.ln_cdf_argument(g[inside]))
-        out[inside] = exp(link.log_B3) * vals
+        out[inside] = exp(link.ln_norm) / link.tau * vals
     return out if np.ndim(gamma) else float(out[0])
 
 
@@ -522,12 +510,22 @@ def dgg_sample_inverse_cdf(link: DggLink, rng: RngStream, n: int,
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
+    # the grid's ends, searched no further than the finite positive doubles
+    first, last = np.nextafter(0.0, 1.0), np.finfo(float).max
     med = link.electrical_snr
-    lo, hi = med * 1e-12, med * 1e12
+    lo, hi = max(med * 1e-12, first), min(med * 1e12, last)
     while dgg_cdf(link, lo) > 1e-9:
-        lo *= 1e-3
+        if lo == first:
+            raise ParameterError(
+                f"{link!r}: the CDF stays above 1e-9 down to the smallest "
+                "positive double, so no grid spans it; use dgg_sample")
+        lo = max(lo * 1e-3, first)
     while dgg_cdf(link, hi) < 1.0 - 1e-9:
-        hi *= 1e3
+        if hi == last:
+            raise ParameterError(
+                f"{link!r}: the CDF stays below 1 - 1e-9 up to the largest "
+                "double, so no grid spans it; use dgg_sample")
+        hi = min(hi * 1e3, last)
     grid = np.exp(np.linspace(log(lo), log(hi), grid_points))
     F = dgg_cdf(link, grid)
     F = np.maximum.accumulate(F)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import exp, fsum, log
+from math import exp, fsum
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -277,7 +277,8 @@ def _sop1_terms(cfg: Scenario1Config, fso_tail):
     1 - SOP1 = int f_e(g) S_0(phi g) S_d(phi g) dg is one sum over pairs of
     a main survival kernel and an eavesdropper density kernel, each pair a
     Gamma(p + 1, rate F) average of S_d(phi g), F = phi lam_0 + lam_e.
-    That average is 1 - B3 (p + 1) T_p, and fso_tail(count, ln_w) must
+    That average is 1 - (e^A / tau) (p + 1) T_p, A the link's ln_norm, at
+    ln_w = fso.ln_cdf_argument(phi / F), and fso_tail(count, ln_w) must
     return T_p, the block _laplace(fso._cdf_mb, tau, p + 1), for p < count
     at each ln_w, shape (count, ln_w.size): either the full slope-tau
     kernel (lower bound) or its leading residues (asymptote).
@@ -286,10 +287,10 @@ def _sop1_terms(cfg: Scenario1Config, fso_tail):
     lam0, x0, _, W0 = _poisson_grid(cfg.rf_main)
     lame, xe, we, _ = _poisson_grid(cfg.rf_eve)
     c, F, p = _pairs(x0, phi1 * lam0, xe, lame)
-    tail = _family_at(fso_tail, lambda rate: fso.log_B4 + fso.tau * (
-        log(phi1) - log(fso.electrical_snr) - np.log(rate)), F, p)
+    tail = _family_at(fso_tail, lambda rate: fso.ln_cdf_argument(phi1 / rate),
+                      F, p)
     terms = ((W0[:, None] * we * c * lame / F)
-             * (1.0 - exp(fso.log_B3) * (p + 1) * tail)).ravel()
+             * (1.0 - exp(fso.ln_norm) / fso.tau * (p + 1) * tail)).ravel()
     return 1.0 - fsum(terms), _EPS * fsum(np.abs(terms))
 
 
@@ -299,10 +300,8 @@ def _laplace(kernel: MellinBarnesIntegral, slope: float,
     _sf_mb or _pdf_mb) against the Laplace kernel Gamma(z - slope*v) / z!.
     Every Laplace kernel here comes divided by z!, as the members of the
     engine's families do, which keeps blocks of any z in double range."""
-    block = MellinBarnesIntegral(kernel.numer + ((0.0, -slope),),
-                                 kernel.denom)
-    block._log_const, block._ln_shift = kernel._log_const, kernel._ln_shift
-    return block._member(z)
+    return MellinBarnesIntegral(kernel.numer + ((0.0, -slope),),
+                                kernel.denom)._member(z)
 
 
 def _distinct(values, tol: float) -> np.ndarray:
@@ -313,13 +312,13 @@ def _distinct(values, tol: float) -> np.ndarray:
     return values[np.sort(order[keep])]
 
 
-def _leading_residues(mb: MellinBarnesIntegral, ladders, ln_w, tol):
-    """Sum of the residues of mb at the leading pole of every entry of the
-    ladders (p, q) that lead its numerator: the first p poles -(a + k)/b of
-    each leading factor Gamma(a + b*v), every distinct pole once (entries an
-    integer apart from an earlier ladder's make a double pole)."""
-    poles = np.concatenate([
-        -(a + np.arange(p)) / b for (p, _), (a, b) in zip(ladders, mb.numer)])
+def _leading_residues(mb: MellinBarnesIntegral, lead: int, ln_w, tol):
+    """Sum of the residues of mb at the leading poles of its first `lead`
+    numerator factors, the |b| = s*lambda poles -(a + k)/b, k < |b|, of
+    each Gamma(a + b*v) (one per ladder entry of the paper's G-form), every
+    distinct pole once (poles of two factors that meet make a double pole)."""
+    poles = np.concatenate([-(a + np.arange(abs(b))) / b
+                            for a, b in mb.numer[:lead]])
     return mb.residue(_distinct(poles, tol), ln_w, tol).sum(axis=0)
 
 
@@ -347,8 +346,9 @@ def sop1_asymptotic(cfg: Scenario1Config,
     fso = cfg.fso_main
 
     def tail(count, ln_w):
+        # the three factors of the law's K(s*v) lead
         mb = _laplace(fso._cdf_mb, fso.tau, 0)
-        return [_leading_residues(mb._member(z1), fso.j4_ladders, ln_w,
+        return [_leading_residues(mb._member(z1), 3, ln_w,
                                   options.pole_separation_tol)
                 for z1 in range(1, count + 1)]
 
@@ -394,7 +394,6 @@ def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
     """
     fso = cfg.fso_main
     tau, s = fso.tau, fso.s
-    lnU = log(fso.electrical_snr)
     lam0, x0, w0, W0 = _poisson_grid(cfg.rf_main)
     lame, xe, _, We = _poisson_grid(cfg.rf_eve)
     c, H, p = _pairs(x0, lam0, np.append(0, xe), np.append(0.0, lame))
@@ -402,14 +401,15 @@ def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
     survival = _family_at(
         lambda K, ln_w: _laplace(fso._sf_mb, tau, 1).value_many(
             ln_w, options, count=K),
-        lambda rate: fso.log_B4 - tau * (lnU + np.log(rate)), H, p)
+        lambda rate: fso.ln_cdf_argument(1.0 / rate), H, p)
     density = _family_at(
         lambda K, ln_w: _laplace(fso._pdf_mb, tau / s, 0).value_many(
             ln_w, options, count=K),
-        lambda rate: fso.log_B2t_tau - (tau / s) * (lnU + np.log(rate)), H, p)
+        lambda rate: fso.ln_pdf_argument(1.0 / rate), H, p)
     terms = np.concatenate([
-        c * (w0 * lam0)[:, None] / H * exp(fso.log_B3) * (p + 1) * survival,
-        c * W0[:, None] * (exp(fso.log_B1) / s) * density]).ravel()
+        c * (w0 * lam0)[:, None] / H * (exp(fso.ln_norm) / tau) * (p + 1)
+        * survival,
+        c * W0[:, None] * (exp(fso.ln_norm) / s) * density]).ravel()
     return _clamp_unit(fsum(terms), "spsc1", _EPS * fsum(np.abs(terms)))
 
 
@@ -419,28 +419,25 @@ def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
 
 def _crossing(cfg: Scenario2Config) -> MellinBarnesIntegral:
     """Integrand of Pr(main FSO SNR <= phi * eavesdropper FSO SNR): the
-    eavesdropper's survival kernel against the main link's CDF kernel,
-    whose ladders enter with slope -1 (the main j4 ladders lead)."""
+    eavesdropper's survival integrand against the main link's K(s*v) (its
+    CDF integrand without Gamma(-v)/Gamma(1 - v)) with every slope negated,
+    whose three factors lead."""
     main, eve = cfg.fso_main, cfg.fso_eve
-    return MellinBarnesIntegral.from_ladders(
-        [(p, q, -1.0) for p, q in main.j4_ladders] + eve.j4_ladders
-        + [(1, 0.0)],
-        [(1, 1.0)] + eve.j3_ladders
-        + [(p, q, -1.0) for p, q in main.j3_ladders])
+    return MellinBarnesIntegral(
+        [(a, -b) for a, b in main._cdf_mb.numer[:-1]] + list(eve._sf_mb.numer),
+        list(eve._sf_mb.denom) + [(a, -b) for a, b in main._cdf_mb.denom[1:]])
 
 
 def _crossing_ln_z(cfg: Scenario2Config, phi: float) -> float:
-    main, eve = cfg.fso_main, cfg.fso_eve
-    return (eve.log_B4 - main.log_B4
-            + main.tau * (log(main.electrical_snr)
-                          - log(eve.electrical_snr) - log(phi)))
+    return (cfg.fso_eve.ln_cdf_argument(1.0)
+            - cfg.fso_main.ln_cdf_argument(phi))
 
 
 def _fso_crossing_integral(cfg: Scenario2Config, phi: float,
                            options: EvalOptions) -> float:
     """Pr(main FSO SNR <= phi * eavesdropper FSO SNR) as one G-value."""
     main, eve = cfg.fso_main, cfg.fso_eve
-    return (exp(main.log_B3 + eve.log_B3)
+    return (exp(main.ln_norm + eve.ln_norm) / (main.tau * eve.tau)
             * _crossing(cfg).value(_crossing_ln_z(cfg, phi), options))
 
 
@@ -456,14 +453,14 @@ def sop2_lower(cfg: Scenario2Config,
 def sop2_asymptotic(cfg: Scenario2Config,
                     options: EvalOptions = TIGHT_OPTIONS) -> float:
     """High-U_d asymptote: large-argument expansion of the crossing
-    G-function over the leading poles of the main link's ladders (right
-    poles, so the integral is minus their residue sum)."""
+    G-function over the leading poles of the main link's three factors
+    (right poles, so the integral is minus their residue sum)."""
     main, eve = cfg.fso_main, cfg.fso_eve
     phi2 = cfg.phi2
-    S = -float(_leading_residues(_crossing(cfg), main.j4_ladders,
+    S = -float(_leading_residues(_crossing(cfg), 3,
                                  _crossing_ln_z(cfg, phi2),
                                  options.pole_separation_tol)[0])
-    crossing = exp(main.log_B3 + eve.log_B3) * S
+    crossing = exp(main.ln_norm + eve.ln_norm) / (main.tau * eve.tau) * S
     rf_ok = float(cfg.rf_main.survival(phi2 - 1.0))
     return _clamp_unit(1.0 - rf_ok * (1.0 - crossing), "sop2_asymptotic")
 

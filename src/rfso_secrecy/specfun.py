@@ -22,15 +22,12 @@ double-precision line between its poles raises DegenerateParameterError.
 
 Plain Meijer G-functions are the special case where every slope is +/-1;
 meijer_g evaluates them on the same contour (there is no residue-series
-path: the residues serve only the asymptotes).  The DGG parameter vectors
-are gamma ladders prod_{i<p} Gamma((q+i)/p + v), up to 56 entries long;
-Gauss's multiplication formula collapses each into one factor Gamma(q +
-p*v) of slope p (MellinBarnesIntegral.from_ladders).
-The Laplace-transform kernels Gamma(z - tau*v) have non-integer slope; the
-engine treats every slope identically, and evaluates integrands that differ
-only in the integer z as one family on a shared contour.  Gamma products
-accumulate in the log domain, where G-values far outside double range stay
-representable.
+path: the residues serve only the asymptotes).  The factors of the DGG
+laws have integer slopes s*lambda, the Laplace-transform kernels Gamma(z -
+tau*v) non-integer ones; the engine treats every slope identically, and
+evaluates integrands that differ only in the integer z as one family on a
+shared contour.  Gamma products accumulate in the log domain, where
+G-values far outside double range stay representable.
 """
 
 from __future__ import annotations
@@ -166,10 +163,11 @@ class MellinBarnesIntegral:
     the numerator slope mass exceeds the denominator's; the admissible strip
     is bounded by the rightmost ascending-factor pole and the leftmost
     descending-factor pole.  value / value_many raise when either condition
-    fails; the residues exist regardless.
+    fails; the residues exist regardless.  log_const is added to the
+    log-integrand (a family member's scaling, see _member).
     """
 
-    def __init__(self, numer, denom=()):
+    def __init__(self, numer, denom=(), log_const: float = 0.0):
         self.numer = tuple((float(a), float(b)) for a, b in numer)
         self.denom = tuple((float(a), float(b)) for a, b in denom)
         if not self.numer:
@@ -189,9 +187,7 @@ class MellinBarnesIntegral:
         self.strip = (max(L, -a / b), R) if b > 0 else (L, min(R, a / (-b)))
         self.decay = (pi / 2.0) * (sum(abs(b) for _, b in self.numer)
                                    - sum(abs(b) for _, b in self.denom))
-        # log-integrand terms _log_const - _ln_shift*v of collapsed ladders
-        self._log_const = 0.0
-        self._ln_shift = 0.0
+        self._log_const = float(log_const)
         self._na = np.array([a for a, _ in self.numer])
         self._nb = np.array([b for _, b in self.numer])
         self._da = np.array([a for a, _ in self.denom])
@@ -200,48 +196,6 @@ class MellinBarnesIntegral:
         self._sign = np.concatenate([np.ones(self._na.size),
                                      -np.ones(self._da.size)])
         self._slope = np.abs(np.concatenate([self._nb, self._db]))
-
-    @classmethod
-    def from_ladders(cls, numer, denom=()):
-        """The integrand whose factors are gamma ladders.
-
-        Each entry (p, q) or (p, q, slope) of numer / denom stands for the
-        ladder prod_{i<p} Gamma((q+i)/p + slope*v), slope 1 if omitted; p = 1
-        is one plain factor.
-        Gauss's multiplication formula (DLMF 5.5.6),
-
-            prod_{i<p} Gamma(w + (q+i)/p)
-                = (2 pi)^((p-1)/2) p^(1/2 - q - p*w) Gamma(p*w + q),
-
-        collapses each ladder into the single factor Gamma(q + p*slope*v)
-        times a constant and p^(-p*slope*v); values and residues equal those
-        of the expanded ladders at the same log-arguments.
-        """
-        def collapse(ladders):
-            factors, const, shift = [], 0.0, 0.0
-            for p, q, *slope in ladders:
-                if p != int(p) or p < 1:
-                    raise ParameterError("ladder length p must be a positive "
-                                         "integer")
-                b = p * (slope[0] if slope else 1.0)
-                factors.append((q, b))
-                const += 0.5 * (p - 1) * log(2.0 * pi) + (0.5 - q) * log(p)
-                shift += b * log(p)
-            return factors, const, shift
-
-        num, num_const, num_shift = collapse(numer)
-        den, den_const, den_shift = collapse(denom)
-        integral = cls(num, den)
-        integral._log_const = num_const - den_const
-        integral._ln_shift = num_shift - den_shift
-        return integral
-
-    def log_kernel(self, v: float) -> float:
-        """log |prod Gamma(numer) / prod Gamma(denom)| at a real v: the
-        log-integrand without z^-v."""
-        return float(self._log_const - self._ln_shift * v
-                     + sum(gammaln(a + b * v) for a, b in self.numer)
-                     - sum(gammaln(a + b * v) for a, b in self.denom))
 
     def residue(self, poles, ln_arguments,
                 tol: float = EvalOptions.pole_separation_tol):
@@ -274,7 +228,7 @@ class MellinBarnesIntegral:
         xc = np.where(pole, k + 1.0, x)
         lg = gammaln(xc)
         lg = np.cumsum(np.concatenate([
-            self._log_const - self._ln_shift * v0,
+            np.full(v0.shape, self._log_const),
             side * np.where(pole, -lg - np.log(np.abs(b)), lg)], axis=1),
             axis=1)[:, -1:]
         sg = np.where(pole, np.where(k % 2, -1.0, 1.0) * np.sign(b),
@@ -289,7 +243,7 @@ class MellinBarnesIntegral:
                 if j % 2 == 0:
                     t = t + pole * 2.0 * zeta(j) / j
                 c.append((side * t * b**j).sum(axis=1, keepdims=True))
-            c[1] = c[1] - self._ln_shift - lnz
+            c[1] = c[1] - lnz
             e = [np.ones_like(out)]
             for n in range(1, order):
                 e.append(sum(j * c[j] * e[n - j] for j in range(1, n + 1)) / n)
@@ -316,10 +270,11 @@ class MellinBarnesIntegral:
         member's offsets); its denominator part; and the derivative of its
         numerator part by the trigamma psi'(x) = zeta(2, x) (DLMF
         25.11.12).  The denominator's probe-shifted complex digamma has no
-        real trigamma in scipy."""
+        real trigamma in scipy.  Sums over factors run row by row, so no
+        value depends on the batch (a matrix product's rounding does)."""
         # numerator arguments are positive everywhere inside the strip
         x = np.maximum(off + c[:, None] * self._nb, 1e-12)
-        h = digamma(x) @ self._nb - self._ln_shift
+        h = (digamma(x) * self._nb).sum(axis=1)
         den = np.zeros(c.size)
         if self._da.size:
             # scipy's complex digamma takes a slow series (~8 us) for
@@ -328,15 +283,15 @@ class MellinBarnesIntegral:
             xd = self._da + c[:, None] * self._db
             near = (xd > -1.0) & (xd < 2.0)
             w = xd[..., None] + _SHIFTS
-            den = (digamma(xd + 3.0 * near + _PROBE).real - near * (
-                w / (w * w + _PROBE.imag**2)).sum(axis=-1)) @ self._db
-        return h - den, den, zeta(2.0, x) @ self._nb**2
+            den = ((digamma(xd + 3.0 * near + _PROBE).real - near * (
+                w / (w * w + _PROBE.imag**2)).sum(axis=-1)) * self._db).sum(
+                    axis=1)
+        return h - den, den, (zeta(2.0, x) * self._nb**2).sum(axis=1)
 
     def _saddle(self, lnz, member, own=False):
         """Saddles of family members `member` at the log-arguments lnz,
         placed together (arrays that broadcast).  Each point iterates on its
-        own, so its saddle does not depend on the others (up to the rounding
-        of a matrix product's rows).
+        own, so its saddle does not depend on the others, to the bit.
 
         The bracket is member 0's strip (a contour the family shares: raising
         the offset only moves poles outward), or the member's `own`, less
@@ -493,7 +448,7 @@ class MellinBarnesIntegral:
         return T
 
     def _log_integrand(self, v: np.ndarray) -> np.ndarray:
-        out = self._log_const - self._ln_shift * v
+        out = np.full(v.shape, self._log_const, dtype=complex)
         for a, b in self.numer:
             out += loggamma(a + b * v)
         for a, b in self.denom:
@@ -517,11 +472,9 @@ class MellinBarnesIntegral:
         b*v) raised to Gamma(a + k + b*v), the integrand divided by
         Gamma(a + k + 1)/Gamma(a + 1)."""
         a, b = self.numer[-1]
-        member = MellinBarnesIntegral(self.numer[:-1] + ((a + k, b),),
-                                      self.denom)
-        member._log_const = self._log_const - lgamma(a + k + 1) + lgamma(a + 1)
-        member._ln_shift = self._ln_shift
-        return member
+        return MellinBarnesIntegral(
+            self.numer[:-1] + ((a + k, b),), self.denom,
+            self._log_const - lgamma(a + k + 1) + lgamma(a + 1))
 
     # -- evaluation --------------------------------------------------------
 

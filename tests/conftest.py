@@ -1,6 +1,7 @@
 """Shared fixtures and small statistical helpers."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import kv
 
 from rfso_secrecy import (EtaMuLink, Scenario1Config, Scenario2Config,
                           dgg_from_preset)
+from rfso_secrecy.specfun import delta_expand, delta_expand_list
 
 
 def db(x):
@@ -45,6 +47,44 @@ def gamma_gamma_pointing_pdf(g, b1, b2, eps, s, U):
     i_of_g = c * (g / U) ** (1.0 / s)
     di_dg = c * (g / U) ** (1.0 / s - 1.0) / (s * U)
     return f_i(i_of_g) * di_dg
+
+
+def paper_dgg_form(link):
+    """The paper's Meijer G-form of a DGG link's laws, the reference for the
+    link's own Mellin-Barnes integrands:
+
+        pdf(g) = exp(B1)/(s g) G^{m,0}_{1,m}(x_pdf | j2; j1),
+        CDF(g) = exp(B3) G^{k,1}_{s+1,k+1}(x_cdf | 1, j3; j4, 0),
+        survival(g) = exp(B3) G^{k+1,0}_{s+1,k+1}(x_cdf | j3, 1; j4, 0),
+
+    ln x_pdf = ln_pdf_argument(g) and ln x_cdf = ln_cdf_argument(g),
+
+    m = 1 + lambda1 + lambda2 and k = s*m the lengths of the expanded
+    vectors j1 = [eps^2/tau] + psi, psi the ladders Delta(lambda2, b1) and
+    Delta(lambda1, b2), and j4 = Delta(s, j1); the constants are kept as
+    logs, with B2 t^tau in place of B2 (the omega scales cancel from it)."""
+    s, tau, e2 = link.s, link.tau, link.eps**2
+    lam1, lam2, b1, b2 = link.lambda1, link.lambda2, link.b1, link.b2
+    psi = delta_expand(lam2, b1) + delta_expand(lam1, b2)
+    j1 = [e2 / tau] + psi
+    log_zeta = sum(math.lgamma(1.0 / tau + x) for x in psi)
+    log_B1 = (math.log(e2) + (b1 - 0.5) * math.log(lam2)
+              + (b2 - 0.5) * math.log(lam1)
+              + (1.0 - (lam1 + lam2) / 2.0) * math.log(2.0 * math.pi)
+              - math.lgamma(b1) - math.lgamma(b2))
+    log_B2t_tau = tau * (log_B1 + log_zeta - math.log(1.0 + e2))
+    log_B3 = (math.log(e2) + (b1 - 0.5) * math.log(lam2)
+              + (b2 - 0.5) * math.log(lam1)
+              + (1.0 - s * (lam1 + lam2) / 2.0) * math.log(2.0 * math.pi)
+              + (b1 + b2 - 2.0) * math.log(s)
+              - math.log(tau) - math.lgamma(b1) - math.lgamma(b2))
+    log_B4 = s * (log_B2t_tau - (lam1 + lam2) * math.log(s))
+    lnU = math.log(link.electrical_snr)
+    return SimpleNamespace(
+        j1=j1, j3=delta_expand(s, link.j2), j4=delta_expand_list(s, j1),
+        log_B1=log_B1, log_B2t_tau=log_B2t_tau, log_B3=log_B3, log_B4=log_B4,
+        ln_pdf_argument=lambda g: log_B2t_tau + (tau / s) * (np.log(g) - lnU),
+        ln_cdf_argument=lambda g: log_B4 + tau * (np.log(g) - lnU))
 
 
 @pytest.fixture(scope="session")

@@ -326,6 +326,43 @@ def test_dgg_laws_reject_nan_and_take_infinity_as_an_endpoint(wt_link):
                                   [dgg_pdf(wt_link, g[1]), 0.0])
 
 
+def _irradiance_moment(link, r):
+    """E[I^r] from the generalized-Gamma moments Gamma(b + r/a)/Gamma(b)
+    b^(-r/a) of the two irradiance factors and the pointing factor
+    eps^2/(eps^2 + r)."""
+    out = link.eps**2 / (link.eps**2 + r)
+    for a, b in ((link.a1, link.b1), (link.a2, link.b2)):
+        out *= math.exp(math.lgamma(b + r / a) - math.lgamma(b)
+                        - (r / a) * math.log(b))
+    return out
+
+
+@pytest.mark.parametrize("preset", ["st", "mt", "wt"])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("eps", [1.0, 6.7])
+def test_dgg_survival_integrates_to_the_mean_snr(preset, s, eps):
+    """int_0^inf survival = E[SNR] = U E[I^s]/E[I]^s (U for HD): the
+    normaliser and the log-scale of the law's Mellin-Barnes integrand
+    against the irradiance moments.  The integral runs over ln(g/U)."""
+    U = 100.0
+    link = dgg_from_preset(preset, eps=eps, detection=s, electrical_snr=U)
+    mean, _ = quad(lambda x: float(dgg_survival(link, U * math.exp(x)))
+                   * U * math.exp(x), -40.0, 15.0, points=[0.0], limit=200,
+                   epsabs=0.0, epsrel=1e-12)
+    expected = U * _irradiance_moment(link, s) / _irradiance_moment(link, 1)**s
+    assert mean == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("preset", ["st", "mt", "wt"])
+@pytest.mark.parametrize("s", [1, 2])
+def test_dgg_sampler_scale_is_the_mean_irradiance(preset, s):
+    for eps in (1.0, 6.7):
+        link = dgg_from_preset(preset, eps=eps, detection=s,
+                               electrical_snr=100.0)
+        assert link.sampler_scale() == pytest.approx(
+            _irradiance_moment(link, 1), rel=1e-14)
+
+
 def test_dgg_rejects_inconsistent_ladder():
     with pytest.raises(ParameterError):
         DggLink(1.86, 1.0, 0.5, 1.8, 1.51, 1.0, 17, 9, 1.0, "hd", 10.0)
@@ -416,6 +453,17 @@ def test_inverse_cdf_sampler_ks(wt_link):
     assert ks_statistic(srt, F) <= 0.012
 
 
+@pytest.mark.parametrize("eps", [3e-3, 1e-2, 0.1])
+def test_inverse_cdf_sampler_rejects_a_cdf_above_its_floor_at_zero(eps):
+    """A narrow pointing beam leaves the st CDF above 1e-9 down to the
+    smallest positive double (it falls like g^(eps^2/s) toward 0): no grid
+    spans the law, and the search stops there with a ParameterError that
+    points to the physical sampler."""
+    link = dgg_from_preset("st", eps=eps, detection=1, electrical_snr=100.0)
+    with pytest.raises(ParameterError, match="dgg_sample"):
+        dgg_sample_inverse_cdf(link, RngStream(1, 0), 10)
+
+
 def test_turbulence_presets_consistent():
     for name in ("st", "mt", "wt"):
         link = dgg_from_preset(name, eps=1.0, detection=1, electrical_snr=1.0)
@@ -429,12 +477,11 @@ def test_eps_whose_square_overflows_rejected():
     OverflowError; just below it the link builds."""
     with pytest.raises(ParameterError):
         dgg_from_preset("wt", eps=2.0**512, detection=1, electrical_snr=100.0)
-    with np.errstate(invalid="ignore"):  # its constants reach inf - inf
-        dgg_from_preset("wt", eps=2.0**511, detection=1, electrical_snr=100.0)
+    dgg_from_preset("wt", eps=2.0**511, detection=1, electrical_snr=100.0)
 
 
 def test_eps_beyond_double_resolution_raises_accuracy_error():
-    """At eps = 1e100 the gamma ladders carry offsets eps^2/tau ~ 5e199,
+    """At eps = 1e100 the law's factors carry offsets eps^2/tau ~ 5e199,
     where log Gamma keeps no digit of the contour variable: a typed
     AccuracyError rather than a value."""
     link = dgg_from_preset("wt", eps=1e100, detection=1, electrical_snr=100.0)

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from rfso_secrecy.errors import (AccuracyError, DegenerateParameterError,
                                  ParameterError, PoleCollisionError)
-from rfso_secrecy import dgg_from_preset, specfun
+from rfso_secrecy import dgg_cdf, dgg_from_preset, dgg_pdf, specfun
+from rfso_secrecy.channels import dgg_survival
 from rfso_secrecy.specfun import (EvalOptions, MeijerGSpec,
                                   MellinBarnesIntegral, delta_expand,
                                   delta_expand_list, log_gamma_complex,
                                   meijer_g)
+
+from conftest import paper_dgg_form
 
 TIGHT = EvalOptions(target_abs_tol=1e-300, target_rel_tol=1e-12)
 
@@ -166,34 +169,34 @@ def test_meijer_g_with_upper_parameter_vs_mpmath():
 
 @pytest.mark.parametrize("preset", ["st", "mt", "wt"])
 @pytest.mark.parametrize("detection", [1, 2])
-def test_gauss_collapsed_ladders_match_expanded(preset, detection):
-    """A DGG link's collapsed integrands (one gamma factor per ladder)
-    equal the integrands over the expanded parameter vectors."""
+def test_law_integrands_match_paper_expanded_form(preset, detection):
+    """A DGG link's laws, each from its own Mellin-Barnes integrand of at
+    most 6 gamma factors, equal the paper's G-forms over the expanded
+    parameter vectors with its constants B1, B3 and arguments."""
     link = dgg_from_preset(preset, eps=1.0, detection=detection,
                            electrical_snr=100.0)
-    j1 = ([link.eps**2 / link.tau] + delta_expand(link.lambda2, link.b1)
-          + delta_expand(link.lambda1, link.b2))
-    j3 = delta_expand(link.s, link.j2)
-    j4 = delta_expand_list(link.s, j1)
+    paper = paper_dgg_form(link)
     expanded = {
-        "_pdf_mb": MellinBarnesIntegral([(j, 1.0) for j in j1],
-                                        [(link.j2, 1.0)]),
-        "_cdf_mb": MellinBarnesIntegral(
-            [(j, 1.0) for j in j4] + [(0.0, -1.0)],
-            [(1.0, -1.0)] + [(j, 1.0) for j in j3]),
-        "_sf_mb": MellinBarnesIntegral(
-            [(j, 1.0) for j in j4] + [(0.0, 1.0)],
-            [(1.0, 1.0)] + [(j, 1.0) for j in j3]),
+        dgg_pdf: MellinBarnesIntegral([(j, 1.0) for j in paper.j1],
+                                      [(link.j2, 1.0)]),
+        dgg_cdf: MellinBarnesIntegral(
+            [(j, 1.0) for j in paper.j4] + [(0.0, -1.0)],
+            [(1.0, -1.0)] + [(j, 1.0) for j in paper.j3]),
+        dgg_survival: MellinBarnesIntegral(
+            [(j, 1.0) for j in paper.j4] + [(0.0, 1.0)],
+            [(1.0, 1.0)] + [(j, 1.0) for j in paper.j3]),
     }
+    for mb in (link._pdf_mb, link._cdf_mb, link._sf_mb):
+        assert len(mb.numer) + len(mb.denom) <= 6
     gamma = link.electrical_snr * np.logspace(-4, 2, 9)
-    for name, reference in expanded.items():
-        collapsed = getattr(link, name)
-        assert len(collapsed.numer) + len(collapsed.denom) <= 6
-        ln_args = (link.ln_pdf_argument(gamma) if name == "_pdf_mb"
-                   else link.ln_cdf_argument(gamma))
-        np.testing.assert_allclose(collapsed.value_many(ln_args),
-                                   reference.value_many(ln_args),
-                                   rtol=1e-12, atol=0.0)
+    for law, reference in expanded.items():
+        if law is dgg_pdf:
+            ref = (math.exp(paper.log_B1) / (link.s * gamma)
+                   * reference.value_many(paper.ln_pdf_argument(gamma)))
+        else:
+            ref = math.exp(paper.log_B3) * reference.value_many(
+                paper.ln_cdf_argument(gamma))
+        np.testing.assert_allclose(law(link, gamma), ref, rtol=1e-12, atol=0.0)
 
 
 # mt IM/DD survival G-values, eps = 1, U = 20 dB, at gamma/U = 1e2, 1e3, 1e4:
@@ -205,13 +208,15 @@ _MT_IMDD_SURVIVAL_G = {1e2: 7.3199992406939065e27,
 
 
 def test_truncation_height_covers_large_slope_mass(mt_link_imdd):
-    """Deep upper tail of the mt IM/DD survival G-value: its slope mass (84
-    ladder entries) leaves the Stirling truncation height too low by itself;
-    frozen mpmath values at 50 digits."""
+    """Deep upper tail of the mt IM/DD survival: its slope mass (factors of
+    slopes 2, 26 and 56, the 84 ladder entries of the paper's G-form)
+    leaves the Stirling truncation height too low by itself; exp(B3) times
+    the G-values, frozen mpmath values at 50 digits."""
     link = mt_link_imdd
+    B3 = math.exp(paper_dgg_form(link).log_B3)
     for ratio, ref in _MT_IMDD_SURVIVAL_G.items():
-        ln_x = float(link.ln_cdf_argument(ratio * link.electrical_snr))
-        assert link._sf_mb.value(ln_x) == pytest.approx(ref, rel=1e-12)
+        got = dgg_survival(link, ratio * link.electrical_snr)
+        assert got == pytest.approx(B3 * ref, rel=1e-12)
 
 
 def _saddle_cases():
@@ -281,10 +286,8 @@ def _reference_saddle(mb, x, member=0):
 def _mirrored(mb):
     """The integrand with every slope negated: a right-open strip becomes
     a left-open one."""
-    out = MellinBarnesIntegral([(a, -b) for a, b in mb.numer],
-                               [(a, -b) for a, b in mb.denom])
-    out._ln_shift = -mb._ln_shift
-    return out
+    return MellinBarnesIntegral([(a, -b) for a, b in mb.numer],
+                                [(a, -b) for a, b in mb.denom])
 
 
 def test_saddle_matches_reference_bisection():
@@ -523,17 +526,17 @@ def test_mpmath_cross_check_dense_parameters(st_link):
 # ---------------------------------------------------------------------------
 
 def test_log_domain_robustness_dense_parameters(mt_link_imdd):
-    """84 lower parameters, SNR ratios across 16 decades: finite, sane.
+    """The mt IM/DD CDF (84 lower parameters in the paper's G-form), SNR
+    ratios across 16 decades: finite, sane.
 
     The raw G arguments span exp(+-800) here, far outside double range, so
-    the sweep runs through the engine's log-argument interface (the same one
-    the channel CDF uses); the float-argument front end is exercised where
-    the argument is representable.
+    the sweep runs through the engine's log-argument interface (the one the
+    channel CDF uses); the float-argument front end is exercised on the
+    paper's G-form where the argument is representable.
     """
     link = mt_link_imdd
     ratios = np.logspace(-8, 8, 9)
-    ln_args = link.ln_cdf_argument(ratios * link.electrical_snr)
-    vals = math.exp(link.log_B3) * link._cdf_mb.value_many(ln_args)
+    vals = dgg_cdf(link, ratios * link.electrical_snr)
     assert np.all(np.isfinite(vals))
     # the pointing-error tail is heavy (exponent eps^2/s), not exponential,
     # so even gamma/U = 1e-8 keeps a few 1e-4 of mass below it
@@ -541,10 +544,11 @@ def test_log_domain_robustness_dense_parameters(mt_link_imdd):
     assert vals[-1] == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.diff(vals) >= -1e-12)
     # representable-argument case through the public front end
-    x = math.exp(float(link.ln_cdf_argument(link.electrical_snr)))
+    paper = paper_dgg_form(link)
+    x = math.exp(float(paper.ln_cdf_argument(link.electrical_snr)))
     spec = MeijerGSpec(link.delta_order, 1, link.s + 1, link.delta_order + 1,
-                       (1.0, *link.j3), (*link.j4, 0.0), x)
-    got = math.exp(link.log_B3) * meijer_g(spec)
+                       (1.0, *paper.j3), (*paper.j4, 0.0), x)
+    got = math.exp(paper.log_B3) * meijer_g(spec)
     assert got == pytest.approx(float(vals[4]), rel=1e-9)
 
 
@@ -709,9 +713,10 @@ def _mp_residue(mp, numer, denom, pole, ln_z, r=F(1, 20), n=64):
 def test_multiple_pole_residues_match_mpmath(case):
     mp = pytest.importorskip("mpmath")
     numer, denom, poles = _MULTIPOLE_CASES[case]
-    mb = MellinBarnesIntegral.from_ladders(
-        [(p, float(a), float(b)) for p, a, b in numer],
-        [(p, float(a), float(b)) for p, a, b in denom])
+    def expanded(ladders):
+        return [(float(F(a + i, p)), float(b))
+                for p, a, b in ladders for i in range(p)]
+    mb = MellinBarnesIntegral(expanded(numer), expanded(denom))
     ln_z = np.array([-20.0, -3.0, 0.0, 7.5, 30.0, 60.0])
     got = mb.residue([float(v) for v in poles], ln_z)
     assert got.shape == (len(poles), ln_z.size)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln, xlogy
 
 from .errors import ParameterError, UnsupportedCaseError
-from .specfun import MellinBarnesIntegral, delta_expand
+from .specfun import MellinBarnesIntegral
 
 __all__ = [
     "EtaMuLink",
@@ -54,8 +54,9 @@ __all__ = [
 # there the two-branch coefficients have kappa = 1 (no cancellation).
 ETA_LIMIT_SURROGATE = 1e-6
 
-# The pointing-error ratio's domain ends where eps^2 would overflow.
-EPS_MAX = 2.0**512
+# The pointing-error ratio's domain: eps^2 and 1/eps^2 are finite normal
+# doubles from EPS_MIN on, and eps^2 overflows from EPS_MAX.
+EPS_MIN, EPS_MAX = 2.0**-511, 2.0**512
 
 # The two-branch sums lose about log10(sum|term| / |sum|) digits to
 # cancellation; up to this ratio their rounding error stays near 1e-13
@@ -333,9 +334,10 @@ class DggLink:
     ln_scale = tau ln E[I] + lambda2 ln b1 + lambda1 ln b2 (free of the
     omega scales).  Mellin inversion gives the density from K(v) (_pdf_mb,
     at ln_pdf_argument), the CDF and survival from K(s*v) Gamma(-/+v) /
-    Gamma(1 -/+ v) (_cdf_mb, _sf_mb, at ln_cdf_argument).  j3, j4 and
-    delta_order are read-only views of the paper's expanded G-function
-    vectors.
+    Gamma(1 -/+ v) (_cdf_mb, _sf_mb, at ln_cdf_argument).  The paper's
+    G-form expands each factor Gamma(q + p*v) into a ladder of p unit-slope
+    factors; the link keeps the factors, and the tests keep the G-form as
+    their reference.
     """
 
     def __init__(self, a1, a2, b1, b2, omega1, omega2, lambda1, lambda2,
@@ -364,9 +366,10 @@ class DggLink:
         self.omega1, self.omega2 = float(omega1), float(omega2)
         self.lambda1, self.lambda2 = int(lambda1), int(lambda2)
         self.eps = float(eps)
-        if not self.eps < EPS_MAX:
-            raise ParameterError(f"eps must be below {EPS_MAX:.6g} (2^512), "
-                                 "where eps^2 stays finite")
+        if not EPS_MIN <= self.eps < EPS_MAX:
+            raise ParameterError(
+                f"eps must be in [{EPS_MIN:.6g}, {EPS_MAX:.6g}) (2^-511 to "
+                "2^512), where eps^2 and 1/eps^2 stay finite normal doubles")
         self.electrical_snr = float(electrical_snr)
 
         lam1, lam2, e2 = self.lambda1, self.lambda2, self.eps**2
@@ -389,22 +392,6 @@ class DggLink:
         self.ln_scale = tau * (-log1p(1.0 / e2)
                                + lgamma(b1 + lam2 / tau) - lgamma(b1)
                                + lgamma(b2 + lam1 / tau) - lgamma(b2))
-
-    # -- expanded parameter vectors (read-only views for G-function users) --
-
-    @property
-    def j3(self) -> list:
-        return delta_expand(self.s, self.j2)
-
-    @property
-    def j4(self) -> list:
-        # each factor Gamma(q + p*v) of K(s*v) is the ladder of p entries
-        return [x for q, p in self._cdf_mb.numer[:-1]
-                for x in delta_expand(p, q)]
-
-    @property
-    def delta_order(self) -> int:
-        return int(sum(p for _, p in self._cdf_mb.numer[:-1]))
 
     # -- derived scale quantities -------------------------------------------
 
@@ -510,22 +497,29 @@ def dgg_sample_inverse_cdf(link: DggLink, rng: RngStream, n: int,
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    # the grid's ends, searched no further than the finite positive doubles
+    # the grid's ends, searched no further than the finite positive doubles:
+    # where the first candidate fails, the last one decides in one call
+    # whether any does (each candidate is its own contour group, so a call
+    # over the whole ladder costs as much as the walk)
     first, last = np.nextafter(0.0, 1.0), np.finfo(float).max
     med = link.electrical_snr
     lo, hi = max(med * 1e-12, first), min(med * 1e12, last)
-    while dgg_cdf(link, lo) > 1e-9:
-        if lo == first:
+    if dgg_cdf(link, lo) > 1e-9:
+        if dgg_cdf(link, first) > 1e-9:
             raise ParameterError(
                 f"{link!r}: the CDF stays above 1e-9 down to the smallest "
                 "positive double, so no grid spans it; use dgg_sample")
         lo = max(lo * 1e-3, first)
-    while dgg_cdf(link, hi) < 1.0 - 1e-9:
-        if hi == last:
+        while dgg_cdf(link, lo) > 1e-9:
+            lo = max(lo * 1e-3, first)
+    if dgg_cdf(link, hi) < 1.0 - 1e-9:
+        if dgg_cdf(link, last) < 1.0 - 1e-9:
             raise ParameterError(
                 f"{link!r}: the CDF stays below 1 - 1e-9 up to the largest "
                 "double, so no grid spans it; use dgg_sample")
         hi = min(hi * 1e3, last)
+        while dgg_cdf(link, hi) < 1.0 - 1e-9:
+            hi = min(hi * 1e3, last)
     grid = np.exp(np.linspace(log(lo), log(hi), grid_points))
     F = dgg_cdf(link, grid)
     F = np.maximum.accumulate(F)

@@ -14,13 +14,13 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import montecarlo, secrecy
-from .channels import (EPS_MAX, DggLink, EtaMuLink, RngStream,
+from .channels import (EPS_MAX, EPS_MIN, DggLink, EtaMuLink, RngStream,
                        TURBULENCE_PRESETS)
 from .errors import ConfigError, ParameterError, RfsoError
 from .presets import AXES, EVALUATORS, METRICS, SweepSpec, _db, figure_preset
@@ -246,7 +246,7 @@ def _with_axis(cfg, axis: str, value: float):
 def _check_axis_range(sweep: SweepSpec, curves):
     """ConfigError unless both ends of the sweep lie in the domain of the
     parameter its axis sets, without building a link: an SNR (from dB)
-    positive and finite, eps positive and below EPS_MAX, target_rate as
+    positive and finite, eps in [EPS_MIN, EPS_MAX), target_rate as
     every curve's config accepts it (2^rate or 4^rate finite).  Each domain
     is an interval, so every point between the ends is valid too."""
     for v in (sweep.start, sweep.stop):
@@ -259,7 +259,8 @@ def _check_axis_range(sweep: SweepSpec, curves):
                                   f"domain: {exc}") from None
             continue
         x = _db(v) if sweep.axis.endswith("_db") else v
-        if not 0 < x < (EPS_MAX if sweep.axis == "eps" else np.inf):
+        if not ((EPS_MIN <= x < EPS_MAX) if sweep.axis == "eps"
+                else 0 < x < np.inf):
             raise ConfigError(f"{sweep.axis} = {v:g} is outside its domain")
 
 
@@ -344,8 +345,10 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
     p.add_argument("--points", type=int)
-    p.add_argument("--metrics", help="comma list: " + ",".join(METRICS))
-    p.add_argument("--evaluators", help="comma list: " + ",".join(EVALUATORS))
+    p.add_argument("--metrics", type=_comma_list,
+                   help="comma list: " + ",".join(METRICS))
+    p.add_argument("--evaluators", type=_comma_list,
+                   help="comma list: " + ",".join(EVALUATORS))
     p.add_argument("--mc-samples", type=int, dest="mc_samples")
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
@@ -354,23 +357,10 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _override_sweep(sweep: SweepSpec, args) -> SweepSpec:
-    kw = {}
-    if args.axis is not None:
-        kw["axis"] = args.axis
-    if args.start is not None:
-        kw["start"] = args.start
-    if args.stop is not None:
-        kw["stop"] = args.stop
-    if args.points is not None:
-        kw["points"] = args.points
-    if args.metrics is not None:
-        kw["metrics"] = _comma_list(args.metrics)
-    if args.evaluators is not None:
-        kw["evaluators"] = _comma_list(args.evaluators)
-    if args.mc_samples is not None:
-        kw["mc_samples"] = args.mc_samples
-    if args.seed is not None:
-        kw["seed"] = args.seed
+    """The sweep with every field its flag gives replaced (the flags' dests
+    are SweepSpec's field names)."""
+    kw = {f.name: getattr(args, f.name) for f in fields(SweepSpec)
+          if getattr(args, f.name) is not None}
     return replace(sweep, **kw) if kw else sweep
 
 

@@ -2,8 +2,7 @@
 
 The end-to-end SNR of a DF relay is the minimum of the hop SNRs, so its
 CDF is 1 - S_rf S_fso and its density f_rf S_fso + f_fso S_rf, S the hop
-survivals.  The inclusion-exclusion form F_rf + F_fso - F_rf F_fso is kept
-as a unit-test cross-check.
+survivals.
 """
 
 from __future__ import annotations
@@ -12,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (DggLink, EtaMuLink, dgg_cdf, dgg_pdf, dgg_survival,
-                       eta_mu_cdf, eta_mu_pdf)
+from .channels import DggLink, EtaMuLink, dgg_pdf, dgg_survival, eta_mu_pdf
 from .errors import ParameterError
 
 __all__ = [
@@ -52,13 +50,6 @@ def min_combine_pdf(channel: DualHopChannel, gamma) -> np.ndarray:
     out = (eta_mu_pdf(channel.rf, g) * dgg_survival(channel.fso, g)
            + dgg_pdf(channel.fso, g) * channel.rf.survival(g))
     return out if np.ndim(gamma) else float(out[0])
-
-
-def min_combine_cdf_inclusion_exclusion(channel: DualHopChannel, gamma):
-    """F_rf + F_fso - F_rf*F_fso; cross-check for the expanded form."""
-    Fr = eta_mu_cdf(channel.rf, gamma)
-    Ff = dgg_cdf(channel.fso, gamma)
-    return Fr + Ff - Fr * Ff
 
 
 def instantaneous_sc_scenario1(gamma_d, gamma_re) -> np.ndarray:

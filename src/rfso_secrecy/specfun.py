@@ -11,14 +11,15 @@ significant digits to cancellation as soon as |log z| is large.  A
 value_many call places the saddles of all its groups of nearby arguments in
 one vectorised, safeguarded Newton iteration (trigamma on the numerator
 factors, a secant on the denominator's), and their heights from Stirling's
-formula, checked at the first trapezoid level's node c + iT.  The line
-integral over v = c + i*t is a trapezoid sum in s under t = alpha*sinh(s),
-alpha the distance from c to the nearest pole, which puts the nodes where
-the poles pinch the line.  The sums are updated level by level as the nodes
-double and accepted when the change from the level before, or the geometric
-rate of the last two changes, puts the error within tolerance.  That is the
-one path for every strip, however narrow; a strip too narrow for a
-double-precision line between its poles raises DegenerateParameterError.
+formula, checked at the first trapezoid level's node c + iT (a line that
+fails doubles its height).  The line integral over v = c + i*t is a
+trapezoid sum in s under t = alpha*sinh(s), alpha the distance from c to
+the nearest pole, which puts the nodes where the poles pinch the line.
+The sums are updated level by level as the nodes double and accepted when
+the change from the level before, or the geometric rate of the last two
+changes, puts the error within tolerance.  That is the one path for every
+strip, however narrow; a strip too narrow for a double-precision line
+between its poles raises DegenerateParameterError.
 
 Plain Meijer G-functions are the special case where every slope is +/-1;
 meijer_g evaluates them on the same contour (there is no residue-series
@@ -56,9 +57,6 @@ __all__ = [
 
 # Off-axis probe used when a denominator gamma argument sits near a real pole.
 _PROBE = 0.25j
-# Multiples of the estimated truncation height that a line failing its check
-# walks up until the integrand has decayed (up to 170x).
-_TRUNCATION_GRID = 1.25 ** np.arange(24)
 # The doublings a half-open strip's saddle search tries per digamma pass,
 # and the points a finite bracket's first pass takes.
 _DOUBLINGS = 2.0 ** np.arange(16)
@@ -555,34 +553,27 @@ class MellinBarnesIntegral:
             raise self._degenerate()
         d = float(np.min(x / np.abs(self._nb)))
         x[-1] += count - 1
-        ref = None
-        while True:
+        T, n = float(T), 64
+        for doubling in range(9):
             # the trapezoid in s on [0, S], t = alpha*sinh(s): the poles
             # nearest the line, at t = +-i*d, map to Im s = +-pi/2 whatever
             # d, so they no longer set the error rate and a level needs
             # O(log(T/d)) nodes where a uniform grid in t needs O(T/d)
-            alpha = min(d, float(T))
-            S = asinh(float(T) / alpha)
+            alpha = min(d, T)
+            S = asinh(T / alpha)
             if not isfinite(S):
                 raise self._degenerate()
-            n = 64
             s = np.linspace(0.0, S, n + 1)
             t = alpha * np.sinh(s)
             g = self._log_family(c + 1j * t, count)
-            if ref is not None:
-                break
             # the height's check on the level's last node: the top member
             # has dropped by 50 from the axis at c + iT (a NaN drop passes);
-            # a line that fails takes the first _TRUNCATION_GRID height above
-            # T where it has, and its level again
+            # a line that fails doubles T and redoes the level, up to 8 times
             with np.errstate(invalid="ignore"):
-                ref = g[-1, 0].real - self._spike(x)
-            if not g[-1, -1].real - ref > -50.0:
+                drop = g[-1, -1].real - (g[-1, 0].real - self._spike(x))
+            if doubling == 8 or not drop > -50.0:
                 break
-            heights = T * _TRUNCATION_GRID[1:]
-            low = ~(self._log_family(c + 1j * heights, count)[-1].real - ref
-                    > -50.0)
-            T = heights[np.argmax(low)] if low.any() else heights[-1]
+            T *= 2.0
         # Jacobian alpha*cosh(s), halved at the two ends
         jac = alpha * np.cosh(s)
         jac[[0, -1]] *= 0.5

@@ -17,7 +17,7 @@ from rfso_secrecy.channels import TURBULENCE_PRESETS, dgg_survival
 from rfso_secrecy.errors import (AccuracyError, ParameterError,
                                  UnsupportedCaseError)
 
-from conftest import gamma_gamma_pointing_pdf, ks_statistic
+from conftest import gamma_gamma_pointing_pdf, ks_statistic, paper_dgg_form
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +468,11 @@ def test_turbulence_presets_consistent():
     for name in ("st", "mt", "wt"):
         link = dgg_from_preset(name, eps=1.0, detection=1, electrical_snr=1.0)
         assert link.lambda1 * link.a2 == pytest.approx(link.lambda2 * link.a1)
-        assert len(link.j4) == link.delta_order
-        assert len(link.j3) == link.s
+        # the paper's G-form expands each factor of K(s*v) into |slope|
+        # unit-slope ones
+        paper = paper_dgg_form(link)
+        assert len(paper.j4) == sum(b for _, b in link._cdf_mb.numer[:-1])
+        assert len(paper.j3) == link.s
 
 
 def test_eps_whose_square_overflows_rejected():
@@ -478,6 +481,18 @@ def test_eps_whose_square_overflows_rejected():
     with pytest.raises(ParameterError):
         dgg_from_preset("wt", eps=2.0**512, detection=1, electrical_snr=100.0)
     dgg_from_preset("wt", eps=2.0**511, detection=1, electrical_snr=100.0)
+
+
+def test_eps_whose_square_underflows_rejected():
+    """Below 2^-511 eps^2 is subnormal or 0 and 1/eps^2 overflows: a
+    ParameterError, not an untyped ValueError from log(eps^2) nor a link
+    whose laws run out of nodes; from 2^-511 on the link builds."""
+    for eps in (2.0**-512, 1e-200):
+        with pytest.raises(ParameterError):
+            dgg_from_preset("wt", eps=eps, detection=1, electrical_snr=100.0)
+    link = dgg_from_preset("wt", eps=2.0**-511, detection=1,
+                           electrical_snr=100.0)
+    assert math.isfinite(link.ln_norm) and math.isfinite(link.ln_scale)
 
 
 def test_eps_beyond_double_resolution_raises_accuracy_error():

@@ -203,13 +203,25 @@ def test_cli_parallel_jobs_identical_output(config_file, tmp_path):
 
 
 def test_cli_preset_with_overrides(tmp_path):
+    """Every sweep flag replaces its field of the preset's sweep: the CSV is
+    the preset's curves run on the sweep the flags spell out."""
     out = tmp_path / "fig2.csv"
-    code = main(["--preset", "fig2", "--points", "2", "--stop", "30",
-                 "--out", str(out)])
+    code = main(["--preset", "fig2", "--axis", "Ue_db", "--start", "-5",
+                 "--stop", "30", "--points", "2", "--metrics", "sop2, spsc2",
+                 "--evaluators", "closed,mc", "--mc-samples", "500",
+                 "--seed", "7", "--out", str(out)])
     assert code == 0
     text = out.read_text()
     assert text.splitlines()[0] == cli.CSV_HEADER
     assert "# curve: Ue_db=30" in text
+    sweep = SweepSpec(axis="Ue_db", start=-5.0, stop=30.0, points=2,
+                      metrics=("sop2", "spsc2"), evaluators=("closed", "mc"),
+                      mc_samples=500, seed=7)
+    lines = [cli.CSV_HEADER]
+    for label, cfg in figure_preset("fig2").curves:
+        lines.append(f"# curve: {label}")
+        lines.extend(r.to_csv() for r in run_sweep(cfg, sweep)[0])
+    assert text == "\n".join(lines) + "\n"
 
 
 def test_cli_rejects_flag_conflicts(config_file, capsys):
@@ -255,6 +267,8 @@ def test_cli_unwritable_out_exits_2_before_any_cell(tmp_path, capsys,
     ["--preset", "fig6", "--axis", "eps", "--start", "1", "--stop", "1e200"],
     ["--preset", "fig6", "--axis", "target_rate", "--stop", "2000"],
     ["--preset", "fig7", "--axis", "target_rate", "--stop", "600"],
+    # eps^2 is subnormal there
+    ["--preset", "fig6", "--axis", "eps", "--start", "1e-200", "--stop", "1"],
 ])
 def test_cli_axis_outside_the_parameter_domain_exits_2(capsys, monkeypatch,
                                                         argv):

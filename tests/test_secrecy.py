@@ -20,7 +20,7 @@ from rfso_secrecy.errors import (AccuracyError, ClampExcessWarning,
 from rfso_secrecy.presets import figure_preset
 from rfso_secrecy.secrecy import _clamp_unit
 
-from conftest import db
+from conftest import db, paper_dgg_form
 
 
 @pytest.fixture(autouse=True)
@@ -402,7 +402,7 @@ def test_sop1_asymptote_slope(fig3_cfg):
         target_rate=0.5)
     floor = sop1_asymptotic(floor_cfg)
     link = fig3_cfg.fso_main
-    expected_slope = -link.tau * min(link.j4)
+    expected_slope = -link.tau * min(paper_dgg_form(link).j4)
     uds = (40.0, 50.0)
     corr = []
     for ud_db in uds:

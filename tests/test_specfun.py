@@ -1,6 +1,7 @@
 """Meijer G engine: identities, robustness, error contracts."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -366,10 +367,11 @@ def _trapezoid_levels(mb, ln_args, c, T, opts):
         n *= 2
 
 
-def test_low_height_walks_up_the_grid(st_link, monkeypatch):
+def test_low_height_doubles_and_redoes_the_level(st_link, monkeypatch):
     """A truncation height that fails its check at the first level's node
-    c + iT walks up _TRUNCATION_GRID in one gamma pass and evaluates the
-    level again; the value equals the one from the estimated height."""
+    c + iT doubles and evaluates the level again: T/20 fails five times
+    and passes at 1.6 T, where the next level's 64 midpoints follow; the
+    value equals the one from the estimated height."""
     mb = st_link._sf_mb
     ln_args = np.array([float(st_link.ln_cdf_argument(st_link.electrical_snr))])
     ref = mb.value_many(ln_args)
@@ -381,7 +383,7 @@ def test_low_height_walks_up_the_grid(st_link, monkeypatch):
                         lambda v, k: nodes.append(v.size) or log_family(v, k))
     np.testing.assert_allclose(mb.value_many(ln_args), ref, rtol=1e-12,
                                atol=0.0)
-    assert nodes[:3] == [65, len(specfun._TRUNCATION_GRID) - 1, 65]
+    assert nodes[:7] == [65] * 6 + [64]
 
 
 def _group_nodes(mb, monkeypatch, ln_args, c, T, opts):
@@ -510,13 +512,13 @@ def test_mpmath_cross_check_dense_parameters(st_link):
     """Strong-turbulence CDF G-value against an arbitrary-precision oracle."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
+    paper = paper_dgg_form(st_link)
+    k = len(paper.j4)
     for gamma in (3.0, 40.0):
         ln_x = st_link.ln_cdf_argument(gamma)
-        spec = MeijerGSpec(st_link.delta_order, 1, st_link.s + 1,
-                           st_link.delta_order + 1,
-                           (1.0, *st_link.j3), (*st_link.j4, 0.0),
-                           math.exp(ln_x))
-        ref = float(mp.meijerg([[1.0], st_link.j3], [st_link.j4, [0.0]],
+        spec = MeijerGSpec(k, 1, st_link.s + 1, k + 1, (1.0, *paper.j3),
+                           (*paper.j4, 0.0), math.exp(ln_x))
+        ref = float(mp.meijerg([[1.0], paper.j3], [paper.j4, [0.0]],
                                mp.exp(ln_x)))
         assert meijer_g(spec, TIGHT) == pytest.approx(ref, rel=1e-10)
 
@@ -545,24 +547,25 @@ def test_log_domain_robustness_dense_parameters(mt_link_imdd):
     assert np.all(np.diff(vals) >= -1e-12)
     # representable-argument case through the public front end
     paper = paper_dgg_form(link)
+    k = len(paper.j4)
     x = math.exp(float(paper.ln_cdf_argument(link.electrical_snr)))
-    spec = MeijerGSpec(link.delta_order, 1, link.s + 1, link.delta_order + 1,
-                       (1.0, *paper.j3), (*paper.j4, 0.0), x)
+    spec = MeijerGSpec(k, 1, link.s + 1, k + 1, (1.0, *paper.j3),
+                       (*paper.j4, 0.0), x)
     got = math.exp(paper.log_B3) * meijer_g(spec)
     assert got == pytest.approx(float(vals[4]), rel=1e-9)
 
 
 def test_determinism_and_permutation_invariance(st_link):
-    link = st_link
-    x = 0.37
-    spec = MeijerGSpec(link.delta_order, 1, link.s + 1, link.delta_order + 1,
-                       (1.0, *link.j3), (*link.j4, 0.0), x)
+    link, paper = st_link, paper_dgg_form(st_link)
+    k, x = len(paper.j4), 0.37
+    spec = MeijerGSpec(k, 1, link.s + 1, k + 1, (1.0, *paper.j3),
+                       (*paper.j4, 0.0), x)
     v1 = meijer_g(spec)
     v2 = meijer_g(spec)
     assert v1 == v2  # bit-identical
-    b_perm = tuple(reversed(link.j4)) + (0.0,)
-    spec_p = MeijerGSpec(link.delta_order, 1, link.s + 1,
-                         link.delta_order + 1, (1.0, *link.j3), b_perm, x)
+    b_perm = tuple(reversed(paper.j4)) + (0.0,)
+    spec_p = MeijerGSpec(k, 1, link.s + 1, k + 1, (1.0, *paper.j3), b_perm,
+                         x)
     assert meijer_g(spec_p) == v1  # parameter groups are order-free
 
 
@@ -731,6 +734,35 @@ def test_accuracy_error_carries_best_estimate():
     with pytest.raises(AccuracyError) as exc:
         meijer_g(MeijerGSpec(1, 0, 0, 1, (), (0.0,), 40.0), opts)
     assert exc.value.best_estimate is not None
+
+
+def test_family_group_accuracy_error_falls_back_to_member_saddles(
+        monkeypatch):
+    """The wt HD survival's scenario-1 Laplace family (z = 1..5, eps = 1,
+    U = 100) at ln w = 10 under a 128-node budget: the shared contour
+    raises AccuracyError, and each member then converges on its own saddle
+    within that budget, to the family's default-budget values."""
+    from rfso_secrecy.secrecy import _laplace
+    link = dgg_from_preset("wt", eps=1.0, detection=1, electrical_snr=100.0)
+    mb = _laplace(link._sf_mb, link.tau, 1)
+    ref = mb.value_many([10.0], specfun.TIGHT_OPTIONS, count=5)
+    groups = []
+    value_group = MellinBarnesIntegral._value_group
+
+    def recorded(self, lnz, c, T, options, count=1):
+        try:
+            out = value_group(self, lnz, c, T, options, count)
+        except AccuracyError:
+            groups.append((count, "raised"))
+            raise
+        groups.append((count, "converged"))
+        return out
+
+    monkeypatch.setattr(MellinBarnesIntegral, "_value_group", recorded)
+    got = mb.value_many([10.0], replace(specfun.TIGHT_OPTIONS,
+                                        max_quadrature_nodes=128), count=5)
+    assert groups == [(5, "raised")] + [(1, "converged")] * 5
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
 def test_invalid_options_rejected():

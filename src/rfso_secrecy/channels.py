@@ -23,6 +23,7 @@ All stored SNRs are linear; dB conversion happens at the CLI boundary only.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from math import exp, isfinite, lgamma, log, log1p, sqrt
 from typing import Iterator
@@ -400,9 +401,14 @@ class DggLink:
                 self.lambda1, self.lambda2, self.eps)
 
     def with_electrical_snr(self, u: float) -> "DggLink":
-        return DggLink(self.a1, self.a2, self.b1, self.b2, self.omega1,
-                       self.omega2, self.lambda1, self.lambda2, self.eps,
-                       self.detection, u)
+        """The link at electrical SNR u: the integrands, ln_norm and
+        ln_scale depend only on the shape, eps and detection, so the new
+        link shares this one's."""
+        if not 0 < u < np.inf:
+            raise ParameterError("electrical_snr must be positive and finite")
+        link = copy(self)
+        link.electrical_snr = float(u)
+        return link
 
     def with_eps(self, eps: float) -> "DggLink":
         return DggLink(self.a1, self.a2, self.b1, self.b2, self.omega1,

@@ -17,9 +17,13 @@ trapezoid sum in s under t = alpha*sinh(s), alpha the distance from c to
 the nearest pole, which puts the nodes where the poles pinch the line.
 The sums are updated level by level as the nodes double and accepted when
 the change from the level before, or the geometric rate of the last two
-changes, puts the error within tolerance.  That is the one path for every
-strip, however narrow; a strip too narrow for a double-precision line
-between its poles raises DegenerateParameterError.
+changes, puts the error within tolerance.  The groups of a call step
+through the levels together: each level is one gamma pass over the (groups
+x nodes) array of its nodes, each sum runs over one group's row of nodes,
+so no value depends on the other groups, and a group drops out when it
+accepts.  That is the one path for every strip, however narrow; a strip
+too narrow for a double-precision line between its poles raises
+DegenerateParameterError.
 
 Plain Meijer G-functions are the special case where every slope is +/-1;
 meijer_g evaluates them on the same contour (there is no residue-series
@@ -34,7 +38,7 @@ G-values far outside double range stay representable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asinh, factorial, isfinite, lgamma, log, pi
+from math import factorial, isfinite, lgamma, log, pi
 from typing import Sequence
 
 import numpy as np
@@ -190,10 +194,12 @@ class MellinBarnesIntegral:
         self._nb = np.array([b for _, b in self.numer])
         self._da = np.array([a for a, _ in self.denom])
         self._db = np.array([b for _, b in self.denom])
-        # signs (numerator +1) and |slopes| of all factors (see _truncation)
+        # offsets, slopes and signs (numerator +1) of all factors
+        self._a = np.concatenate([self._na, self._da])
+        self._b = np.concatenate([self._nb, self._db])
         self._sign = np.concatenate([np.ones(self._na.size),
                                      -np.ones(self._da.size)])
-        self._slope = np.abs(np.concatenate([self._nb, self._db]))
+        self._slope = np.abs(self._b)
 
     def residue(self, poles, ln_arguments,
                 tol: float = EvalOptions.pole_separation_tol):
@@ -213,10 +219,8 @@ class MellinBarnesIntegral:
         """
         v0 = np.atleast_1d(np.asarray(poles, dtype=float))[:, None]
         lnz = np.atleast_1d(np.asarray(ln_arguments, dtype=float))
-        b = np.concatenate([self._nb, self._db])
-        side = np.concatenate([np.ones(self._nb.size),
-                               -np.ones(self._db.size)])
-        x = np.concatenate([self._na, self._da]) + b * v0
+        b, side = self._b, self._sign
+        x = self._a + b * v0
         k = np.round(-x)
         pole = (k >= 0) & (np.abs(x + k) <= tol * np.abs(b))
         m = pole @ side
@@ -414,8 +418,7 @@ class MellinBarnesIntegral:
         for x > 0."""
         c = np.asarray(c, dtype=float).ravel()
         n, sg = self._na.size, self._sign
-        x = np.concatenate([self._na + c[:, None] * self._nb,
-                            self._da + c[:, None] * self._db], axis=1)
+        x = self._a + c[:, None] * self._b
         x[:, n - 1] += member
         if np.abs(x).max(initial=0.0) > 1e11:
             # log Gamma(x) rounds by about |x ln x| ulps of 1: past 1e-3,
@@ -424,44 +427,51 @@ class MellinBarnesIntegral:
                 f"gamma factor arguments up to {np.abs(x).max():.3g} leave "
                 "the log-integrand's rounding error above 1e-3",
                 best_estimate=np.nan, error_bound=np.inf)
+        # sums over factors run row by row, and each line stops at its own
+        # last step, so no height depends on the other lines
         with np.errstate(invalid="ignore"):
-            lg0 = gammaln(x) @ sg - self._spike(x[:, :n])
+            lg0 = (gammaln(x) * sg).sum(axis=1) - self._spike(x[:, :n])
         stirling = 0.5 * log(2.0 * pi) * (n - self._da.size)
-        C = (x - 0.5) @ (sg * np.log(self._slope)) + stirling - lg0
-        rho, target = (x - 0.5) @ sg, 51.0
+        C = (((x - 0.5) * (sg * np.log(self._slope))).sum(axis=1) + stirling
+             - lg0)
+        rho, target = ((x - 0.5) * sg).sum(axis=1), 51.0
         T = np.maximum((target + C) / self.decay, 1.0)
         for _ in range(2):
             T = np.maximum(T - (self.decay * T - rho * np.log(T) - target - C)
                            / (self.decay - rho / T), 1e-3)
+        done = np.zeros(T.size, dtype=bool)
         for _ in range(30):
             y = self._slope * T[:, None]
             r2 = x * x + y * y
             ang = np.arctan2(y, x)
-            drop = (((x - 0.5) * 0.5 * np.log(r2) - y * ang - x) @ sg
-                    + stirling - lg0)
-            step = (drop + target) / -((ang + 0.5 * y / r2) @ (sg * self._slope))
-            T = np.where(T > step, T - step, 0.5 * T)
-            if (np.abs(step) <= 0.02 * T).all():
+            drop = ((((x - 0.5) * 0.5 * np.log(r2) - y * ang - x) * sg).sum(
+                axis=1) + stirling - lg0)
+            step = (drop + target) / -((ang + 0.5 * y / r2)
+                                       * (sg * self._slope)).sum(axis=1)
+            T = np.where(done, T, np.where(T > step, T - step, 0.5 * T))
+            done |= np.abs(step) <= 0.02 * T
+            if done.all():
                 return T
         return T
 
     def _log_integrand(self, v: np.ndarray) -> np.ndarray:
-        out = np.full(v.shape, self._log_const, dtype=complex)
-        for a, b in self.numer:
-            out += loggamma(a + b * v)
-        for a, b in self.denom:
-            out -= loggamma(a + b * v)
-        return out
+        """The log-integrand at the nodes v, from one loggamma pass over
+        every factor's argument at every node."""
+        lg = loggamma(self._a + self._b * v[..., None])
+        n = self._na.size
+        return (lg[..., :n].sum(axis=-1) - lg[..., n:].sum(axis=-1)
+                + self._log_const)
 
     def _log_family(self, v: np.ndarray, count: int) -> np.ndarray:
-        """Log-integrands of family members 0..count-1 at the nodes v, shape
-        (count, v.size), from one gamma pass: by Gamma(x + 1) = x Gamma(x)
-        (DLMF 5.5.1) member k is member k-1 times (a + k - 1 + b*v)/(a + k)."""
+        """Log-integrands of family members 0..count-1 at the nodes v (groups
+        x nodes), shape (count, *v.shape), from one gamma pass: by Gamma(x +
+        1) = x Gamma(x) (DLMF 5.5.1) member k is member k-1 times (a + k - 1
+        + b*v)/(a + k)."""
         g = self._log_integrand(v)
         if count == 1:
             return g[None]
         a, b = self.numer[-1]
-        j = a + np.arange(count - 1)[:, None]
+        j = (a + np.arange(count - 1))[:, None, None]
         steps = np.log((j + b * v) / (j + 1))
         return np.concatenate([g[None], g + np.cumsum(steps, axis=0)])
 
@@ -482,8 +492,9 @@ class MellinBarnesIntegral:
 
     def value_many(self, ln_arguments, options: EvalOptions = TIGHT_OPTIONS,
                    count: int = 1):
-        """Evaluate at several log-arguments with one gamma pass per group of
-        nearby arguments (they share contour and nodes).
+        """Evaluate at several log-arguments: each group of arguments within
+        4 of one another shares a contour and its nodes, and the groups of a
+        call step through the trapezoid levels together (see _value_group).
 
         With count > 1, evaluate the family whose member k has the last
         numerator factor Gamma(a + b*v) raised to Gamma(a + k + b*v) and
@@ -491,9 +502,10 @@ class MellinBarnesIntegral:
         range, on one contour per group and run of _FAMILY_RUN members; the
         result gets a leading member axis.
         A (member, argument) pair the group's contour does not serve (its sum
-        cancels too much, see _assemble) is evaluated on its own
-        saddle, and so is every pair of a family group that raises
-        AccuracyError; a lone integrand's AccuracyError propagates.
+        cancels too much, see _values) is evaluated on its own saddle, and so
+        is every pair of a family group that does not converge; the pairs of
+        one member are evaluated together, each its own group.  A lone
+        integrand's AccuracyError propagates.
         """
         if self.decay <= 0:
             raise ParameterError("contour integral diverges: numerator slope "
@@ -503,121 +515,194 @@ class MellinBarnesIntegral:
             raise DegenerateParameterError(
                 "numerator pole families interlace; no separating contour")
         lnz = np.atleast_1d(np.asarray(ln_arguments, dtype=float))
+        if not np.isfinite(lnz).all():
+            raise ParameterError("log-arguments must be finite")
+        if not lnz.size:
+            return np.empty((count, 0)) if count > 1 else np.empty(0)
         if count > _FAMILY_RUN:
             return np.concatenate([
                 self._member(k).value_many(lnz, options, min(
                     _FAMILY_RUN, count - k)).reshape(-1, lnz.size)
                 for k in range(0, count, _FAMILY_RUN)])
-        out = np.empty((count, lnz.size))
-        far = np.zeros((count, lnz.size), dtype=bool)
         order = np.argsort(lnz, kind="stable")
-        groups, start = [], 0
-        for i in range(1, lnz.size + 1):
-            if i == lnz.size or lnz[order[i]] - lnz[order[start]] > 4.0:
-                groups.append(order[start:i])
-                start = i
+        z = lnz[order]
+        first = [0]
+        for i in range(1, z.size):
+            if z[i] - z[first[-1]] > 4.0:
+                first.append(i)
+        bounds = np.array(first + [z.size])
+        size = bounds[1:] - bounds[:-1]
         # every group's contour through the middle member's saddle at the
         # median argument, placed together
-        c = self._saddle([0.5 * (lnz[i[(i.size - 1) // 2]] + lnz[i[i.size // 2]])
-                          for i in groups], (count - 1) // 2)
-        T = self._truncation(c, count - 1)
-        for idx, ci, Ti in zip(groups, c, T):
-            try:
-                out[:, idx], far[:, idx] = self._value_group(
-                    lnz[idx], ci, Ti, options, count)
-            except AccuracyError:
-                if count == 1:
-                    raise
-                far[:, idx] = True
+        mid = bounds[:-1] + (size - 1) // 2
+        c = self._saddle(0.5 * (z[mid] + z[mid + (size + 1) % 2]),
+                         (count - 1) // 2)
+        vals, far = self._value_group(z, size, c,
+                                      self._truncation(c, count - 1),
+                                      options, count)
         k, j = np.nonzero(far)
         if k.size:
-            c = self._saddle(lnz[j], k, own=True)
+            c = self._saddle(z[j], k, own=True)
             T = self._truncation(c, k)
-            for kk, jj, ci, Ti in zip(k, j, c, T):
-                member = self._member(kk) if count > 1 else self
-                out[kk, jj] = member._value_group(lnz[jj:jj + 1], ci, Ti,
-                                                  options)[0][0, 0]
+            for m in np.unique(k):
+                pair = k == m
+                member = self._member(m) if count > 1 else self
+                vals[m, j[pair]] = member._value_group(
+                    z[j[pair]], np.ones(np.count_nonzero(pair), dtype=int),
+                    c[pair], T[pair], options)[0][0]
+        out = np.empty_like(vals)
+        out[:, order] = vals
         return out if count > 1 else out[0]
 
-    def _value_group(self, lnz: np.ndarray, c: float, T: float,
-                     options: EvalOptions, count: int = 1):
-        """Values of family members 0..count-1, shape (count, lnz.size), on
-        the line through c truncated at height T, and the mask, of the same
-        shape, of the values this contour does not serve (see _assemble);
-        they are to be discarded."""
-        x = self._na + self._nb * c
+    def _value_group(self, lnz: np.ndarray, size: np.ndarray, c: np.ndarray,
+                     T: np.ndarray, options: EvalOptions, count: int = 1):
+        """Values of family members 0..count-1 at the log-arguments lnz,
+        shape (count, lnz.size), where lnz holds the groups' arguments one
+        group after another, size[i] of them on group i's line through c[i]
+        truncated at height T[i]; and the mask, of the same shape, of the
+        values their contour does not serve (see _values), which are to be
+        discarded.
+
+        The groups step through the trapezoid levels together: one gamma
+        pass over the (groups x nodes) array of a level's nodes.  Each group
+        keeps its own height check, scale and acceptance and drops out when
+        it accepts, and every sum runs over one row of nodes, so no value
+        depends on the other groups (a matrix product's rounding does).  A
+        group that overflows or runs out of nodes raises AccuracyError for a
+        lone integrand; for a family it puts all its pairs in the mask."""
+        c, T = np.asarray(c, dtype=float), np.array(T, dtype=float)
+        size = np.asarray(size)
+        x = self._na + self._nb * c[:, None]
         # a strip a few ulps wide leaves c on a pole or so near one that
         # a + b*c rounds by more than 1e-3 of itself; a subnormal one
         # overflows T/alpha
-        if not np.all(x > 2e-13 * (np.abs(self._na) + np.abs(self._nb * c))):
+        if not np.all(x > 2e-13 * (np.abs(self._na)
+                                   + np.abs(self._nb * c[:, None]))):
             raise self._degenerate()
-        d = float(np.min(x / np.abs(self._nb)))
-        x[-1] += count - 1
-        T, n = float(T), 64
-        for doubling in range(9):
+        d = np.min(x / np.abs(self._nb), axis=1)
+        x[:, -1] += count - 1
+        spike = self._spike(x)
+        n = 64
+
+        def first_level(c, d, T, spike):
             # the trapezoid in s on [0, S], t = alpha*sinh(s): the poles
             # nearest the line, at t = +-i*d, map to Im s = +-pi/2 whatever
             # d, so they no longer set the error rate and a level needs
             # O(log(T/d)) nodes where a uniform grid in t needs O(T/d)
-            alpha = min(d, T)
-            S = asinh(T / alpha)
-            if not isfinite(S):
+            alpha = np.minimum(d, T)
+            S = np.arcsinh(T / alpha)
+            if not np.isfinite(S).all():
                 raise self._degenerate()
-            s = np.linspace(0.0, S, n + 1)
-            t = alpha * np.sinh(s)
-            g = self._log_family(c + 1j * t, count)
+            s = np.arange(n + 1) * (S / n)[:, None]
+            s[:, -1] = S
+            t = alpha[:, None] * np.sinh(s)
+            g = self._log_family(c[:, None] + 1j * t, count)
             # the height's check on the level's last node: the top member
-            # has dropped by 50 from the axis at c + iT (a NaN drop passes);
-            # a line that fails doubles T and redoes the level, up to 8 times
+            # has dropped by 50 from the axis at c + iT (a NaN drop passes)
             with np.errstate(invalid="ignore"):
-                drop = g[-1, -1].real - (g[-1, 0].real - self._spike(x))
-            if doubling == 8 or not drop > -50.0:
+                low = g[-1, :, -1].real - (g[-1, :, 0].real - spike) > -50.0
+            return (alpha, S, s, t, g), low
+
+        (alpha, S, s, t, g), low = first_level(c, d, T, spike)
+        # a line that fails doubles T and redoes the level, up to 8 times
+        redo = np.arange(c.size)
+        for _ in range(8):
+            if not np.count_nonzero(low):
                 break
-            T *= 2.0
+            redo = redo[low]
+            T[redo] *= 2.0
+            (alpha[redo], S[redo], s[redo], t[redo], g[:, redo]), low = (
+                first_level(c[redo], d[redo], T[redo], spike[redo]))
         # Jacobian alpha*cosh(s), halved at the two ends
-        jac = alpha * np.cosh(s)
-        jac[[0, -1]] *= 0.5
-        scale = g.real.max(axis=1)
-        sums, mass = self._assemble(t, g, jac, lnz, scale)
+        w = alpha[:, None] * np.cosh(s)
+        w[:, 0] *= 0.5
+        w[:, -1] *= 0.5
+
+        def layout(size):
+            # the groups' first arguments, and the index that takes each
+            # group's row to its arguments: one group broadcasts instead
+            return np.cumsum(size) - size, (
+                np.repeat(np.arange(size.size), size) if size.size > 1
+                else slice(None))
+
+        first, row = layout(size)
+        # a lone (member, argument) pair's sum counts no mass: the contour
+        # is already its own
+        Sm = np.where(size * count > 1, S, 0.0)
+        out = np.empty((count, lnz.size))
+        far = np.empty((count, lnz.size), dtype=bool)
+        pos, Sa, cz = slice(None), S[row], c[row] * lnz
+        scale = g.real.max(axis=-1)
+        sums, mass = self._assemble(t, g, w, lnz, row, scale)
         prev = change = None
         while True:
-            vals, ratio = self._values(sums * (S / n), mass * (S / n),
-                                       scale[:, None] - c * lnz)
-            far = ratio > _MAX_CANCELLATION
+            vals, ratio, over = self._values(
+                sums * (Sa / n), (mass * (Sm / n))[:, row],
+                scale[:, row] - cz)
+            cancel = ratio > _MAX_CANCELLATION
             # the trapezoid converges geometrically on an analytic integrand
             # (Trefethen & Weideman 2014): the finer level's error is far
             # below its change from the coarser one, and from the third level
             # on the rate of the last two changes predicts it
+            done = bad = np.zeros(size.size, dtype=bool)
             if prev is not None:
                 tol = np.maximum(options.target_abs_tol,
                                  options.target_rel_tol * np.abs(vals))
                 last, change = change, np.abs(vals - prev)
-                ok = (change <= tol) | far
+                ok = (change <= tol) | cancel
                 if last is not None:
                     # predicted error change * (change / last) <= tol / 100
                     ok |= change <= 0.1 * np.sqrt(tol) * np.sqrt(last)
-                if ok.all():
-                    return vals, far
+                done = np.logical_and.reduceat(ok.all(axis=0), first)
+            if np.count_nonzero(over):
+                bad = np.logical_or.reduceat(over.any(axis=0), first)
+            if 2 * n > options.max_quadrature_nodes:
+                bad = bad | ~done
+            stop = done | bad
+            if np.count_nonzero(stop):
+                if np.count_nonzero(bad):
+                    if count == 1:
+                        # the first group that failed
+                        i = np.repeat(np.arange(size.size) == np.argmax(bad),
+                                      size)
+                        budget = options.max_quadrature_nodes
+                        raise AccuracyError(
+                            "contour integral overflowed double precision"
+                            if over[:, i].any() else "contour quadrature did "
+                            f"not converge within {budget} nodes",
+                            best_estimate=vals[0, i], error_bound=np.inf
+                            if prev is None else float(np.max(change[0, i])))
+                    cancel |= np.repeat(bad, size)
+                if stop.all():
+                    out[:, pos], far[:, pos] = vals, cancel
+                    return out, far
+                # record the groups that stop, go on with the others
+                end, keep = np.repeat(stop, size), ~stop
+                pos = np.arange(out.shape[1])[pos]
+                out[:, pos[end]], far[:, pos[end]] = (vals[:, end],
+                                                      cancel[:, end])
+                arg = ~end
+                size = size[keep]
+                first, row = layout(size)
+                c, alpha, S, Sm, scale, mass = (
+                    c[keep], alpha[keep], S[keep], Sm[keep], scale[:, keep],
+                    mass[:, keep])
+                pos, lnz, Sa, cz = pos[arg], lnz[arg], S[row], cz[arg]
+                sums, vals = sums[:, arg], vals[:, arg]
+                if change is not None:
+                    change = change[:, arg]
             n *= 2
-            if n > options.max_quadrature_nodes:
-                bound = (float(np.max(np.abs(vals - prev)))
-                         if prev is not None else np.inf)
-                raise AccuracyError(
-                    "contour quadrature did not converge within "
-                    f"{options.max_quadrature_nodes} nodes",
-                    best_estimate=vals if count > 1 else vals[0],
-                    error_bound=bound)
             # the new level's midpoints: S_2n = S_n/2 + (S/2n) * their sum
-            s = (np.arange(n // 2) + 0.5) * (S / (n // 2))
-            t = alpha * np.sinh(s)
-            g = self._log_family(c + 1j * t, count)
-            top = g.real.max(axis=1)
+            s = (np.arange(n // 2) + 0.5) * (S / (n // 2))[:, None]
+            t = alpha[:, None] * np.sinh(s)
+            g = self._log_family(c[:, None] + 1j * t, count)
+            top = g.real.max(axis=-1)
             if (top > scale).any():
                 rescale = np.exp(scale - np.maximum(scale, top))
                 scale = np.maximum(scale, top)
-                sums, mass = sums * rescale[:, None], mass * rescale
-            new_sums, new_mass = self._assemble(t, g, alpha * np.cosh(s), lnz,
-                                                scale)
+                sums, mass = sums * rescale[:, row], mass * rescale
+            new_sums, new_mass = self._assemble(
+                t, g, alpha[:, None] * np.cosh(s), lnz, row, scale)
             sums, mass, prev = sums + new_sums, mass + new_mass, vals
 
     def _degenerate(self):
@@ -626,38 +711,39 @@ class MellinBarnesIntegral:
             "separating contour")
 
     @staticmethod
-    def _assemble(t, g, w, lnz, scale):
-        """Trapezoid sums sum w Re f at the nodes c + i*t with weights w of
-        each member (rows of g) at each argument, shape (members, arguments),
-        and sum w |f| of each member, on the scale exp(scale_k - c ln z).  On
-        the line Re v = c, so |f| = exp(Re g - c ln z): each member is scaled
-        once by a = w exp(Re g - scale), and each argument adds only a cos(Im
-        g - t ln z), expanded as cos Im g cos(t ln z) + sin Im g sin(t ln z)
-        so that the members share the tables in t ln z.  Node order is
-        fixed, so results are reproducible bit for bit."""
-        a = w * np.exp(g.real - scale[:, None])
-        tz = np.outer(t, lnz)
-        return ((a * np.cos(g.imag)) @ np.cos(tz)
-                + (a * np.sin(g.imag)) @ np.sin(tz)), a.sum(axis=1)
+    def _assemble(t, g, w, lnz, row, scale):
+        """Trapezoid sums sum w Re f at the nodes c + i*t (rows of t, one per
+        group) with weights w, of each member (first axis of g) at each
+        argument on its group's row (t[row]), shape (members, arguments),
+        and sum w |f| of each member and group, on the scale exp(scale - c
+        ln z) of the member and group.  On the line Re v = c, so |f| =
+        exp(Re g - c ln z): each member is scaled once by a = w exp(Re g -
+        scale), and each argument adds only a cos(Im g - t ln z); a family
+        expands it as cos Im g cos(t ln z) + sin Im g sin(t ln z), so that
+        the members share the tables in t ln z.  Each sum runs over one row
+        of nodes in a fixed order, so results are reproducible bit for bit
+        and free of the other groups."""
+        a = w * np.exp(g.real - scale[..., None])
+        tz = t[row] * lnz[:, None]
+        if g.shape[0] == 1:
+            f = a[:, row] * np.cos(g.imag[:, row] - tz)
+        else:
+            f = ((a * np.cos(g.imag))[:, row] * np.cos(tz)
+                 + (a * np.sin(g.imag))[:, row] * np.sin(tz))
+        return f.sum(axis=-1), a.sum(axis=-1)
 
     @staticmethod
     def _values(sums, mass, log_scale):
-        """Values (1/pi) exp(log_scale) * sums of the trapezoid sums, and
-        their cancellation ratios sum w|f| / |sum w Re f|.  Past
-        _MAX_CANCELLATION the ratio amplifies rounding in f more than the
-        level-to-level change can see: the contour runs far off the saddle
-        of such a pair (its value lies decades below the group's).  A lone
-        (member, argument) pair gets ratio 0: the contour is already its
-        own."""
+        """Values (1/pi) exp(log_scale) * sums of the trapezoid sums; their
+        cancellation ratios sum w|f| / |sum w Re f|; and the mask of values
+        past double range.  Past _MAX_CANCELLATION the ratio amplifies
+        rounding in f more than the level-to-level change can see: the
+        contour runs far off the saddle of such a pair (its value lies
+        decades below the group's)."""
         a = np.abs(sums)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             mag = log_scale + np.log(a / pi)
-            ratio = mass[:, None] / a if a.size > 1 else np.zeros_like(a)
-        if (mag > 709.0).any():
-            raise AccuracyError(
-                "contour integral overflowed double precision",
-                best_estimate=np.sign(sums) * np.inf, error_bound=np.inf)
-        return np.copysign(np.exp(mag), sums), ratio
+            return np.copysign(np.exp(mag), sums), mass / a, mag > 709.0
 
 
 # -- Meijer G front end ------------------------------------------------------

@@ -310,6 +310,29 @@ def test_dgg_rejects_non_finite_parameters(name, bad):
         DggLink(**kw)
 
 
+@pytest.mark.parametrize("preset", ["st", "wt"])
+@pytest.mark.parametrize("s", [1, 2])
+def test_link_at_another_snr_shares_its_integrands(preset, s):
+    """with_electrical_snr keeps the integrands, normaliser and log-scale
+    (they depend only on the shape, eps and detection), gives the laws of
+    a link built at that SNR bit for bit, and rejects the SNRs the
+    constructor rejects."""
+    link = dgg_from_preset(preset, eps=6.7, detection=s, electrical_snr=10.0)
+    moved = link.with_electrical_snr(3e3)
+    built = dgg_from_preset(preset, eps=6.7, detection=s,
+                            electrical_snr=3e3)
+    assert moved.electrical_snr == 3e3 and link.electrical_snr == 10.0
+    for name in ("_pdf_mb", "_cdf_mb", "_sf_mb"):
+        assert getattr(moved, name) is getattr(link, name)
+    assert (moved.ln_norm, moved.ln_scale) == (built.ln_norm, built.ln_scale)
+    g = np.logspace(-2, 2, 7) * 3e3
+    for law in (dgg_pdf, dgg_cdf, dgg_survival):
+        np.testing.assert_array_equal(law(moved, g), law(built, g))
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            link.with_electrical_snr(bad)
+
+
 def test_dgg_laws_reject_nan_and_take_infinity_as_an_endpoint(wt_link):
     for law in (dgg_pdf, dgg_cdf, dgg_survival):
         for gamma in (float("nan"), [1.0, float("nan")]):

@@ -393,7 +393,8 @@ def _group_nodes(mb, monkeypatch, ln_args, c, T, opts):
     log_integrand = mb._log_integrand
     monkeypatch.setattr(mb, "_log_integrand",
                         lambda v: nodes.append(v.size) or log_integrand(v))
-    out, far = mb._value_group(ln_args, c, T, opts)
+    out, far = mb._value_group(ln_args, [ln_args.size], np.array([c]),
+                               np.array([T]), opts)
     assert not far.any()
     return out[0], sum(nodes)
 
@@ -436,6 +437,132 @@ def test_group_rate_accepts_before_the_change(monkeypatch):
     np.testing.assert_allclose(out, levels[-1][0], rtol=1e-13, atol=0.0)
     assert out[0] == pytest.approx(146.541188572294211048272346926,
                                    rel=1e-12)
+
+
+def _groups(lnz):
+    """Index arrays of value_many's groups: the arguments in order, each
+    group the ones within 4 of its first."""
+    order = np.argsort(lnz, kind="stable")
+    out, start = [], 0
+    for i in range(1, lnz.size + 1):
+        if i == lnz.size or lnz[order[i]] - lnz[order[start]] > 4.0:
+            out.append(order[start:i])
+            start = i
+    return out
+
+
+@pytest.mark.parametrize("preset,s", [("wt", 1), ("st", 2)])
+def test_lockstep_call_equals_one_call_per_group(preset, s, monkeypatch):
+    """dgg_survival over eight decades of gamma: the groups of one call
+    (on wt HD some with pairs sent to their own saddles, in a second
+    pass) step through the trapezoid levels together, and every value
+    equals the one its group gives in a call of its own, bit for bit."""
+    link = dgg_from_preset(preset, eps=1.0, detection=s, electrical_snr=100.0)
+    g = np.logspace(-4, 4, 60) * link.electrical_snr
+    groups = _groups(link.ln_cdf_argument(g))
+    passes = []
+    value_group = MellinBarnesIntegral._value_group
+
+    def recorded(self, lnz, size, c, T, options, count=1):
+        passes.append(len(size))
+        return value_group(self, lnz, size, c, T, options, count)
+
+    monkeypatch.setattr(MellinBarnesIntegral, "_value_group", recorded)
+    together = dgg_survival(link, g)
+    assert passes[0] == len(groups) > 5
+    assert (len(passes) == 2) == (preset == "wt")
+    alone = np.empty_like(together)
+    for idx in groups:
+        alone[idx] = dgg_survival(link, g[idx])
+    np.testing.assert_array_equal(together, alone)
+
+
+def _nodes_by_line(mb, monkeypatch):
+    """Gamma-pass nodes per line, keyed by its abscissa c (a row of the
+    pass's nodes c + i*t)."""
+    nodes = {}
+    log_integrand = mb._log_integrand
+
+    def counted(v):
+        for row in np.atleast_2d(v):
+            nodes[row[0].real] = nodes.get(row[0].real, 0) + row.size
+        return log_integrand(v)
+
+    monkeypatch.setattr(mb, "_log_integrand", counted)
+    return nodes
+
+
+def test_lockstep_groups_keep_their_own_node_counts(monkeypatch):
+    """wt HD survival groups that accept at 513, 257 and 129 nodes in one
+    call: each drops out when it accepts, so the gamma pass evaluates each
+    line at as many nodes as a call of its own does."""
+    one, other = (dgg_from_preset("wt", eps=1.0, detection=1,
+                                  electrical_snr=100.0)._sf_mb
+                  for _ in range(2))
+    lnz = np.array([-16.33, -10.0, -4.0, 2.0, 8.0])
+    together = _nodes_by_line(one, monkeypatch)
+    one.value_many(lnz)
+    alone = _nodes_by_line(other, monkeypatch)
+    for x in lnz:
+        other.value_many([x])
+    assert together == alone
+    assert sorted(set(together.values())) == [129, 257, 513]
+
+
+def test_low_height_doubles_only_its_own_line(st_link, monkeypatch):
+    """Three lines placed together, the middle one's truncation height cut
+    to a twentieth: only that line fails the check at c + iT, doubling five
+    times and redoing its first level alone, then joins the others' next
+    levels; they keep their heights, nodes and values to the bit."""
+    mb = st_link._sf_mb
+    lnz = (float(st_link.ln_cdf_argument(st_link.electrical_snr))
+           + np.array([-12.0, 0.0, 12.0]))
+    ref = mb.value_many(lnz)
+    low = mb._truncation
+    monkeypatch.setattr(mb, "_truncation", lambda c, k: low(c, k) / np.where(
+        np.arange(np.size(c)) == 1, 20.0, 1.0))
+    shapes = []
+    log_family = mb._log_family
+    monkeypatch.setattr(mb, "_log_family", lambda v, k: shapes.append(
+        v.shape) or log_family(v, k))
+    got = mb.value_many(lnz)
+    assert shapes[:7] == [(3, 65)] + [(1, 65)] * 5 + [(3, 64)]
+    np.testing.assert_array_equal(got[[0, 2]], ref[[0, 2]])
+    assert got[1] == pytest.approx(ref[1], rel=1e-12)
+
+
+def test_lone_integrand_group_accuracy_error_propagates():
+    """Gamma(v), the integrand of exp(-z), at z = e^-5 and 40 in two groups
+    under a 128-node budget: the group at 40 converges on its first two
+    levels, the one at e^-5 does not, and its AccuracyError leaves the
+    call with that group's estimate and error bound."""
+    mb = MellinBarnesIntegral([(0.0, 1.0)])
+    opts = EvalOptions(max_quadrature_nodes=128)
+    lnz = np.array([-5.0, math.log(40.0)])
+    assert mb.value(lnz[1], opts) == pytest.approx(math.exp(-40.0), rel=1e-10)
+    with pytest.raises(AccuracyError) as exc:
+        mb.value_many(lnz, opts)
+    best, bound = exc.value.best_estimate, exc.value.error_bound
+    assert best.shape == (1,) and 0.0 < bound < 1e-5
+    assert best[0] == pytest.approx(math.exp(-math.exp(-5.0)), abs=10 * bound)
+
+
+def test_value_many_rejects_non_finite_log_arguments(wt_link):
+    """NaN and infinite log-arguments are a ParameterError before any
+    grouping, alone or next to finite ones, for lone integrands and
+    families; no arguments give an empty result."""
+    from rfso_secrecy.secrecy import _laplace
+    lone = wt_link._sf_mb
+    family = _laplace(wt_link._sf_mb, wt_link.tau, 1)
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ([bad], [0.0, bad]):
+            with pytest.raises(ParameterError):
+                lone.value_many(args)
+            with pytest.raises(ParameterError):
+                family.value_many(args, count=5)
+    assert lone.value_many([]).shape == (0,)
+    assert family.value_many([], count=5).shape == (5, 0)
+    assert family.value_many([], count=10).shape == (10, 0)
 
 
 def _family_cases():
@@ -739,29 +866,27 @@ def test_accuracy_error_carries_best_estimate():
 def test_family_group_accuracy_error_falls_back_to_member_saddles(
         monkeypatch):
     """The wt HD survival's scenario-1 Laplace family (z = 1..5, eps = 1,
-    U = 100) at ln w = 10 under a 128-node budget: the shared contour
-    raises AccuracyError, and each member then converges on its own saddle
-    within that budget, to the family's default-budget values."""
+    U = 100) at ln w = 10 under a 128-node budget: the shared contour does
+    not converge, so the group masks every pair, the middle member's too,
+    whose saddle carries the line; each member then converges on its own
+    saddle within that budget, to the family's default-budget values."""
     from rfso_secrecy.secrecy import _laplace
     link = dgg_from_preset("wt", eps=1.0, detection=1, electrical_snr=100.0)
     mb = _laplace(link._sf_mb, link.tau, 1)
     ref = mb.value_many([10.0], specfun.TIGHT_OPTIONS, count=5)
-    groups = []
+    passes = []
     value_group = MellinBarnesIntegral._value_group
 
-    def recorded(self, lnz, c, T, options, count=1):
-        try:
-            out = value_group(self, lnz, c, T, options, count)
-        except AccuracyError:
-            groups.append((count, "raised"))
-            raise
-        groups.append((count, "converged"))
-        return out
+    def recorded(self, lnz, size, c, T, options, count=1):
+        out, far = value_group(self, lnz, size, c, T, options, count)
+        passes.append((count, c.size, "masked" if far.all() else "converged"))
+        return out, far
 
     monkeypatch.setattr(MellinBarnesIntegral, "_value_group", recorded)
     got = mb.value_many([10.0], replace(specfun.TIGHT_OPTIONS,
                                         max_quadrature_nodes=128), count=5)
-    assert groups == [(5, "raised")] + [(1, "converged")] * 5
+    # one member's pairs go through one pass, each pair its own group
+    assert passes == [(5, 1, "masked")] + [(1, 1, "converged")] * 5
     np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
 

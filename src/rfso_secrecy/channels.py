@@ -15,8 +15,9 @@ points where the two-branch sum cancels from the mixture.
 FSO hop: double generalized Gamma (DGG) turbulence with a pointing-error
 factor and either heterodyne (s=1) or intensity-modulation/direct-detection
 (s=2) conversion to electrical SNR.  Its density, CDF and survival are
-Mellin-Barnes integrals built from the law's own Mellin transform, 4 to 6
-gamma factors each, evaluated through :mod:`rfso_secrecy.specfun`.
+Mellin-Barnes integrals built from the law's own Mellin transform, two
+gamma factors and one or two linear factors each, evaluated through
+:mod:`rfso_secrecy.specfun`.
 
 All stored SNRs are linear; dB conversion happens at the CLI boundary only.
 """
@@ -56,8 +57,11 @@ __all__ = [
 ETA_LIMIT_SURROGATE = 1e-6
 
 # The pointing-error ratio's domain: eps^2 and 1/eps^2 are finite normal
-# doubles from EPS_MIN on, and eps^2 overflows from EPS_MAX.
-EPS_MIN, EPS_MAX = 2.0**-511, 2.0**512
+# doubles from EPS_MIN on.  The laws carry ln eps^2 through the log domain
+# (the pointing factor and ln_norm), whose rounding grows like ln eps: CDF +
+# survival - 1 reaches 3e-14 at EPS_MAX and 1e-13 near eps = 1e70, and past
+# 1e135 the integrals ~ 1/eps^2 sink below TIGHT_OPTIONS' absolute tolerance.
+EPS_MIN, EPS_MAX = 2.0**-511, 2.0**64
 
 # The two-branch sums lose about log10(sum|term| / |sum|) digits to
 # cancellation; up to this ratio their rounding error stays near 1e-13
@@ -329,14 +333,17 @@ class DggLink:
     eps^2/(eps^2 + r); with tau = a2*lambda1, so that 1/a1 = lambda2/tau,
 
         E[(SNR/U)^(tau*v/s)] = exp(ln_norm - v*ln_scale) K(v) / tau,
-        K(v) = Gamma(eps^2/tau + v) Gamma(b1 + lambda2 v) Gamma(b2 + lambda1 v)
-               / Gamma(j2 + v),  j2 = 1 + eps^2/tau,
+        K(v) = Gamma(b1 + lambda2 v) Gamma(b2 + lambda1 v) / (eps^2/tau + v),
 
     ln_scale = tau ln E[I] + lambda2 ln b1 + lambda1 ln b2 (free of the
-    omega scales).  Mellin inversion gives the density from K(v) (_pdf_mb,
-    at ln_pdf_argument), the CDF and survival from K(s*v) Gamma(-/+v) /
-    Gamma(1 -/+ v) (_cdf_mb, _sf_mb, at ln_cdf_argument).  The paper's
-    G-form expands each factor Gamma(q + p*v) into a ladder of p unit-slope
+    omega scales).  The pointing factor 1/(eps^2/tau + v) is the paper's
+    gamma ratio Gamma(eps^2/tau + v)/Gamma(1 + eps^2/tau + v) (DLMF
+    5.5.1), kept as a linear factor of the integrand.  Mellin
+    inversion gives the density from K(v) (_pdf_mb, at ln_pdf_argument),
+    the CDF and survival from K(s*v) times 1/(-v) and 1/v, the ratios
+    Gamma(-/+v)/Gamma(1 -/+ v) (_cdf_mb, _sf_mb, at ln_cdf_argument): two
+    gamma factors and one or two linear ones each.  The paper's G-form
+    expands each factor Gamma(q + p*v) into a ladder of p unit-slope
     factors; the link keeps the factors, and the tests keep the G-form as
     their reference.
     """
@@ -370,25 +377,26 @@ class DggLink:
         if not EPS_MIN <= self.eps < EPS_MAX:
             raise ParameterError(
                 f"eps must be in [{EPS_MIN:.6g}, {EPS_MAX:.6g}) (2^-511 to "
-                "2^512), where eps^2 and 1/eps^2 stay finite normal doubles")
+                "2^64), where eps^2 and 1/eps^2 are normal doubles and the "
+                "laws keep their relative accuracy")
         self.electrical_snr = float(electrical_snr)
 
         lam1, lam2, e2 = self.lambda1, self.lambda2, self.eps**2
         b1, b2, tau = self.b1, self.b2, self.a2 * lam1
-        self.tau, self.j2 = tau, 1.0 + e2 / tau
+        self.tau = tau
 
         def kernel(k):
-            # the factors of K(k*v), numerator and denominator
-            return ([(e2 / tau, k), (b1, k * lam2), (b2, k * lam1)],
-                    [(self.j2, k)])
+            # the factors of K(k*v): two gamma factors, and the pointing
+            # factor 1/(eps^2/tau + k*v) first among the linear ones
+            return [(b1, k * lam2), (b2, k * lam1)], [(e2 / tau, k)]
 
         # Mellin-Barnes integrands reused by every evaluation on this link
-        self._pdf_mb = MellinBarnesIntegral(*kernel(1.0))
-        numer, denom = kernel(float(self.s))
-        self._cdf_mb = MellinBarnesIntegral(numer + [(0.0, -1.0)],
-                                            [(1.0, -1.0)] + denom)
-        self._sf_mb = MellinBarnesIntegral(numer + [(0.0, 1.0)],
-                                           [(1.0, 1.0)] + denom)
+        numer, linear = kernel(1.0)
+        self._pdf_mb = MellinBarnesIntegral(numer, linear=linear)
+        numer, linear = kernel(float(self.s))
+        self._cdf_mb = MellinBarnesIntegral(numer,
+                                            linear=linear + [(0.0, -1.0)])
+        self._sf_mb = MellinBarnesIntegral(numer, linear=linear + [(0.0, 1.0)])
         self.ln_norm = log(e2) - lgamma(b1) - lgamma(b2)
         self.ln_scale = tau * (-log1p(1.0 / e2)
                                + lgamma(b1 + lam2 / tau) - lgamma(b1)

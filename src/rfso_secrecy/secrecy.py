@@ -301,7 +301,7 @@ def _laplace(kernel: MellinBarnesIntegral, slope: float,
     Every Laplace kernel here comes divided by z!, as the members of the
     engine's families do, which keeps blocks of any z in double range."""
     return MellinBarnesIntegral(kernel.numer + ((0.0, -slope),),
-                                kernel.denom)._member(z)
+                                kernel.denom, kernel.linear)._member(z)
 
 
 def _distinct(values, tol: float) -> np.ndarray:
@@ -312,13 +312,17 @@ def _distinct(values, tol: float) -> np.ndarray:
     return values[np.sort(order[keep])]
 
 
-def _leading_residues(mb: MellinBarnesIntegral, lead: int, ln_w, tol):
-    """Sum of the residues of mb at the leading poles of its first `lead`
-    numerator factors, the |b| = s*lambda poles -(a + k)/b, k < |b|, of
-    each Gamma(a + b*v) (one per ladder entry of the paper's G-form), every
-    distinct pole once (poles of two factors that meet make a double pole)."""
-    poles = np.concatenate([-(a + np.arange(abs(b))) / b
-                            for a, b in mb.numer[:lead]])
+def _leading_residues(mb: MellinBarnesIntegral, ln_w, tol):
+    """Sum of the residues of mb at the leading poles of a DGG kernel K(s*v)
+    or K(-s*v), whose factors lead mb's lists: the pole of its pointing
+    factor 1/(a + b*v), the first linear one, and the |b| = s*lambda poles
+    -(a + k)/b, k < |b|, of each of its two gamma factors Gamma(a + b*v),
+    the first two numerator ones (one per ladder entry of the paper's
+    G-form); every distinct pole once (poles of two factors that meet make
+    a double pole)."""
+    a, b = mb.linear[0]
+    poles = np.concatenate([[-a / b]] + [-(q + np.arange(abs(p))) / p
+                                         for q, p in mb.numer[:2]])
     return mb.residue(_distinct(poles, tol), ln_w, tol).sum(axis=0)
 
 
@@ -346,9 +350,9 @@ def sop1_asymptotic(cfg: Scenario1Config,
     fso = cfg.fso_main
 
     def tail(count, ln_w):
-        # the three factors of the law's K(s*v) lead
+        # the factors of the law's K(s*v) lead
         mb = _laplace(fso._cdf_mb, fso.tau, 0)
-        return [_leading_residues(mb._member(z1), 3, ln_w,
+        return [_leading_residues(mb._member(z1), ln_w,
                                   options.pole_separation_tol)
                 for z1 in range(1, count + 1)]
 
@@ -420,12 +424,13 @@ def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
 def _crossing(cfg: Scenario2Config) -> MellinBarnesIntegral:
     """Integrand of Pr(main FSO SNR <= phi * eavesdropper FSO SNR): the
     eavesdropper's survival integrand against the main link's K(s*v) (its
-    CDF integrand without Gamma(-v)/Gamma(1 - v)) with every slope negated,
-    whose three factors lead."""
+    CDF integrand without 1/(-v)) with every slope negated, whose factors
+    lead."""
     main, eve = cfg.fso_main, cfg.fso_eve
     return MellinBarnesIntegral(
-        [(a, -b) for a, b in main._cdf_mb.numer[:-1]] + list(eve._sf_mb.numer),
-        list(eve._sf_mb.denom) + [(a, -b) for a, b in main._cdf_mb.denom[1:]])
+        [(a, -b) for a, b in main._cdf_mb.numer] + list(eve._sf_mb.numer),
+        linear=[(a, -b) for a, b in main._cdf_mb.linear[:-1]]
+        + list(eve._sf_mb.linear))
 
 
 def _crossing_ln_z(cfg: Scenario2Config, phi: float) -> float:
@@ -453,12 +458,11 @@ def sop2_lower(cfg: Scenario2Config,
 def sop2_asymptotic(cfg: Scenario2Config,
                     options: EvalOptions = TIGHT_OPTIONS) -> float:
     """High-U_d asymptote: large-argument expansion of the crossing
-    G-function over the leading poles of the main link's three factors
-    (right poles, so the integral is minus their residue sum)."""
+    G-function over the leading poles of the main link's factors (right
+    poles, so the integral is minus their residue sum)."""
     main, eve = cfg.fso_main, cfg.fso_eve
     phi2 = cfg.phi2
-    S = -float(_leading_residues(_crossing(cfg), 3,
-                                 _crossing_ln_z(cfg, phi2),
+    S = -float(_leading_residues(_crossing(cfg), _crossing_ln_z(cfg, phi2),
                                  options.pole_separation_tol)[0])
     crossing = exp(main.ln_norm + eve.ln_norm) / (main.tau * eve.tau) * S
     rf_ok = float(cfg.rf_main.survival(phi2 - 1.0))

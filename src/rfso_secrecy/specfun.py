@@ -2,37 +2,45 @@
 
 The evaluator works on the Mellin-Barnes representation
 
-    (1/2*pi*i) * int  prod Gamma(a_j + B_j v) / prod Gamma(c_j + D_j v) * z^(-v) dv
+    (1/2*pi*i) * int  prod Gamma(a_j + B_j v) / prod Gamma(c_j + D_j v)
+                      / prod (e_j + F_j v) * z^(-v) dv
 
 taken along a vertical line whose abscissa is placed at the (real-axis)
-saddle point of the integrand.  Saddle placement is what preserves relative
-accuracy when the result is exponentially small; a fixed abscissa loses all
-significant digits to cancellation as soon as |log z| is large.  A
-value_many call places the saddles of all its groups of nearby arguments in
-one vectorised, safeguarded Newton iteration (trigamma on the numerator
-factors, a secant on the denominator's), and their heights from Stirling's
-formula, checked at the first trapezoid level's node c + iT (a line that
-fails doubles its height).  The line integral over v = c + i*t is a
+saddle point of the integrand.  The linear factors 1/(e + F v) are the
+gamma ratios Gamma(e + F v)/Gamma(1 + e + F v) (DLMF 5.5.1) that the DGG
+laws carry; they are kept in a list of their own and enter exactly, as a
+log, with no gamma function, so every DGG law has two gamma factors and no
+denominator.  Saddle placement is what preserves relative accuracy when the
+result is exponentially small; a fixed abscissa loses all significant
+digits to cancellation as soon as |log z| is large.  A value_many call
+places the saddles of all its groups of nearby arguments in one vectorised,
+safeguarded Newton iteration (trigamma on the numerator factors, exact on
+the linear ones; a secant on a denominator's, which only meijer_g's
+integrands have), and their heights from Stirling's formula (exact for the
+linear factors), checked at the first trapezoid level's node c + iT (a line
+that fails doubles its height).  The line integral over v = c + i*t is a
 trapezoid sum in s under t = alpha*sinh(s), alpha the distance from c to
-the nearest pole, which puts the nodes where the poles pinch the line.
-The sums are updated level by level as the nodes double and accepted when
-the change from the level before, or the geometric rate of the last two
+the nearest pole, which puts the nodes where the poles pinch the line.  The
+sums are updated level by level as the nodes double and accepted when the
+change from the level before, or the geometric rate of the last two
 changes, puts the error within tolerance.  The groups of a call step
 through the levels together: each level is one gamma pass over the (groups
 x nodes) array of its nodes, each sum runs over one group's row of nodes,
 so no value depends on the other groups, and a group drops out when it
-accepts.  That is the one path for every strip, however narrow; a strip
-too narrow for a double-precision line between its poles raises
+accepts.  That is the one path for every strip, however narrow; a strip too
+narrow for a double-precision line between its poles raises
 DegenerateParameterError.
 
 Plain Meijer G-functions are the special case where every slope is +/-1;
 meijer_g evaluates them on the same contour (there is no residue-series
-path: the residues serve only the asymptotes).  The factors of the DGG
-laws have integer slopes s*lambda, the Laplace-transform kernels Gamma(z -
-tau*v) non-integer ones; the engine treats every slope identically, and
-evaluates integrands that differ only in the integer z as one family on a
-shared contour.  Gamma products accumulate in the log domain, where
-G-values far outside double range stay representable.
+path: the residues serve only the asymptotes), and is what the denominator
+machinery (the probe-shifted digamma and the secant of _saddle) serves.
+The factors of the DGG laws have integer slopes s*lambda, the
+Laplace-transform kernels Gamma(z - tau*v) non-integer ones; the engine
+treats every slope identically, and evaluates integrands that differ only
+in the integer z as one family on a shared contour.  Gamma products
+accumulate in the log domain, where G-values far outside double range stay
+representable.
 """
 
 from __future__ import annotations
@@ -59,13 +67,15 @@ __all__ = [
     "meijer_g",
 ]
 
-# Off-axis probe used when a denominator gamma argument sits near a real pole.
+# Off-axis probe used when a denominator gamma argument sits near a real pole
+# (meijer_g's integrands; the DGG laws have no denominator).
 _PROBE = 0.25j
 # The doublings a half-open strip's saddle search tries per digamma pass,
 # and the points a finite bracket's first pass takes.
 _DOUBLINGS = 2.0 ** np.arange(16)
 _QUARTERS = np.linspace(0.0, 1.0, 5)
-# The recurrence steps that move a denominator digamma argument (see _dlog).
+# The recurrence steps that move a denominator digamma argument (see _dlog;
+# meijer_g's integrands only).
 _SHIFTS = np.arange(3.0)
 # A family member whose trapezoid sum cancels more than this (sum w|f| over
 # |sum w Re f|) on the shared contour is evaluated on its own saddle: its
@@ -161,25 +171,30 @@ class MellinBarnesIntegral:
     """A gamma-product contour integrand with positive real argument.
 
     numer / denom are sequences of (offset, slope) pairs, each standing for a
-    factor Gamma(offset + slope*v).  The vertical-line integral converges iff
-    the numerator slope mass exceeds the denominator's; the admissible strip
-    is bounded by the rightmost ascending-factor pole and the leftmost
-    descending-factor pole.  value / value_many raise when either condition
-    fails; the residues exist regardless.  log_const is added to the
-    log-integrand (a family member's scaling, see _member).
+    factor Gamma(offset + slope*v); linear ones (a, b) each stand for a
+    factor 1/(a + b*v), the gamma ratio Gamma(a + b*v)/Gamma(1 + a + b*v)
+    (DLMF 5.5.1) with its one pole, taken as a log and no gamma function.
+    The vertical-line integral converges iff the numerator slope mass
+    exceeds the denominator's (a linear factor adds none); the admissible
+    strip is bounded by the rightmost ascending-factor pole and the leftmost
+    descending-factor pole, a linear factor's included.  value / value_many
+    raise when either condition fails; the residues exist regardless.
+    log_const is added to the log-integrand (a family member's scaling, see
+    _member).
     """
 
-    def __init__(self, numer, denom=(), log_const: float = 0.0):
+    def __init__(self, numer, denom=(), linear=(), log_const: float = 0.0):
         self.numer = tuple((float(a), float(b)) for a, b in numer)
         self.denom = tuple((float(a), float(b)) for a, b in denom)
+        self.linear = tuple((float(a), float(b)) for a, b in linear)
         if not self.numer:
             raise ParameterError("at least one numerator gamma factor required")
-        if any(b == 0 for _, b in self.numer + self.denom):
-            raise ParameterError("gamma factor slopes must be nonzero")
+        if any(b == 0 for _, b in self.numer + self.denom + self.linear):
+            raise ParameterError("factor slopes must be nonzero")
         # the strip of all but the last numerator factor, the one a family
         # raises (see _strips)
         L, R = -np.inf, np.inf
-        for a, b in self.numer[:-1]:
+        for a, b in self.numer[:-1] + self.linear:
             if b > 0:
                 L = max(L, -a / b)
             else:
@@ -194,7 +209,9 @@ class MellinBarnesIntegral:
         self._nb = np.array([b for _, b in self.numer])
         self._da = np.array([a for a, _ in self.denom])
         self._db = np.array([b for _, b in self.denom])
-        # offsets, slopes and signs (numerator +1) of all factors
+        self._la = np.array([a for a, _ in self.linear])
+        self._lb = np.array([b for _, b in self.linear])
+        # offsets, slopes and signs (numerator +1) of all gamma factors
         self._a = np.concatenate([self._na, self._da])
         self._b = np.concatenate([self._nb, self._db])
         self._sign = np.concatenate([np.ones(self._na.size),
@@ -207,15 +224,18 @@ class MellinBarnesIntegral:
         arguments), for poles of any order.
 
         A factor Gamma(a + b*v) has a pole at v0 where a + b*v0 is within
-        tol*|b| of some -k; the order m of v0 is the count of numerator
+        tol*|b| of some -k, a linear factor 1/(a + b*v) where it is within
+        tol*|b| of 0; the order m of v0 is the count of numerator and linear
         factors with a pole there less that of denominator factors, and the
         residue is zero where m <= 0.  In delta = v - v0 a pole factor is
         (-1)^k (pi y / sin pi y) / (y Gamma(1 + k - y)), y = b*delta (DLMF
         5.5.3), with ln(pi y / sin pi y) = sum zeta(2n) y^(2n) / n (DLMF
         4.22.1); every log Gamma is a polygamma Taylor series (DLMF 5.15),
-        and z^-v = z^-v0 e^(-delta ln z).  The integrand is then
-        delta^-m exp(sum c_j delta^j), whose delta^(m-1) coefficient comes
-        from e_n = sum j c_j e_(n-j) / n; at m = 1 it is 1.
+        a linear pole factor is 1/(b delta), a regular one has -ln(x +
+        b*delta) = -ln x + sum (-b/x)^j / j (DLMF 4.6.1), and z^-v = z^-v0
+        e^(-delta ln z).  The integrand is then delta^-m exp(sum c_j
+        delta^j), whose delta^(m-1) coefficient comes from e_n = sum j c_j
+        e_(n-j) / n; at m = 1 it is 1.
         """
         v0 = np.atleast_1d(np.asarray(poles, dtype=float))[:, None]
         lnz = np.atleast_1d(np.asarray(ln_arguments, dtype=float))
@@ -223,18 +243,23 @@ class MellinBarnesIntegral:
         x = self._a + b * v0
         k = np.round(-x)
         pole = (k >= 0) & (np.abs(x + k) <= tol * np.abs(b))
-        m = pole @ side
+        xl = self._la + self._lb * v0
+        lpole = np.abs(xl) <= tol * np.abs(self._lb)
+        m = pole @ side + lpole.sum(axis=1)
         # a pole factor adds (-1)^k / (k! b) to the delta^-m coefficient and
         # log Gamma(1 + k - y) to the series, a regular one Gamma(x) and
-        # log Gamma(x + y); the logs add up one factor at a time
+        # log Gamma(x + y); a linear factor 1/b or 1/x; the logs add up one
+        # factor at a time
         xc = np.where(pole, k + 1.0, x)
+        rl = np.where(lpole, self._lb, xl)
         lg = gammaln(xc)
         lg = np.cumsum(np.concatenate([
             np.full(v0.shape, self._log_const),
-            side * np.where(pole, -lg - np.log(np.abs(b)), lg)], axis=1),
-            axis=1)[:, -1:]
-        sg = np.where(pole, np.where(k % 2, -1.0, 1.0) * np.sign(b),
-                      gammasgn(xc)).prod(axis=1, keepdims=True)
+            side * np.where(pole, -lg - np.log(np.abs(b)), lg),
+            -np.log(np.abs(rl))], axis=1), axis=1)[:, -1:]
+        sg = (np.where(pole, np.where(k % 2, -1.0, 1.0) * np.sign(b),
+                       gammasgn(xc)).prod(axis=1, keepdims=True)
+              * np.sign(rl).prod(axis=1, keepdims=True))
         out = sg * np.exp(lg - v0 * lnz)
         order = int(m.max(initial=1))
         if order > 1:
@@ -244,7 +269,9 @@ class MellinBarnesIntegral:
                      * polygamma(j - 1, xc) / factorial(j))
                 if j % 2 == 0:
                     t = t + pole * 2.0 * zeta(j) / j
-                c.append((side * t * b**j).sum(axis=1, keepdims=True))
+                c.append((side * t * b**j).sum(axis=1, keepdims=True)
+                         + np.where(lpole, 0.0, (-self._lb / rl)**j / j).sum(
+                             axis=1, keepdims=True))
             c[1] = c[1] - lnz
             e = [np.ones_like(out)]
             for n in range(1, order):
@@ -270,13 +297,21 @@ class MellinBarnesIntegral:
         """d/dc of the log-integrand magnitude on the real axis at c, less
         the -ln z term, for the numerator offsets `off` (rows of a family
         member's offsets); its denominator part; and the derivative of its
-        numerator part by the trigamma psi'(x) = zeta(2, x) (DLMF
-        25.11.12).  The denominator's probe-shifted complex digamma has no
-        real trigamma in scipy.  Sums over factors run row by row, so no
-        value depends on the batch (a matrix product's rounding does)."""
-        # numerator arguments are positive everywhere inside the strip
+        numerator and linear parts, by the trigamma psi'(x) = zeta(2, x)
+        (DLMF 25.11.12) and a linear factor's exact b^2/x^2 (its part of the
+        derivative is -b/x).  The denominator's probe-shifted complex digamma
+        has no real trigamma in scipy; only meijer_g's integrands have a
+        denominator.  Sums over factors run row by row, so no value depends
+        on the batch (a matrix product's rounding does)."""
+        # numerator and linear arguments are positive everywhere inside the
+        # strip
         x = np.maximum(off + c[:, None] * self._nb, 1e-12)
         h = (digamma(x) * self._nb).sum(axis=1)
+        slope = (zeta(2.0, x) * self._nb**2).sum(axis=1)
+        if self._la.size:
+            r = self._lb / np.maximum(self._la + c[:, None] * self._lb, 1e-12)
+            h = h - r.sum(axis=1)
+            slope = slope + (r * r).sum(axis=1)
         den = np.zeros(c.size)
         if self._da.size:
             # scipy's complex digamma takes a slow series (~8 us) for
@@ -288,7 +323,7 @@ class MellinBarnesIntegral:
             den = ((digamma(xd + 3.0 * near + _PROBE).real - near * (
                 w / (w * w + _PROBE.imag**2)).sum(axis=-1)) * self._db).sum(
                     axis=1)
-        return h - den, den, (zeta(2.0, x) * self._nb**2).sum(axis=1)
+        return h - den, den, slope
 
     def _saddle(self, lnz, member, own=False):
         """Saddles of family members `member` at the log-arguments lnz,
@@ -305,9 +340,10 @@ class MellinBarnesIntegral:
         doublings outward (as many more passes as the search needs).
         Inside the sub-bracket a safeguarded Newton iteration runs on h/u,
         h = _dlog - ln z and u = 1/(c - L) + 1/(R - c) over the solved
-        member's strip, which cancels h's poles at its ends.  The
-        denominator part enters h' by a secant through the last two iterates,
-        and a step that leaves the bracket bisects it instead."""
+        member's strip, which cancels h's poles at its ends; h' is exact for
+        the numerator and linear factors.  A denominator part (meijer_g's
+        integrands only) enters h' by a secant through the last two
+        iterates, and a step that leaves the bracket bisects it instead."""
         lnz = np.asarray(lnz, dtype=float).ravel()
         if np.ndim(member):
             keys, inv = np.unique(member, return_inverse=True)
@@ -395,46 +431,51 @@ class MellinBarnesIntegral:
         return c
 
     @staticmethod
-    def _spike(x):
+    def _spike(x, xl):
         """log Gamma(x) - log Gamma(max(x, 1)) summed over the last axis of
-        numerator arguments x: a factor near its pole (0 < x < 1) spikes at
-        t = 0 over a width ~x that carries little of the integral, so the
-        truncation height measures the integrand's drop from Gamma(1)
-        there."""
-        return (gammaln(x) - gammaln(np.maximum(x, 1.0))).sum(axis=-1)
+        numerator arguments x, and ln max(x, 1) - ln x over that of linear
+        arguments xl: a factor near its pole (0 < x < 1) spikes at t = 0 over
+        a width ~x that carries little of the integral, so the truncation
+        height measures the integrand's drop from Gamma(1) (or 1/1) there."""
+        return ((gammaln(x) - gammaln(np.maximum(x, 1.0))).sum(axis=-1)
+                - np.log(np.minimum(xl, 1.0)).sum(axis=-1))
 
     def _truncation(self, c, member):
         """Heights T, one per line c, at which |f(c + iT)| has dropped to
         e^-51 |f(c)| (less the _spike) for family members `member` (arrays
         that broadcast): negligible for ~1e-15 work, with a margin of 1 for
-        the check of _value_group.  For each factor Stirling's formula at w =
-        x + i|b|T, ln|Gamma(w)| ~ (x - 1/2) ln|w| - |b|T arg w - x + ln(2
-        pi)/2 (DLMF 5.11.1), against log Gamma(x) on the axis.  For large T
-        the drop is rho ln T + sum (x - 1/2) ln|b| + ln(2 pi)/2 - log
-        Gamma(x) - decay*T (signed sums over numerator less denominator
-        factors); its root starts Newton's iteration on the full form,
-        concave in T, whose iterates stay above the root.  The lower members
-        have dropped further there: |(x + ibt)_k| grows with t and with k
-        for x > 0."""
+        the check of _value_group.  For each gamma factor Stirling's formula
+        at w = x + i|b|T, ln|Gamma(w)| ~ (x - 1/2) ln|w| - |b|T arg w - x +
+        ln(2 pi)/2 (DLMF 5.11.1), against log Gamma(x) on the axis; for each
+        linear factor its exact -ln|x + i*b*T| against -ln x.  For large T
+        the drop is rho ln T + sum (x - 1/2) ln|b| + ln(2 pi)/2 - log Gamma(x)
+        - decay*T (signed sums over numerator less denominator factors, a
+        linear factor adding -ln|b|T + ln x); its root starts Newton's
+        iteration on the full form, concave in T, whose iterates stay above
+        the root.  The lower members have dropped further there: |(x +
+        ibt)_k| grows with t and with k for x > 0."""
         c = np.asarray(c, dtype=float).ravel()
         n, sg = self._na.size, self._sign
         x = self._a + c[:, None] * self._b
         x[:, n - 1] += member
+        xl, bl = self._la + c[:, None] * self._lb, np.abs(self._lb)
         if np.abs(x).max(initial=0.0) > 1e11:
             # log Gamma(x) rounds by about |x ln x| ulps of 1: past 1e-3,
-            # the log-integrand is noise no contour resolves
+            # the log-integrand is noise no contour resolves (a linear
+            # factor's log rounds by an ulp at any size)
             raise AccuracyError(
                 f"gamma factor arguments up to {np.abs(x).max():.3g} leave "
                 "the log-integrand's rounding error above 1e-3",
                 best_estimate=np.nan, error_bound=np.inf)
         # sums over factors run row by row, and each line stops at its own
         # last step, so no height depends on the other lines
-        with np.errstate(invalid="ignore"):
-            lg0 = (gammaln(x) * sg).sum(axis=1) - self._spike(x[:, :n])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lg0 = ((gammaln(x) * sg).sum(axis=1) - np.log(xl).sum(axis=1)
+                   - self._spike(x[:, :n], xl))
         stirling = 0.5 * log(2.0 * pi) * (n - self._da.size)
-        C = (((x - 0.5) * (sg * np.log(self._slope))).sum(axis=1) + stirling
-             - lg0)
-        rho, target = ((x - 0.5) * sg).sum(axis=1), 51.0
+        C = (((x - 0.5) * (sg * np.log(self._slope))).sum(axis=1)
+             - np.log(bl).sum() + stirling - lg0)
+        rho, target = ((x - 0.5) * sg).sum(axis=1) - bl.size, 51.0
         T = np.maximum((target + C) / self.decay, 1.0)
         for _ in range(2):
             T = np.maximum(T - (self.decay * T - rho * np.log(T) - target - C)
@@ -444,10 +485,13 @@ class MellinBarnesIntegral:
             y = self._slope * T[:, None]
             r2 = x * x + y * y
             ang = np.arctan2(y, x)
+            yl = bl * T[:, None]
+            hl = np.hypot(xl, yl)
             drop = ((((x - 0.5) * 0.5 * np.log(r2) - y * ang - x) * sg).sum(
-                axis=1) + stirling - lg0)
-            step = (drop + target) / -((ang + 0.5 * y / r2)
-                                       * (sg * self._slope)).sum(axis=1)
+                axis=1) - np.log(hl).sum(axis=1) + stirling - lg0)
+            step = (drop + target) / -(
+                ((ang + 0.5 * y / r2) * (sg * self._slope)).sum(axis=1)
+                + (bl * (yl / hl) / hl).sum(axis=1))
             T = np.where(done, T, np.where(T > step, T - step, 0.5 * T))
             done |= np.abs(step) <= 0.02 * T
             if done.all():
@@ -456,11 +500,14 @@ class MellinBarnesIntegral:
 
     def _log_integrand(self, v: np.ndarray) -> np.ndarray:
         """The log-integrand at the nodes v, from one loggamma pass over
-        every factor's argument at every node."""
+        every gamma factor's argument at every node and one log pass over
+        every linear factor's."""
         lg = loggamma(self._a + self._b * v[..., None])
         n = self._na.size
-        return (lg[..., :n].sum(axis=-1) - lg[..., n:].sum(axis=-1)
-                + self._log_const)
+        g = lg[..., :n].sum(axis=-1) - lg[..., n:].sum(axis=-1)
+        for a, b in self.linear:
+            g -= np.log(a + b * v)
+        return g + self._log_const
 
     def _log_family(self, v: np.ndarray, count: int) -> np.ndarray:
         """Log-integrands of family members 0..count-1 at the nodes v (groups
@@ -481,7 +528,7 @@ class MellinBarnesIntegral:
         Gamma(a + k + 1)/Gamma(a + 1)."""
         a, b = self.numer[-1]
         return MellinBarnesIntegral(
-            self.numer[:-1] + ((a + k, b),), self.denom,
+            self.numer[:-1] + ((a + k, b),), self.denom, self.linear,
             self._log_const - lgamma(a + k + 1) + lgamma(a + 1))
 
     # -- evaluation --------------------------------------------------------
@@ -573,15 +620,18 @@ class MellinBarnesIntegral:
         c, T = np.asarray(c, dtype=float), np.array(T, dtype=float)
         size = np.asarray(size)
         x = self._na + self._nb * c[:, None]
+        xl = self._la + self._lb * c[:, None]
         # a strip a few ulps wide leaves c on a pole or so near one that
         # a + b*c rounds by more than 1e-3 of itself; a subnormal one
         # overflows T/alpha
-        if not np.all(x > 2e-13 * (np.abs(self._na)
-                                   + np.abs(self._nb * c[:, None]))):
-            raise self._degenerate()
-        d = np.min(x / np.abs(self._nb), axis=1)
+        for off, b, arg in ((self._na, self._nb, x), (self._la, self._lb, xl)):
+            if not np.all(arg > 2e-13 * (np.abs(off)
+                                         + np.abs(b * c[:, None]))):
+                raise self._degenerate()
+        d = np.min(np.concatenate([x / np.abs(self._nb),
+                                   xl / np.abs(self._lb)], axis=1), axis=1)
         x[:, -1] += count - 1
-        spike = self._spike(x)
+        spike = self._spike(x, xl)
         n = 64
 
         def first_level(c, d, T, spike):

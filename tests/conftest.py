@@ -61,12 +61,13 @@ def paper_dgg_form(link):
 
     m = 1 + lambda1 + lambda2 and k = s*m the lengths of the expanded
     vectors j1 = [eps^2/tau] + psi, psi the ladders Delta(lambda2, b1) and
-    Delta(lambda1, b2), and j4 = Delta(s, j1); the constants are kept as
-    logs, with B2 t^tau in place of B2 (the omega scales cancel from it)."""
+    Delta(lambda1, b2), j4 = Delta(s, j1), j2 = 1 + eps^2/tau and j3 =
+    Delta(s, j2); the constants are kept as logs, with B2 t^tau in place of
+    B2 (the omega scales cancel from it)."""
     s, tau, e2 = link.s, link.tau, link.eps**2
     lam1, lam2, b1, b2 = link.lambda1, link.lambda2, link.b1, link.b2
     psi = delta_expand(lam2, b1) + delta_expand(lam1, b2)
-    j1 = [e2 / tau] + psi
+    j1, j2 = [e2 / tau] + psi, 1.0 + e2 / tau
     log_zeta = sum(math.lgamma(1.0 / tau + x) for x in psi)
     log_B1 = (math.log(e2) + (b1 - 0.5) * math.log(lam2)
               + (b2 - 0.5) * math.log(lam1)
@@ -81,7 +82,7 @@ def paper_dgg_form(link):
     log_B4 = s * (log_B2t_tau - (lam1 + lam2) * math.log(s))
     lnU = math.log(link.electrical_snr)
     return SimpleNamespace(
-        j1=j1, j3=delta_expand(s, link.j2), j4=delta_expand_list(s, j1),
+        j1=j1, j2=j2, j3=delta_expand(s, j2), j4=delta_expand_list(s, j1),
         log_B1=log_B1, log_B2t_tau=log_B2t_tau, log_B3=log_B3, log_B4=log_B4,
         ln_pdf_argument=lambda g: log_B2t_tau + (tau / s) * (np.log(g) - lnU),
         ln_cdf_argument=lambda g: log_B4 + tau * (np.log(g) - lnU))

@@ -1,6 +1,7 @@
 """Channel models: normalization, reductions, samplers."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,9 +14,8 @@ from rfso_secrecy import (DggLink, EtaMuLink, RngStream, dgg_cdf,
                           dgg_from_preset, dgg_pdf, dgg_sample,
                           dgg_sample_inverse_cdf, eta_mu_cdf, eta_mu_pdf,
                           eta_mu_sample, special_case)
-from rfso_secrecy.channels import TURBULENCE_PRESETS, dgg_survival
-from rfso_secrecy.errors import (AccuracyError, ParameterError,
-                                 UnsupportedCaseError)
+from rfso_secrecy.channels import EPS_MAX, TURBULENCE_PRESETS, dgg_survival
+from rfso_secrecy.errors import ParameterError, UnsupportedCaseError
 
 from conftest import gamma_gamma_pointing_pdf, ks_statistic, paper_dgg_form
 
@@ -494,16 +494,22 @@ def test_turbulence_presets_consistent():
         # the paper's G-form expands each factor of K(s*v) into |slope|
         # unit-slope ones
         paper = paper_dgg_form(link)
-        assert len(paper.j4) == sum(b for _, b in link._cdf_mb.numer[:-1])
+        # (the two gamma factors and the pointing factor, the first
+        # linear one)
+        mb = link._cdf_mb
+        assert len(paper.j4) == sum(b for _, b in mb.numer) + mb.linear[0][1]
         assert len(paper.j3) == link.s
 
 
 def test_eps_whose_square_overflows_rejected():
-    """eps^2 overflows from 2^512 on: a ParameterError, not an untyped
-    OverflowError; just below it the link builds."""
-    with pytest.raises(ParameterError):
-        dgg_from_preset("wt", eps=2.0**512, detection=1, electrical_snr=100.0)
-    dgg_from_preset("wt", eps=2.0**511, detection=1, electrical_snr=100.0)
+    """eps^2 overflows from 2^512 on, past the domain's end EPS_MAX = 2^64:
+    a ParameterError, not an untyped OverflowError; just below EPS_MAX the
+    link builds."""
+    for eps in (2.0**512, EPS_MAX):
+        with pytest.raises(ParameterError):
+            dgg_from_preset("wt", eps=eps, detection=1, electrical_snr=100.0)
+    dgg_from_preset("wt", eps=np.nextafter(EPS_MAX, 0.0), detection=1,
+                    electrical_snr=100.0)
 
 
 def test_eps_whose_square_underflows_rejected():
@@ -518,10 +524,58 @@ def test_eps_whose_square_underflows_rejected():
     assert math.isfinite(link.ln_norm) and math.isfinite(link.ln_scale)
 
 
-def test_eps_beyond_double_resolution_raises_accuracy_error():
-    """At eps = 1e100 the law's factors carry offsets eps^2/tau ~ 5e199,
-    where log Gamma keeps no digit of the contour variable: a typed
-    AccuracyError rather than a value."""
-    link = dgg_from_preset("wt", eps=1e100, detection=1, electrical_snr=100.0)
-    with pytest.raises(AccuracyError):
-        dgg_cdf(link, [1.0, 100.0])
+def test_eps_past_the_domain_end_rejected_at_once():
+    """At eps = 1e100 the pointing factor's offset eps^2/tau ~ 5e199 no
+    longer costs a gamma function, but the integrals ~ 1/eps^2 and the
+    normaliser ~ eps^2 carry ln eps^2 = 460 through the log domain (CDF +
+    survival - 1 reaches 1e-13 near eps = 1e70), and past 1e135 the
+    integrals sink below the absolute tolerance: the domain ends at
+    EPS_MAX = 2^64, and the constructor rejects eps past it at once."""
+    start = time.perf_counter()
+    for eps in (1e100, 1e150, 2.0**64):
+        with pytest.raises(ParameterError, match="eps must be in"):
+            dgg_from_preset("wt", eps=eps, detection=1, electrical_snr=100.0)
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("preset", ["st", "mt", "wt"])
+@pytest.mark.parametrize("s", [1, 2])
+def test_cdf_and_survival_sum_to_one_across_the_eps_domain(preset, s):
+    """CDF + survival = 1 within 1e-13 from eps = 1e-2 to the domain's end,
+    over eight decades of gamma/U at U = 1, 100 and 1e4: the pointing
+    factor 1/(eps^2/tau + s*v) is exact at any eps (as a difference of two
+    log-gammas at offsets eps^2/tau it lost 1e-11 at eps = 1e3, and from
+    1e4 on the contour ran to its node budget)."""
+    for eps in (1e-2, 0.1, 1.0, 6.7, 1e2, 1e3, 1e4, 1e6, 1e8, 1e12, 1e16,
+                np.nextafter(EPS_MAX, 0.0)):
+        for u in (1.0, 100.0, 1e4):
+            link = dgg_from_preset(preset, eps=eps, detection=s,
+                                   electrical_snr=u)
+            g = u * np.logspace(-4, 4, 9)
+            total = dgg_cdf(link, g) + dgg_survival(link, g)
+            np.testing.assert_allclose(total, 1.0, rtol=0.0, atol=1e-13,
+                                       err_msg=f"eps {eps}, U {u}")
+
+
+def test_large_eps_cdf_matches_mpmath():
+    """wt HD at eps = 1e4, U = 100: the CDF at gamma = 1 and 100 against
+    the Mellin-Barnes line integral of Gamma(b1 + v) Gamma(b2 + v) /
+    ((eps^2/tau + v)(-v)) at 30 digits by mpmath.quad, on the engine's
+    line (any line in the strip gives the same integral)."""
+    mp = pytest.importorskip("mpmath")
+    link = dgg_from_preset("wt", eps=1e4, detection=1, electrical_snr=100.0)
+    with mp.workdps(30):
+        e2, tau = mp.mpf(10) ** 8, mp.mpf(21) / 10
+        b1, b2 = mp.mpf(4), mp.mpf(9) / 2
+        norm = e2 / (tau * mp.gamma(b1) * mp.gamma(b2))
+        for g in (1.0, 100.0):
+            ln_z = float(link.ln_cdf_argument(g))
+            c = mp.mpf(float(link._cdf_mb._saddle([ln_z], 0)[0]))
+
+            def f(t):
+                v = c + 1j * t
+                return mp.re(mp.gamma(b1 + v) * mp.gamma(b2 + v)
+                             / ((e2 / tau + v) * (-v)) * mp.exp(-v * ln_z))
+
+            ref = norm * mp.quad(f, [0, 1, 4, 16, 64, mp.inf]) / mp.pi
+            assert dgg_cdf(link, g) == pytest.approx(float(ref), rel=1e-13)

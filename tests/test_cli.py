@@ -269,12 +269,29 @@ def test_cli_unwritable_out_exits_2_before_any_cell(tmp_path, capsys,
     ["--preset", "fig7", "--axis", "target_rate", "--stop", "600"],
     # eps^2 is subnormal there
     ["--preset", "fig6", "--axis", "eps", "--start", "1e-200", "--stop", "1"],
+    # past the domain's end EPS_MAX = 2^64
+    ["--preset", "fig6", "--axis", "eps", "--start", "1", "--stop", "1e50"],
 ])
 def test_cli_axis_outside_the_parameter_domain_exits_2(capsys, monkeypatch,
                                                         argv):
     monkeypatch.setattr(cli, "run_sweep", None)
     assert main(argv + ["--points", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_large_eps_axis_gives_values(capsys):
+    """fig6 along eps from 1e3 to 1e4: every closed-form row is a value in
+    [0, 1] and the run exits 0 (each eps = 1e4 row was an AccuracyError,
+    and the run exited 3, while the pointing factor's offset eps^2/tau
+    entered as a difference of two log-gammas)."""
+    assert main(["--preset", "fig6", "--axis", "eps", "--start", "1000",
+                 "--stop", "10000", "--points", "2", "--evaluators",
+                 "closed"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+            if line.startswith("eps,")]
+    assert len(rows) == 12
+    for row in rows:
+        assert row[-1] == "" and 0.0 <= float(row[4]) <= 1.0, row
 
 
 @pytest.mark.parametrize("scenario", [1, 2])

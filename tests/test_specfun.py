@@ -171,15 +171,16 @@ def test_meijer_g_with_upper_parameter_vs_mpmath():
 @pytest.mark.parametrize("preset", ["st", "mt", "wt"])
 @pytest.mark.parametrize("detection", [1, 2])
 def test_law_integrands_match_paper_expanded_form(preset, detection):
-    """A DGG link's laws, each from its own Mellin-Barnes integrand of at
-    most 6 gamma factors, equal the paper's G-forms over the expanded
-    parameter vectors with its constants B1, B3 and arguments."""
+    """A DGG link's laws, each from its own Mellin-Barnes integrand of two
+    gamma factors and one or two linear ones, equal the paper's G-forms
+    over the expanded parameter vectors with its constants B1, B3 and
+    arguments."""
     link = dgg_from_preset(preset, eps=1.0, detection=detection,
                            electrical_snr=100.0)
     paper = paper_dgg_form(link)
     expanded = {
         dgg_pdf: MellinBarnesIntegral([(j, 1.0) for j in paper.j1],
-                                      [(link.j2, 1.0)]),
+                                      [(paper.j2, 1.0)]),
         dgg_cdf: MellinBarnesIntegral(
             [(j, 1.0) for j in paper.j4] + [(0.0, -1.0)],
             [(1.0, -1.0)] + [(j, 1.0) for j in paper.j3]),
@@ -187,8 +188,10 @@ def test_law_integrands_match_paper_expanded_form(preset, detection):
             [(j, 1.0) for j in paper.j4] + [(0.0, 1.0)],
             [(1.0, 1.0)] + [(j, 1.0) for j in paper.j3]),
     }
-    for mb in (link._pdf_mb, link._cdf_mb, link._sf_mb):
-        assert len(mb.numer) + len(mb.denom) <= 6
+    for mb, linear in ((link._pdf_mb, 1), (link._cdf_mb, 2),
+                       (link._sf_mb, 2)):
+        assert (len(mb.numer), len(mb.denom), len(mb.linear)) == (2, 0,
+                                                                  linear)
     gamma = link.electrical_snr * np.logspace(-4, 2, 9)
     for law, reference in expanded.items():
         if law is dgg_pdf:
@@ -288,7 +291,8 @@ def _mirrored(mb):
     """The integrand with every slope negated: a right-open strip becomes
     a left-open one."""
     return MellinBarnesIntegral([(a, -b) for a, b in mb.numer],
-                                [(a, -b) for a, b in mb.denom])
+                                [(a, -b) for a, b in mb.denom],
+                                [(a, -b) for a, b in mb.linear])
 
 
 def test_saddle_matches_reference_bisection():
@@ -342,8 +346,9 @@ def _trapezoid_levels(mb, ln_args, c, T, opts):
     its change from the level before is within the tolerance, or, from the
     third level on, when that change times its ratio to the change before
     (the geometric rate) is within a hundredth of it."""
-    x = mb._na + mb._nb * c
-    alpha = min(float(np.min(x / np.abs(mb._nb))), T)
+    x = np.concatenate([(mb._na + mb._nb * c) / np.abs(mb._nb),
+                        (mb._la + mb._lb * c) / np.abs(mb._lb)])
+    alpha = min(float(np.min(x)), T)
     S = np.arcsinh(T / alpha)
     levels, changes = [], []
     n = 64
@@ -594,6 +599,58 @@ def test_family_matches_members():
             np.testing.assert_allclose(family[k], member.value_many(ln_args),
                                        rtol=1e-12, atol=0.0,
                                        err_msg=f"{label}, member {k}")
+
+
+def _with_gamma_pairs(mb):
+    """mb with each linear factor 1/(a + b*v) written as the gamma ratio
+    Gamma(a + b*v)/Gamma(1 + a + b*v), ahead of the numerator factor a
+    family raises."""
+    return MellinBarnesIntegral(
+        [*mb.linear, *mb.numer],
+        [*mb.denom, *((a + 1.0, b) for a, b in mb.linear)],
+        log_const=mb._log_const)
+
+
+def test_linear_factors_equal_gamma_pairs():
+    """Every scenario-1 family, alone and as five members, equals the same
+    integrand with its linear factors as explicit gamma pairs across 120
+    units of log-argument: one is exact where the other differences two
+    log-gammas."""
+    ln_args = np.linspace(-60.0, 60.0, 13)
+    for base, _, label in _family_cases():
+        assert len(base.numer) == 3 and not base.denom
+        pairs = _with_gamma_pairs(base)
+        for count in (1, 5):
+            np.testing.assert_allclose(
+                base.value_many(ln_args, count=count),
+                pairs.value_many(ln_args, count=count), rtol=1e-13, atol=0.0,
+                err_msg=f"{label}, count {count}")
+
+
+def test_linear_factor_residues_equal_gamma_pairs():
+    """Residues with linear factors equal those of the explicit gamma pairs
+    at simple poles (a linear factor's own, a gamma factor's) and at double
+    poles (a linear pole on a gamma pole): Gamma(v) Gamma(5/2 - v) / ((1 +
+    v)(1/2 + 2v)), and the wt sop1 tail block at eps^2/tau = 4, where the
+    pointing pole meets Gamma(4 + v)'s first."""
+    from rfso_secrecy.secrecy import _laplace
+    ln_z = np.array([-20.0, -3.0, 0.0, 7.5, 30.0])
+    link = dgg_from_preset("wt", eps=math.sqrt(8.4), detection=1,
+                           electrical_snr=100.0)
+    for mb, poles, double in (
+            (MellinBarnesIntegral([(0.0, 1.0), (2.5, -1.0)],
+                                  linear=[(1.0, 1.0), (0.5, 2.0)]),
+             [0.0, -0.25, -1.0, -2.0, 2.5], -1.0),
+            (_laplace(link._cdf_mb, link.tau, 1),
+             [-4.0, -4.5, -5.0, 1.0 / link.tau], -4.0)):
+        got = mb.residue(poles, ln_z)
+        assert np.all(got != 0.0)
+        np.testing.assert_allclose(got, _with_gamma_pairs(mb).residue(
+            poles, ln_z), rtol=1e-13, atol=0.0)
+        # the double pole's residue carries ln z: it is not a simple one's
+        i = poles.index(double)
+        ratio = got[i] * np.exp(double * ln_z)
+        assert np.ptp(ratio) > 1e-3 * np.abs(ratio).max()
 
 
 def test_family_group_shares_one_gamma_pass(st_link, monkeypatch):

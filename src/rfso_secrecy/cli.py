@@ -264,8 +264,10 @@ def _check_axis_range(sweep: SweepSpec, curves):
             raise ConfigError(f"{sweep.axis} = {v:g} is outside its domain")
 
 
-_CLOSED = {"sop1": secrecy.sop1_lower, "sop2": secrecy.sop2_lower,
-           "spsc1": secrecy.spsc1, "spsc2": secrecy.spsc2}
+# a closed cell's table entry builds its plan (secrecy._Plan); a curve's
+# plans are evaluated together (see run_sweep)
+_CLOSED = {"sop1": secrecy._sop1_plan, "sop2": secrecy._sop2_plan,
+           "spsc1": secrecy._spsc1_plan, "spsc2": secrecy._spsc2_plan}
 _ASYM = {"sop1": secrecy.sop1_asymptotic, "sop2": secrecy.sop2_asymptotic}
 _QUAD = {"sop1": secrecy.sop1_exact_quadrature,
          "sop2": secrecy.sop2_exact_quadrature}
@@ -286,7 +288,8 @@ def _cell_supported(metric: str, evaluator: str) -> bool:
 
 def _evaluate_cell(cfg, metric: str, evaluator: str, sweep: SweepSpec,
                    cell_index: int):
-    """(value, std_error, n_samples); deterministic per (sweep.seed, index)."""
+    """(value, std_error, n_samples) of a cell that is not closed-form;
+    deterministic per (sweep.seed, index)."""
     fn = _EVALUATORS[evaluator][metric]
     if evaluator != "mc":
         return fn(cfg), None, None
@@ -298,9 +301,12 @@ def _evaluate_cell(cfg, metric: str, evaluator: str, sweep: SweepSpec,
 def run_sweep(cfg, sweep: SweepSpec, jobs: int = 1):
     """Evaluate the sweep grid; returns (rows, any_failure).
 
-    Rows come out in deterministic (axis point, metric, evaluator) order
-    regardless of evaluation order; failed cells carry an error flag instead
-    of aborting the sweep.
+    The closed-form cells are one batch: their plans share each contour
+    integral's evaluation (secrecy._evaluate).  The other cells run one at
+    a time, in a pool of `jobs` threads when jobs > 1.  Rows come out in
+    deterministic (axis point, metric, evaluator) order regardless of
+    evaluation order; failed cells carry an error flag instead of aborting
+    the sweep.
     """
     _validate_compat(cfg, sweep)
     values = np.linspace(sweep.start, sweep.stop, sweep.points)
@@ -311,22 +317,41 @@ def run_sweep(cfg, sweep: SweepSpec, jobs: int = 1):
                 if _cell_supported(metric, evaluator):
                     cells.append((len(cells), float(v), metric, evaluator))
 
+    def row(cell, result):
+        """The cell's row from its (value, std_error, n_samples), or from the
+        RfsoError that stopped it."""
+        _, v, metric, evaluator = cell
+        if isinstance(result, RfsoError):
+            return ResultRow(sweep.axis, v, metric, evaluator, None, None,
+                             None, error_flag=type(result).__name__)
+        return ResultRow(sweep.axis, v, metric, evaluator, *result)
+
     def work(cell):
         index, v, metric, evaluator = cell
-        point_cfg = _with_axis(cfg, sweep.axis, v)
         try:
-            value, se, ns = _evaluate_cell(point_cfg, metric, evaluator,
-                                           sweep, index)
-            return ResultRow(sweep.axis, v, metric, evaluator, value, se, ns)
+            return row(cell, _evaluate_cell(_with_axis(cfg, sweep.axis, v),
+                                            metric, evaluator, sweep, index))
         except RfsoError as exc:
-            return ResultRow(sweep.axis, v, metric, evaluator, None, None,
-                             None, error_flag=type(exc).__name__)
+            return row(cell, exc)
 
+    rows, plans = {}, {}
+    for cell in cells:
+        if cell[3] == "closed":
+            try:
+                plans[cell] = _CLOSED[cell[2]](_with_axis(cfg, sweep.axis,
+                                                          cell[1]))
+            except RfsoError as exc:
+                rows[cell] = row(cell, exc)
+    for cell, result in zip(plans, secrecy._evaluate(list(plans.values()))):
+        rows[cell] = row(cell, result if isinstance(result, RfsoError)
+                         else (result, None, None))
+    rest = [cell for cell in cells if cell[3] != "closed"]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(work, cells))
+            rows.update(zip(rest, pool.map(work, rest)))
     else:
-        rows = [work(c) for c in cells]
+        rows.update((cell, work(cell)) for cell in rest)
+    rows = [rows[cell] for cell in cells]
     return rows, any(r.error_flag for r in rows)
 
 

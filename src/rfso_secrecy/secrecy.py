@@ -12,6 +12,12 @@ Meijer G when tau = 1, so the slope-tau kernel is evaluated directly.  (It
 reduces exactly to the plain-G expression for the Gamma-Gamma special cases,
 where tau = 1.)  Each metric has an independent quadrature oracle in this
 module and a Monte Carlo oracle in :mod:`rfso_secrecy.montecarlo`.
+
+Each closed form at one point is a plan: the contour integrals it needs and
+a finish step that turns their values into the metric.  _evaluate runs any
+number of plans with one value_many call per distinct integrand, so a
+curve's points share contour placement and, where their ln-arguments lie
+close, nodes; the public closed forms are _evaluate on one plan.
 """
 
 from __future__ import annotations
@@ -19,13 +25,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import exp, fsum
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .channels import DggLink, EtaMuLink, dgg_cdf, dgg_pdf, eta_mu_pdf
 from .dualhop import DualHopChannel, min_combine_cdf
-from .errors import AccuracyError, ClampExcessWarning, ParameterError
+from .errors import (AccuracyError, ClampExcessWarning, ParameterError,
+                     RfsoError)
 from .specfun import EvalOptions, MellinBarnesIntegral, TIGHT_OPTIONS
 
 __all__ = [
@@ -136,6 +144,20 @@ def _clamp_unit(x: float, label: str, rounding_bound: float = 0.0) -> float:
     return min(1.0, max(0.0, x))
 
 
+def _unit_sum(terms: np.ndarray, label: str, complement: bool = False):
+    """fsum(terms), or 1 - fsum(terms) with complement, clamped to [0, 1]
+    under the bound 2^-53 * sum|terms| on its rounding error.  A term that
+    is not finite raises AccuracyError carrying the value of the finite
+    terms."""
+    finite = np.isfinite(terms)
+    total = fsum(terms[finite])
+    value = 1.0 - total if complement else total
+    if not finite.all():
+        raise AccuracyError(f"{label}: a term of the closed-form sum is not "
+                            "finite", best_estimate=value, error_bound=np.inf)
+    return _clamp_unit(value, label, _EPS * fsum(np.abs(terms)))
+
+
 def _gk15(f, a, b):
     """The 7/15 rule on each t-interval [a, b] of [0, 1] for int_0^inf f(g)
     dg under g = t/(1 - t): one call f(g) at the 15 nodes of every
@@ -226,6 +248,76 @@ def _integrate(f, abs_tol: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# closed-form plans
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Plan:
+    """A closed form at one point.  Each request is a contour integral it
+    needs, (integrand, ln-arguments, family count, options) as
+    MellinBarnesIntegral.value_many takes them; finish turns their values,
+    in request order, into the metric."""
+
+    requests: list
+    finish: Callable
+
+
+def _evaluate(plans) -> list:
+    """The metric of each plan, in order, or the RfsoError that stopped it.
+
+    The requests of all the plans that share an integrand (factor lists and
+    log_const), family count and options are one value_many call over all
+    their ln-arguments, and each request takes its slice of the values.
+    When such a call raises, its requests are evaluated again one at a
+    time, so the failure stays with the plans whose own request raises."""
+    merged = {}
+    for i, plan in enumerate(plans):
+        for j, (mb, _, count, options) in enumerate(plan.requests):
+            key = (mb.numer, mb.denom, mb.linear, mb._log_const, count,
+                   options)
+            merged.setdefault(key, []).append((i, j))
+    values = [[None] * len(plan.requests) for plan in plans]
+    failed = {}
+
+    def call(slots):
+        mb, _, count, options = plans[slots[0][0]].requests[slots[0][1]]
+        ln_w = [plans[i].requests[j][1] for i, j in slots]
+        try:
+            out = mb.value_many(np.concatenate(ln_w), options, count=count)
+        except RfsoError as exc:
+            if len(slots) == 1:
+                failed[slots[0][0]] = exc
+                return
+            for slot in slots:
+                if slot[0] not in failed:
+                    call([slot])
+            return
+        ends = np.cumsum([w.size for w in ln_w])[:-1]
+        for (i, j), v in zip(slots, np.split(out, ends, axis=-1)):
+            values[i][j] = v
+
+    for slots in merged.values():
+        call(slots)
+
+    def finish(i):
+        if i in failed:
+            return failed[i]
+        try:
+            return plans[i].finish(values[i])
+        except RfsoError as exc:
+            return exc
+    return [finish(i) for i in range(len(plans))]
+
+
+def _evaluate_one(plan: _Plan) -> float:
+    """The metric of one plan; raises the RfsoError that stopped it."""
+    result, = _evaluate([plan])
+    if isinstance(result, RfsoError):
+        raise result
+    return result
+
+
+# ---------------------------------------------------------------------------
 # scenario 1
 # ---------------------------------------------------------------------------
 
@@ -253,45 +345,55 @@ def _pairs(x, alpha, y, beta):
     return np.exp(log_c), H, x + y
 
 
-def _family_at(family, ln_w, H, p):
-    """Member p of a Laplace-kernel family at the rate H, for each pair.
+def _family(mb: MellinBarnesIntegral, ln_w, H, p, options: EvalOptions):
+    """Member p of the Laplace-kernel family mb at the rate H, for each
+    pair: returns the requests and gather, which takes their values to the
+    member values, of the shape of H.
 
-    family(count, ln_w(rates)) evaluates members 0..count-1 at distinct
-    rates, shape (count, rates.size); it runs once per distinct member
-    count the rates need, so rates that need few members pay for few."""
+    The rates that need K members make one request of count K (members
+    0..K-1 at ln_w(rates)), so rates that need few members pay for few."""
     rates, at = np.unique(H, return_inverse=True)
     at = at.reshape(H.shape)
     count = np.zeros(rates.size, dtype=int)
     np.maximum.at(count, at, p + 1)
-    values = np.empty((count.max(), rates.size))
-    for K in np.unique(count):
-        sel = count == K
-        values[:K, sel] = np.reshape(family(K, ln_w(rates[sel])), (K, -1))
-    return values[p, at]
+    counts = np.unique(count)
+    requests = [(mb, ln_w(rates[count == K]), int(K), options)
+                for K in counts]
+
+    def gather(values):
+        out = np.empty((counts[-1], rates.size))
+        for K, v in zip(counts, values):
+            out[:K, count == K] = np.reshape(v, (K, -1))
+        return out[p, at]
+    return requests, gather
 
 
-def _sop1_terms(cfg: Scenario1Config, fso_tail):
-    """Shared assembly for the scenario-1 outage sum: returns the unclamped
-    sum and the bound 2^-53 * sum|terms| on its rounding error.
+def _sop1_plan(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS,
+               label: str = "sop1_lower") -> _Plan:
+    """The scenario-1 outage sum.
 
     1 - SOP1 = int f_e(g) S_0(phi g) S_d(phi g) dg is one sum over pairs of
     a main survival kernel and an eavesdropper density kernel, each pair a
     Gamma(p + 1, rate F) average of S_d(phi g), F = phi lam_0 + lam_e.
     That average is 1 - (e^A / tau) (p + 1) T_p, A the link's ln_norm, at
-    ln_w = fso.ln_cdf_argument(phi / F), and fso_tail(count, ln_w) must
-    return T_p, the block _laplace(fso._cdf_mb, tau, p + 1), for p < count
-    at each ln_w, shape (count, ln_w.size): either the full slope-tau
-    kernel (lower bound) or its leading residues (asymptote).
+    ln_w = fso.ln_cdf_argument(phi / F), T_p member p of the family
+    _laplace(fso._cdf_mb, tau, 1): the full slope-tau kernel (lower bound),
+    whose values the requests ask for, or its leading residues (asymptote).
     """
     fso, phi1 = cfg.fso_main, cfg.phi1
     lam0, x0, _, W0 = _poisson_grid(cfg.rf_main)
     lame, xe, we, _ = _poisson_grid(cfg.rf_eve)
     c, F, p = _pairs(x0, phi1 * lam0, xe, lame)
-    tail = _family_at(fso_tail, lambda rate: fso.ln_cdf_argument(phi1 / rate),
-                      F, p)
-    terms = ((W0[:, None] * we * c * lame / F)
-             * (1.0 - exp(fso.ln_norm) / fso.tau * (p + 1) * tail)).ravel()
-    return 1.0 - fsum(terms), _EPS * fsum(np.abs(terms))
+    requests, tail = _family(_laplace(fso._cdf_mb, fso.tau, 1),
+                             lambda rate: fso.ln_cdf_argument(phi1 / rate),
+                             F, p, options)
+    weight = W0[:, None] * we * c * lame / F
+    scale = exp(fso.ln_norm) / fso.tau * (p + 1)
+
+    def finish(values):
+        terms = weight * (1.0 - scale * tail(values))
+        return _unit_sum(terms.ravel(), label, complement=True)
+    return _Plan(requests, finish)
 
 
 def _laplace(kernel: MellinBarnesIntegral, slope: float,
@@ -329,35 +431,28 @@ def _leading_residues(mb: MellinBarnesIntegral, ln_w, tol):
 def sop1_lower(cfg: Scenario1Config,
                options: EvalOptions = TIGHT_OPTIONS) -> float:
     """Lower-bound secure outage probability for the RF-side eavesdropper."""
-    fso = cfg.fso_main
-
-    def tail(count, ln_w):
-        # the Gamma(z1 - tau*v) family z1 = 1..count on shared contours
-        return _laplace(fso._cdf_mb, fso.tau, 1).value_many(ln_w, options,
-                                                             count=count)
-
-    value, bound = _sop1_terms(cfg, tail)
-    return _clamp_unit(value, "sop1_lower", bound)
+    return _evaluate_one(_sop1_plan(cfg, options))
 
 
 def sop1_asymptotic(cfg: Scenario1Config,
                     options: EvalOptions = TIGHT_OPTIONS) -> float:
-    """High-electrical-SNR asymptote: leading residue of each FSO block.
+    """High-electrical-SNR asymptote: the lower bound's sum with each FSO
+    block replaced by its leading residues (the factors of the law's K(s*v)
+    lead).
 
     The residue at the smallest lower parameter dominates, so the distance
-    to the outage floor falls off like U_d^(-tau*min(j4)).
+    to the outage floor falls off like U_d^(-tau*min(j4)).  A residue beyond
+    double range is inf, and the sum raises AccuracyError.
     """
     fso = cfg.fso_main
-
-    def tail(count, ln_w):
-        # the factors of the law's K(s*v) lead
-        mb = _laplace(fso._cdf_mb, fso.tau, 0)
-        return [_leading_residues(mb._member(z1), ln_w,
-                                  options.pole_separation_tol)
-                for z1 in range(1, count + 1)]
-
-    value, bound = _sop1_terms(cfg, tail)
-    return _clamp_unit(value, "sop1_asymptotic", bound)
+    plan = _sop1_plan(cfg, options, "sop1_asymptotic")
+    mb = _laplace(fso._cdf_mb, fso.tau, 0)
+    tol = options.pole_separation_tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        return plan.finish([
+            [_leading_residues(mb._member(z1), ln_w, tol)
+             for z1 in range(1, count + 1)]
+            for _, ln_w, count, _ in plan.requests])
 
 
 def sop1_exact_quadrature(cfg: Scenario1Config, abs_tol: float = 1e-7) -> float:
@@ -384,9 +479,9 @@ def sop1_exact_quadrature(cfg: Scenario1Config, abs_tol: float = 1e-7) -> float:
                        "sop1_exact_quadrature")
 
 
-def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
-    """Probability of strictly positive secrecy capacity, RF eavesdropper:
-    Pr(min-combined SNR > eavesdropper SNR).
+def _spsc1_plan(cfg: Scenario1Config,
+                options: EvalOptions = TIGHT_OPTIONS) -> _Plan:
+    """The scenario-1 SPSC sum.
 
     With f_min = f_0 S_d + S_0 f_d the density of the minimum, SPSC1 is
     int f_min (1 - S_e) dg: one sum over pairs of a main kernel and a kernel
@@ -394,27 +489,34 @@ def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
     Gamma(p + 1, rate H) average of S_d (survival block, the survival
     kernel against Gamma(z - tau*v) / z!) or a Poisson weight of f_d
     (density block, the density kernel against Gamma(z - tau*v/s) / z!),
-    H = lam_0 + lam_e, each without the H^-z.
-    """
+    H = lam_0 + lam_e, each without the H^-z."""
     fso = cfg.fso_main
     tau, s = fso.tau, fso.s
     lam0, x0, w0, W0 = _poisson_grid(cfg.rf_main)
     lame, xe, _, We = _poisson_grid(cfg.rf_eve)
     c, H, p = _pairs(x0, lam0, np.append(0, xe), np.append(0.0, lame))
     c *= np.append(1.0, -We)
-    survival = _family_at(
-        lambda K, ln_w: _laplace(fso._sf_mb, tau, 1).value_many(
-            ln_w, options, count=K),
-        lambda rate: fso.ln_cdf_argument(1.0 / rate), H, p)
-    density = _family_at(
-        lambda K, ln_w: _laplace(fso._pdf_mb, tau / s, 0).value_many(
-            ln_w, options, count=K),
-        lambda rate: fso.ln_pdf_argument(1.0 / rate), H, p)
-    terms = np.concatenate([
-        c * (w0 * lam0)[:, None] / H * (exp(fso.ln_norm) / tau) * (p + 1)
-        * survival,
-        c * W0[:, None] * (exp(fso.ln_norm) / s) * density]).ravel()
-    return _clamp_unit(fsum(terms), "spsc1", _EPS * fsum(np.abs(terms)))
+    sf_requests, survival = _family(
+        _laplace(fso._sf_mb, tau, 1),
+        lambda rate: fso.ln_cdf_argument(1.0 / rate), H, p, options)
+    pdf_requests, density = _family(
+        _laplace(fso._pdf_mb, tau / s, 0),
+        lambda rate: fso.ln_pdf_argument(1.0 / rate), H, p, options)
+    n = len(sf_requests)
+
+    def finish(values):
+        terms = np.concatenate([
+            c * (w0 * lam0)[:, None] / H * (exp(fso.ln_norm) / tau) * (p + 1)
+            * survival(values[:n]),
+            c * W0[:, None] * (exp(fso.ln_norm) / s) * density(values[n:])])
+        return _unit_sum(terms.ravel(), "spsc1")
+    return _Plan(sf_requests + pdf_requests, finish)
+
+
+def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
+    """Probability of strictly positive secrecy capacity, RF eavesdropper:
+    Pr(min-combined SNR > eavesdropper SNR)."""
+    return _evaluate_one(_spsc1_plan(cfg, options))
 
 
 # ---------------------------------------------------------------------------
@@ -438,21 +540,34 @@ def _crossing_ln_z(cfg: Scenario2Config, phi: float) -> float:
             - cfg.fso_main.ln_cdf_argument(phi))
 
 
-def _fso_crossing_integral(cfg: Scenario2Config, phi: float,
-                           options: EvalOptions) -> float:
-    """Pr(main FSO SNR <= phi * eavesdropper FSO SNR) as one G-value."""
+def _crossing_scale(cfg: Scenario2Config) -> float:
+    """The normalisers that turn the crossing integral into Pr(main FSO SNR
+    <= phi * eavesdropper FSO SNR)."""
     main, eve = cfg.fso_main, cfg.fso_eve
-    return (exp(main.ln_norm + eve.ln_norm) / (main.tau * eve.tau)
-            * _crossing(cfg).value(_crossing_ln_z(cfg, phi), options))
+    return exp(main.ln_norm + eve.ln_norm) / (main.tau * eve.tau)
+
+
+def _crossing_plan(cfg: Scenario2Config, phi: float, options: EvalOptions,
+                   metric) -> _Plan:
+    """A metric of the crossing probability Pr(main FSO SNR <= phi *
+    eavesdropper FSO SNR), one G-value: metric(probability)."""
+    scale = _crossing_scale(cfg)
+    return _Plan([(_crossing(cfg), np.array([_crossing_ln_z(cfg, phi)]), 1,
+                   options)],
+                 lambda values: metric(scale * float(values[0][0])))
+
+
+def _sop2_plan(cfg: Scenario2Config,
+               options: EvalOptions = TIGHT_OPTIONS) -> _Plan:
+    rf_ok = float(cfg.rf_main.survival(cfg.phi2 - 1.0))
+    return _crossing_plan(cfg, cfg.phi2, options, lambda crossing: _clamp_unit(
+        1.0 - rf_ok * (1.0 - crossing), "sop2_lower"))
 
 
 def sop2_lower(cfg: Scenario2Config,
                options: EvalOptions = TIGHT_OPTIONS) -> float:
     """Lower-bound secure outage probability for the FSO-side eavesdropper."""
-    phi2 = cfg.phi2
-    rf_ok = float(cfg.rf_main.survival(phi2 - 1.0))
-    fso_ok = 1.0 - _fso_crossing_integral(cfg, phi2, options)
-    return _clamp_unit(1.0 - rf_ok * fso_ok, "sop2_lower")
+    return _evaluate_one(_sop2_plan(cfg, options))
 
 
 def sop2_asymptotic(cfg: Scenario2Config,
@@ -460,11 +575,10 @@ def sop2_asymptotic(cfg: Scenario2Config,
     """High-U_d asymptote: large-argument expansion of the crossing
     G-function over the leading poles of the main link's factors (right
     poles, so the integral is minus their residue sum)."""
-    main, eve = cfg.fso_main, cfg.fso_eve
     phi2 = cfg.phi2
     S = -float(_leading_residues(_crossing(cfg), _crossing_ln_z(cfg, phi2),
                                  options.pole_separation_tol)[0])
-    crossing = exp(main.ln_norm + eve.ln_norm) / (main.tau * eve.tau) * S
+    crossing = _crossing_scale(cfg) * S
     rf_ok = float(cfg.rf_main.survival(phi2 - 1.0))
     return _clamp_unit(1.0 - rf_ok * (1.0 - crossing), "sop2_asymptotic")
 
@@ -485,8 +599,13 @@ def sop2_exact_quadrature(cfg: Scenario2Config, abs_tol: float = 1e-7) -> float:
     return _clamp_unit(val * (1.0 - rf_fail) + rf_fail, "sop2_exact_quadrature")
 
 
+def _spsc2_plan(cfg: Scenario2Config,
+                options: EvalOptions = TIGHT_OPTIONS) -> _Plan:
+    return _crossing_plan(cfg, 1.0, options,
+                          lambda crossing: _clamp_unit(1.0 - crossing, "spsc2"))
+
+
 def spsc2(cfg: Scenario2Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
     """Probability of strictly positive secrecy capacity, FSO eavesdropper:
     Pr(main FSO SNR > eavesdropper FSO SNR)."""
-    return _clamp_unit(1.0 - _fso_crossing_integral(cfg, 1.0, options),
-                       "spsc2")
+    return _evaluate_one(_spsc2_plan(cfg, options))

@@ -1,15 +1,18 @@
 """Config parsing, sweep mechanics, CSV stability, exit codes."""
 
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from rfso_secrecy import cli
+from rfso_secrecy import cli, secrecy
 from rfso_secrecy.channels import TURBULENCE_PRESETS
 from rfso_secrecy.cli import ResultRow, load_config, main, run_sweep
-from rfso_secrecy.errors import ConfigError, RfsoError
+from rfso_secrecy.errors import AccuracyError, ConfigError, RfsoError
 from rfso_secrecy.presets import SweepSpec, figure_preset
 from rfso_secrecy.secrecy import Scenario1Config, Scenario2Config
+from rfso_secrecy.specfun import MellinBarnesIntegral
 
 GOOD_CONFIG = """\
 # example configuration
@@ -182,6 +185,93 @@ def test_failed_cells_flag_and_exit_code(config_file, tmp_path, monkeypatch):
     assert code == 3
     text = out.read_text()
     assert "RfsoError" in text
+
+
+# each closed form evaluated on one point alone
+_SINGLE = {"sop1": secrecy.sop1_lower, "sop2": secrecy.sop2_lower,
+           "spsc1": secrecy.spsc1, "spsc2": secrecy.spsc2}
+
+
+@pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 11)])
+def test_batched_closed_cells_equal_single_cell_values(name):
+    """A curve's closed cells are one batch, whose merged contour calls
+    group ln-arguments of neighbouring points together: each row stays
+    within 1e-13 relative of the public function on the same point (or
+    1e-14 absolute: spsc1 at phi_sr = 0 dB on fig1 is a sum of terms near
+    1 that cancel to 0.0126, so a 1e-14 relative change of its blocks moves
+    it by 2.8e-13 relative)."""
+    preset = figure_preset(name)
+    sweep = replace(preset.sweep, points=5, evaluators=("closed",))
+    for label, cfg in preset.curves:
+        rows, failed = run_sweep(cfg, sweep)
+        assert not failed and len(rows) == 5 * len(sweep.metrics)
+        for r in rows:
+            single = _SINGLE[r.metric](cli._with_axis(cfg, sweep.axis,
+                                                      r.axis_value))
+            assert r.value == pytest.approx(single, rel=1e-13, abs=1e-14), (
+                label, r)
+
+
+@pytest.mark.parametrize("preset, label, metrics", [
+    ("fig5", "wt/s=1", ("sop2", "spsc2")),
+    ("fig3", "mt/s0=1", ("sop1", "spsc1")),
+])
+def test_failure_in_a_merged_call_stays_with_its_cell(preset, label, metrics,
+                                                      monkeypatch):
+    """value_many raises whenever one point's first sop ln-argument is in
+    the call: the merged call raises, its requests run again one plan at a
+    time, and only that point's sop row carries the flag; the other rows
+    equal their single-cell values (scenario 2 exactly, since each of its
+    cells makes one call)."""
+    cfg = dict(figure_preset(preset).curves)[label]
+    sweep = SweepSpec(axis="Ud_db", start=0.0, stop=40.0, points=5,
+                      metrics=metrics, evaluators=("closed",))
+    bad_point = 20.0
+    plan = cli._CLOSED[metrics[0]](cli._with_axis(cfg, "Ud_db", bad_point))
+    bad = plan.requests[0][1][0]
+    original = MellinBarnesIntegral.value_many
+
+    def flaky(self, ln_arguments, *args, **kwargs):
+        if np.any(np.asarray(ln_arguments) == bad):
+            raise AccuracyError("synthetic", best_estimate=0.0,
+                                error_bound=1.0)
+        return original(self, ln_arguments, *args, **kwargs)
+    monkeypatch.setattr(MellinBarnesIntegral, "value_many", flaky)
+    rows, failed = run_sweep(cfg, sweep)
+    assert failed
+    for r in rows:
+        if (r.axis_value, r.metric) == (bad_point, metrics[0]):
+            assert r.error_flag == "AccuracyError" and r.value is None
+            continue
+        assert r.error_flag == ""
+        single = _SINGLE[r.metric](cli._with_axis(cfg, "Ud_db", r.axis_value))
+        if isinstance(cfg, Scenario2Config):
+            assert r.value == single, r
+        else:
+            assert r.value == pytest.approx(single, rel=1e-13, abs=1e-14), r
+
+
+def test_overflowing_asymptote_flags_its_rows_and_exits_3(tmp_path):
+    """sop1_asymptotic on wt HD at U_d = 0 dB and eps 30..100 overflows a
+    residue: the asymptote rows carry AccuracyError and the closed rows
+    values, and the run exits 3 (an untyped ValueError ended it with a
+    traceback)."""
+    p = tmp_path / "overflow.cfg"
+    p.write_text(
+        "[scenario]\nscenario = 1\neta0 = 50\nmu0 = 3\nphi_sr_db = 10\n"
+        "eta_e = 50\nmu_e = 3\nphi_se_db = 0\nturbulence = wt\neps = 30\n"
+        "s0 = 1\nUd_db = 0\ntarget_rate = 0.5\n"
+        "[sweep]\naxis = eps\nstart = 30\nstop = 100\npoints = 2\n"
+        "metrics = sop1\nevaluators = closed,asymptotic\n")
+    out = tmp_path / "rows.csv"
+    assert main(["--config", str(p), "--out", str(out)]) == 3
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["closed", "asymptotic"] * 2
+    for r in rows:
+        if r[3] == "closed":
+            assert r[-1] == "" and 0.0 <= float(r[4]) <= 1.0, r
+        else:
+            assert r[-1] == "AccuracyError" and r[4] == "", r
 
 
 def test_cli_byte_stability(config_file, tmp_path):

@@ -223,6 +223,24 @@ def test_clamp_unit_rejects_a_large_rounding_bound():
     assert info.value.error_bound == 2e-9
 
 
+@pytest.mark.parametrize("eps", [30.0, 100.0])
+def test_sop1_asymptote_with_an_overflowing_residue_raises_accuracy_error(
+        eps):
+    """wt HD at U_d = 0 dB: a leading residue of some Laplace members
+    overflows at the pointing pole, and a term of the asymptote's sum is
+    not finite.  That is AccuracyError carrying the sum of the finite
+    terms, with no RuntimeWarning (it was ValueError: -inf + inf in
+    fsum)."""
+    cfg = _sc1(eps=eps, ud_db=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(AccuracyError) as info:
+            sop1_asymptotic(cfg)
+        assert 0.0 <= sop1_lower(cfg) <= 1.0
+    assert np.isfinite(info.value.best_estimate)
+    assert info.value.error_bound == np.inf
+
+
 _ETA = st.floats(0.05, 0.9) | st.floats(0.9, 1.1) | st.floats(1.1, 20.0)
 
 

@@ -264,8 +264,8 @@ def _check_axis_range(sweep: SweepSpec, curves):
             raise ConfigError(f"{sweep.axis} = {v:g} is outside its domain")
 
 
-# a closed cell's table entry builds its plan (secrecy._Plan); a curve's
-# plans are evaluated together (see run_sweep)
+# a closed cell's table entry builds its plan (secrecy._Plan); the plans of
+# all the curves are evaluated together (see _run_curves)
 _CLOSED = {"sop1": secrecy._sop1_plan, "sop2": secrecy._sop2_plan,
            "spsc1": secrecy._spsc1_plan, "spsc2": secrecy._spsc2_plan}
 _ASYM = {"sop1": secrecy.sop1_asymptotic, "sop2": secrecy.sop2_asymptotic}
@@ -298,60 +298,72 @@ def _evaluate_cell(cfg, metric: str, evaluator: str, sweep: SweepSpec,
     return est.value, est.std_error, est.n_samples
 
 
-def run_sweep(cfg, sweep: SweepSpec, jobs: int = 1):
-    """Evaluate the sweep grid; returns (rows, any_failure).
+def _run_curves(cfgs, sweep: SweepSpec, jobs: int = 1) -> list:
+    """Evaluate the sweep grid on each curve config; returns each curve's
+    rows.
 
-    The closed-form cells are one batch: their plans share each contour
-    integral's evaluation (secrecy._evaluate).  The other cells run one at
-    a time, in a pool of `jobs` threads when jobs > 1.  Rows come out in
-    deterministic (axis point, metric, evaluator) order regardless of
-    evaluation order; failed cells carry an error flag instead of aborting
-    the sweep.
+    The closed-form cells of all the curves are one batch per curve in one
+    secrecy._evaluate call: a curve's plans share each contour integral's
+    evaluation, and the curves share stacked passes, with every value the
+    one its curve gives alone.  The other cells run one at a time, in a pool
+    of `jobs` threads when jobs > 1.  Rows come out in deterministic (axis
+    point, metric, evaluator) order regardless of evaluation order; failed
+    cells carry an error flag instead of aborting the sweep.
     """
-    _validate_compat(cfg, sweep)
     values = np.linspace(sweep.start, sweep.stop, sweep.points)
     cells = []
-    for v in values:
-        for metric in sweep.metrics:
-            for evaluator in sweep.evaluators:
-                if _cell_supported(metric, evaluator):
-                    cells.append((len(cells), float(v), metric, evaluator))
+    for n, cfg in enumerate(cfgs):
+        _validate_compat(cfg, sweep)
+        grid = [(float(v), metric, evaluator) for v in values
+                for metric in sweep.metrics for evaluator in sweep.evaluators
+                if _cell_supported(metric, evaluator)]
+        cells += [(n, index, *point) for index, point in enumerate(grid)]
 
     def row(cell, result):
         """The cell's row from its (value, std_error, n_samples), or from the
         RfsoError that stopped it."""
-        _, v, metric, evaluator = cell
+        _, _, v, metric, evaluator = cell
         if isinstance(result, RfsoError):
             return ResultRow(sweep.axis, v, metric, evaluator, None, None,
                              None, error_flag=type(result).__name__)
         return ResultRow(sweep.axis, v, metric, evaluator, *result)
 
     def work(cell):
-        index, v, metric, evaluator = cell
+        n, index, v, metric, evaluator = cell
         try:
-            return row(cell, _evaluate_cell(_with_axis(cfg, sweep.axis, v),
+            return row(cell, _evaluate_cell(_with_axis(cfgs[n], sweep.axis, v),
                                             metric, evaluator, sweep, index))
         except RfsoError as exc:
             return row(cell, exc)
 
-    rows, plans = {}, {}
+    rows, batches = {}, [{} for _ in cfgs]
     for cell in cells:
-        if cell[3] == "closed":
+        n, _, v, metric, evaluator = cell
+        if evaluator == "closed":
             try:
-                plans[cell] = _CLOSED[cell[2]](_with_axis(cfg, sweep.axis,
-                                                          cell[1]))
+                batches[n][cell] = _CLOSED[metric](_with_axis(
+                    cfgs[n], sweep.axis, v))
             except RfsoError as exc:
                 rows[cell] = row(cell, exc)
-    for cell, result in zip(plans, secrecy._evaluate(list(plans.values()))):
-        rows[cell] = row(cell, result if isinstance(result, RfsoError)
-                         else (result, None, None))
-    rest = [cell for cell in cells if cell[3] != "closed"]
+    results = secrecy._evaluate([list(batch.values()) for batch in batches])
+    for batch, batch_results in zip(batches, results):
+        for cell, result in zip(batch, batch_results):
+            rows[cell] = row(cell, result if isinstance(result, RfsoError)
+                             else (result, None, None))
+    rest = [cell for cell in cells if cell[4] != "closed"]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows.update(zip(rest, pool.map(work, rest)))
     else:
         rows.update((cell, work(cell)) for cell in rest)
-    rows = [rows[cell] for cell in cells]
+    return [[rows[cell] for cell in cells if cell[0] == n]
+            for n in range(len(cfgs))]
+
+
+def run_sweep(cfg, sweep: SweepSpec, jobs: int = 1):
+    """Evaluate the sweep grid on one curve (_run_curves); returns (rows,
+    any_failure)."""
+    rows, = _run_curves([cfg], sweep, jobs)
     return rows, any(r.error_flag for r in rows)
 
 
@@ -412,11 +424,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     lines = [CSV_HEADER]
     failed = False
-    for label, cfg in curves:
+    results = _run_curves([cfg for _, cfg in curves], sweep, jobs=args.jobs)
+    for (label, _), rows in zip(curves, results):
         if len(curves) > 1:
             lines.append(f"# curve: {label}")
-        rows, bad = run_sweep(cfg, sweep, jobs=args.jobs)
-        failed = failed or bad
+        failed = failed or any(r.error_flag for r in rows)
         lines.extend(r.to_csv() for r in rows)
     out.write("\n".join(lines) + "\n")
     if out is not sys.stdout:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import exp, fsum
+from math import exp, fsum, lgamma
 from typing import Callable
 
 import numpy as np
@@ -262,56 +262,84 @@ class _Plan:
     finish: Callable
 
 
-def _evaluate(plans) -> list:
-    """The metric of each plan, in order, or the RfsoError that stopped it.
+def _evaluate(batches) -> list:
+    """The metric of each plan of each batch (a list of plans), in order, or
+    the RfsoError that stopped it.
 
-    The requests of all the plans that share an integrand (factor lists and
-    log_const), family count and options are one value_many call over all
-    their ln-arguments, and each request takes its slice of the values.
-    When such a call raises, its requests are evaluated again one at a
-    time, so the failure stays with the plans whose own request raises."""
+    Within a batch, the requests that share an integrand (factor lists and
+    log_const), family count and options are one call over all their
+    ln-arguments, and each request takes its slice of the values.  The calls
+    of every batch whose integrands share a layout
+    (MellinBarnesIntegral._layout), family count and options are one stacked
+    value_many pass, each call a row of its own (MellinBarnesIntegral._stack):
+    arguments of different calls never share a contour group, so each value
+    is the one its call gives alone, and batches are evaluated together as
+    they would be apart.
+    When a pass raises, its calls are evaluated again one at a time, and
+    when a call raises, its requests one at a time, so the failure stays with
+    the plans whose own request raises."""
+    def request(slot):
+        b, i, j = slot
+        return batches[b][i].requests[j]
+
     merged = {}
-    for i, plan in enumerate(plans):
-        for j, (mb, _, count, options) in enumerate(plan.requests):
-            key = (mb.numer, mb.denom, mb.linear, mb._log_const, count,
-                   options)
-            merged.setdefault(key, []).append((i, j))
-    values = [[None] * len(plan.requests) for plan in plans]
+    for b, batch in enumerate(batches):
+        for i, plan in enumerate(batch):
+            for j, (mb, _, count, options) in enumerate(plan.requests):
+                key = (b, mb.numer, mb.denom, mb.linear, mb._log_const, count,
+                       options)
+                merged.setdefault(key, []).append((b, i, j))
+    passes = {}
+    for slots in merged.values():
+        mb, _, count, options = request(slots[0])
+        passes.setdefault((mb._layout(), count, options), []).append(slots)
+    values = [[[None] * len(plan.requests) for plan in batch]
+              for batch in batches]
     failed = {}
 
-    def call(slots):
-        mb, _, count, options = plans[slots[0][0]].requests[slots[0][1]]
-        ln_w = [plans[i].requests[j][1] for i, j in slots]
+    def run(calls):
+        """One stacked pass over the calls, each the slots (batch, plan,
+        request) of one integrand."""
+        slots = [slot for call in calls for slot in call]
+        _, _, count, options = request(slots[0])
+        ln_w = [request(slot)[1] for slot in slots]
+        stack = MellinBarnesIntegral._stack(
+            [request(call[0])[0] for call in calls],
+            [sum(request(slot)[1].size for slot in call) for call in calls])
         try:
-            out = mb.value_many(np.concatenate(ln_w), options, count=count)
+            out = stack.value_many(np.concatenate(ln_w), options, count=count)
         except RfsoError as exc:
-            if len(slots) == 1:
-                failed[slots[0][0]] = exc
-                return
-            for slot in slots:
-                if slot[0] not in failed:
-                    call([slot])
+            if len(calls) > 1:
+                for call in calls:
+                    run([call])
+            elif len(slots) > 1:
+                for slot in slots:
+                    if slot[:2] not in failed:
+                        run([[slot]])
+            else:
+                failed[slots[0][:2]] = exc
             return
         ends = np.cumsum([w.size for w in ln_w])[:-1]
-        for (i, j), v in zip(slots, np.split(out, ends, axis=-1)):
-            values[i][j] = v
+        for (b, i, j), v in zip(slots, np.split(out, ends, axis=-1)):
+            values[b][i][j] = v
 
-    for slots in merged.values():
-        call(slots)
+    for calls in passes.values():
+        run(calls)
 
-    def finish(i):
-        if i in failed:
-            return failed[i]
+    def finish(b, i):
+        if (b, i) in failed:
+            return failed[b, i]
         try:
-            return plans[i].finish(values[i])
+            return batches[b][i].finish(values[b][i])
         except RfsoError as exc:
             return exc
-    return [finish(i) for i in range(len(plans))]
+    return [[finish(b, i) for i in range(len(batch))]
+            for b, batch in enumerate(batches)]
 
 
 def _evaluate_one(plan: _Plan) -> float:
     """The metric of one plan; raises the RfsoError that stopped it."""
-    result, = _evaluate([plan])
+    (result,), = _evaluate([[plan]])
     if isinstance(result, RfsoError):
         raise result
     return result
@@ -402,8 +430,8 @@ def _laplace(kernel: MellinBarnesIntegral, slope: float,
     _sf_mb or _pdf_mb) against the Laplace kernel Gamma(z - slope*v) / z!.
     Every Laplace kernel here comes divided by z!, as the members of the
     engine's families do, which keeps blocks of any z in double range."""
-    return MellinBarnesIntegral(kernel.numer + ((0.0, -slope),),
-                                kernel.denom, kernel.linear)._member(z)
+    return MellinBarnesIntegral(kernel.numer + ((float(z), -slope),),
+                                kernel.denom, kernel.linear, -lgamma(z + 1))
 
 
 def _distinct(values, tol: float) -> np.ndarray:
@@ -446,11 +474,10 @@ def sop1_asymptotic(cfg: Scenario1Config,
     """
     fso = cfg.fso_main
     plan = _sop1_plan(cfg, options, "sop1_asymptotic")
-    mb = _laplace(fso._cdf_mb, fso.tau, 0)
     tol = options.pole_separation_tol
     with np.errstate(over="ignore", invalid="ignore"):
         return plan.finish([
-            [_leading_residues(mb._member(z1), ln_w, tol)
+            [_leading_residues(_laplace(fso._cdf_mb, fso.tau, z1), ln_w, tol)
              for z1 in range(1, count + 1)]
             for _, ln_w, count, _ in plan.requests])
 

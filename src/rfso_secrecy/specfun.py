@@ -27,9 +27,13 @@ changes, puts the error within tolerance.  The groups of a call step
 through the levels together: each level is one gamma pass over the (groups
 x nodes) array of its nodes, each sum runs over one group's row of nodes,
 so no value depends on the other groups, and a group drops out when it
-accepts.  That is the one path for every strip, however narrow; a strip too
-narrow for a double-precision line between its poles raises
-DegenerateParameterError.
+accepts.  The integrand itself is indexed the same way: every per-integrand
+quantity (offsets, slopes, linear factors, log-constant, strip, decay)
+carries a row axis and each line the row of its integrand, so one pass
+serves the groups of a stack of integrands of one layout (_stack), and a
+lone integrand is its one-row case.  That is the one path for every strip,
+however narrow; a strip too narrow for a double-precision line between its
+poles raises DegenerateParameterError.
 
 Plain Meijer G-functions are the special case where every slope is +/-1;
 meijer_g evaluates them on the same contour (there is no residue-series
@@ -84,6 +88,9 @@ _MAX_CANCELLATION = 16.0
 # Families share one contour per run of this many members: the top member
 # sets the height and node count, which grow with its index (O(K^2) work).
 _FAMILY_RUN = 8
+# The per-integrand arrays of MellinBarnesIntegral, indexed by row (_stack).
+_ROWS = ("_rest", "_strip", "_decay", "_log_consts", "_na", "_nb", "_da",
+         "_db", "_la", "_lb", "_a", "_b", "_slope")
 
 
 @dataclass(frozen=True)
@@ -199,24 +206,59 @@ class MellinBarnesIntegral:
                 L = max(L, -a / b)
             else:
                 R = min(R, a / (-b))
-        self._rest = (L, R)
         a, b = self.numer[-1]
         self.strip = (max(L, -a / b), R) if b > 0 else (L, min(R, a / (-b)))
         self.decay = (pi / 2.0) * (sum(abs(b) for _, b in self.numer)
                                    - sum(abs(b) for _, b in self.denom))
         self._log_const = float(log_const)
-        self._na = np.array([a for a, _ in self.numer])
-        self._nb = np.array([b for _, b in self.numer])
-        self._da = np.array([a for a, _ in self.denom])
-        self._db = np.array([b for _, b in self.denom])
-        self._la = np.array([a for a, _ in self.linear])
-        self._lb = np.array([b for _, b in self.linear])
-        # offsets, slopes and signs (numerator +1) of all gamma factors
-        self._a = np.concatenate([self._na, self._da])
-        self._b = np.concatenate([self._nb, self._db])
-        self._sign = np.concatenate([np.ones(self._na.size),
-                                     -np.ones(self._da.size)])
+        # the pass's per-integrand quantities, each with a leading row axis:
+        # one row here, one per integrand in a stack (see _stack)
+        self._rest = np.array([[L, R]])
+        self._strip = np.array([self.strip])
+        self._decay = np.array([self.decay])
+        self._log_consts = np.array([self._log_const])
+        self._na = np.array([[a for a, _ in self.numer]])
+        self._nb = np.array([[b for _, b in self.numer]])
+        self._da = np.array([[a for a, _ in self.denom]])
+        self._db = np.array([[b for _, b in self.denom]])
+        self._la = np.array([[a for a, _ in self.linear]])
+        self._lb = np.array([[b for _, b in self.linear]])
+        # offsets and slopes of all gamma factors, and their signs
+        # (numerator +1), which a stack's rows share
+        self._a = np.concatenate([self._na, self._da], axis=1)
+        self._b = np.concatenate([self._nb, self._db], axis=1)
+        self._sign = np.concatenate([np.ones(len(self.numer)),
+                                     -np.ones(len(self.denom))])
         self._slope = np.abs(self._b)
+        self._parts = self._sizes = None
+
+    def _layout(self):
+        """What the integrands of one stack share: the factor counts and
+        which ends of the strip are finite, which fix the shapes and the
+        branches of the pass."""
+        return (len(self.numer), len(self.denom), len(self.linear),
+                isfinite(self.strip[0]), isfinite(self.strip[1]))
+
+    @classmethod
+    def _stack(cls, integrands, sizes) -> "MellinBarnesIntegral":
+        """Integrands of one _layout as the rows of one: its value_many takes
+        sizes[i] log-arguments of row i, one row after another, and evaluates
+        them in one pass, each on its own row's integrand.  Groups never span
+        rows, so every value is the one its row gives alone, to the bit.  Its
+        public attributes are its first row's; a lone integrand is its own
+        stack."""
+        layout = integrands[0]._layout()
+        assert all(mb._layout() == layout for mb in integrands[1:]), \
+            "a stack's integrands share one layout"
+        if len(integrands) == 1:
+            return integrands[0]
+        out = cls.__new__(cls)
+        out.__dict__.update(vars(integrands[0]))
+        for name in _ROWS:
+            setattr(out, name, np.concatenate([getattr(mb, name)
+                                               for mb in integrands]))
+        out._parts, out._sizes = tuple(integrands), tuple(sizes)
+        return out
 
     def residue(self, poles, ln_arguments,
                 tol: float = EvalOptions.pole_separation_tol):
@@ -239,19 +281,19 @@ class MellinBarnesIntegral:
         """
         v0 = np.atleast_1d(np.asarray(poles, dtype=float))[:, None]
         lnz = np.atleast_1d(np.asarray(ln_arguments, dtype=float))
-        b, side = self._b, self._sign
-        x = self._a + b * v0
+        b, side, lb = self._b[0], self._sign, self._lb[0]
+        x = self._a[0] + b * v0
         k = np.round(-x)
         pole = (k >= 0) & (np.abs(x + k) <= tol * np.abs(b))
-        xl = self._la + self._lb * v0
-        lpole = np.abs(xl) <= tol * np.abs(self._lb)
+        xl = self._la[0] + lb * v0
+        lpole = np.abs(xl) <= tol * np.abs(lb)
         m = pole @ side + lpole.sum(axis=1)
         # a pole factor adds (-1)^k / (k! b) to the delta^-m coefficient and
         # log Gamma(1 + k - y) to the series, a regular one Gamma(x) and
         # log Gamma(x + y); a linear factor 1/b or 1/x; the logs add up one
         # factor at a time
         xc = np.where(pole, k + 1.0, x)
-        rl = np.where(lpole, self._lb, xl)
+        rl = np.where(lpole, lb, xl)
         lg = gammaln(xc)
         lg = np.cumsum(np.concatenate([
             np.full(v0.shape, self._log_const),
@@ -270,7 +312,7 @@ class MellinBarnesIntegral:
                 if j % 2 == 0:
                     t = t + pole * 2.0 * zeta(j) / j
                 c.append((side * t * b**j).sum(axis=1, keepdims=True)
-                         + np.where(lpole, 0.0, (-self._lb / rl)**j / j).sum(
+                         + np.where(lpole, 0.0, (-lb / rl)**j / j).sum(
                              axis=1, keepdims=True))
             c[1] = c[1] - lnz
             e = [np.ones_like(out)]
@@ -282,60 +324,63 @@ class MellinBarnesIntegral:
 
     # -- contour placement -------------------------------------------------
 
-    def _strips(self, member):
-        """Strips (L, R) of family members `member` (an array): member k
-        raises the last numerator offset a to a + k, which moves that
-        factor's poles outward."""
-        a, b = self.numer[-1]
-        L, R = self._rest
+    def _strips(self, member, row=0):
+        """Strips (L, R) of family members `member` of the rows `row` (arrays
+        that broadcast): member k raises the last numerator offset a to a +
+        k, which moves that factor's poles outward."""
+        a, b = self._na[row, -1], self._nb[row, -1]
+        L, R = self._rest[row].T
         end = -(a + member) / b
-        if b > 0:
-            return np.maximum(L, end), np.full(end.shape, R)
-        return np.full(end.shape, L), np.minimum(R, end)
+        return (np.where(b > 0, np.maximum(L, end), L),
+                np.where(b > 0, R, np.minimum(R, end)))
 
-    def _dlog(self, c, off):
+    def _dlog(self, c, off, row=0):
         """d/dc of the log-integrand magnitude on the real axis at c, less
         the -ln z term, for the numerator offsets `off` (rows of a family
-        member's offsets); its denominator part; and the derivative of its
-        numerator and linear parts, by the trigamma psi'(x) = zeta(2, x)
-        (DLMF 25.11.12) and a linear factor's exact b^2/x^2 (its part of the
-        derivative is -b/x).  The denominator's probe-shifted complex digamma
-        has no real trigamma in scipy; only meijer_g's integrands have a
-        denominator.  Sums over factors run row by row, so no value depends
-        on the batch (a matrix product's rounding does)."""
+        member's offsets) of the rows `row`; its denominator part; and the
+        derivative of its numerator and linear parts, by the trigamma psi'(x)
+        = zeta(2, x) (DLMF 25.11.12) and a linear factor's exact b^2/x^2 (its
+        part of the derivative is -b/x).  The denominator's probe-shifted
+        complex digamma has no real trigamma in scipy; only meijer_g's
+        integrands have a denominator.  Sums over factors run row by row, so
+        no value depends on the batch (a matrix product's rounding does)."""
         # numerator and linear arguments are positive everywhere inside the
         # strip
-        x = np.maximum(off + c[:, None] * self._nb, 1e-12)
-        h = (digamma(x) * self._nb).sum(axis=1)
-        slope = (zeta(2.0, x) * self._nb**2).sum(axis=1)
+        nb = self._nb[row]
+        x = np.maximum(off + c[:, None] * nb, 1e-12)
+        h = (digamma(x) * nb).sum(axis=-1)
+        slope = (zeta(2.0, x) * nb**2).sum(axis=-1)
         if self._la.size:
-            r = self._lb / np.maximum(self._la + c[:, None] * self._lb, 1e-12)
-            h = h - r.sum(axis=1)
-            slope = slope + (r * r).sum(axis=1)
+            lb = self._lb[row]
+            r = lb / np.maximum(self._la[row] + c[:, None] * lb, 1e-12)
+            h = h - r.sum(axis=-1)
+            slope = slope + (r * r).sum(axis=-1)
         den = np.zeros(c.size)
         if self._da.size:
             # scipy's complex digamma takes a slow series (~8 us) for
             # -1 < Re z < 2; there psi(z) = psi(z + 3) - sum_{j<3} 1/(z + j)
             # (DLMF 5.5.2), whose real parts need no complex arithmetic
-            xd = self._da + c[:, None] * self._db
+            db = self._db[row]
+            xd = self._da[row] + c[:, None] * db
             near = (xd > -1.0) & (xd < 2.0)
             w = xd[..., None] + _SHIFTS
             den = ((digamma(xd + 3.0 * near + _PROBE).real - near * (
-                w / (w * w + _PROBE.imag**2)).sum(axis=-1)) * self._db).sum(
-                    axis=1)
+                w / (w * w + _PROBE.imag**2)).sum(axis=-1)) * db).sum(
+                    axis=-1)
         return h - den, den, slope
 
-    def _saddle(self, lnz, member, own=False):
-        """Saddles of family members `member` at the log-arguments lnz,
-        placed together (arrays that broadcast).  Each point iterates on its
-        own, so its saddle does not depend on the others, to the bit.
+    def _saddle(self, lnz, member, own=False, row=0):
+        """Saddles of family members `member` of the rows `row` at the
+        log-arguments lnz, placed together (arrays that broadcast).  Each
+        point iterates on its own, so its saddle does not depend on the
+        others, to the bit.
 
         The bracket is member 0's strip (a contour the family shares: raising
         the offset only moves poles outward), or the member's `own`, less
         min(2% of it, 0.02) at either pole, since a saddle clipped further
         off leaves the trapezoid sum cancelling.  The derivative less ln z
         does not depend on the argument, so one digamma pass over each
-        member's abscissae serves every point: the bracket's ends and
+        (row, member)'s abscissae serves every point: the bracket's ends and
         quarter points, or, in a half-open strip, 1e-3 past its pole and 16
         doublings outward (as many more passes as the search needs).
         Inside the sub-bracket a safeguarded Newton iteration runs on h/u,
@@ -345,15 +390,21 @@ class MellinBarnesIntegral:
         integrands only) enters h' by a secant through the last two
         iterates, and a step that leaves the bracket bisects it instead."""
         lnz = np.asarray(lnz, dtype=float).ravel()
-        if np.ndim(member):
-            keys, inv = np.unique(member, return_inverse=True)
+        zero = np.zeros(lnz.size, dtype=int)
+        member, row = member + zero, row + zero
+        # one key per distinct (row, member), and each point's key
+        span = member.max(initial=0) + 1
+        keys = row * span + member
+        if (keys == keys[0]).all():
+            keys, inv = keys[:1], zero
         else:
-            keys, inv = np.array([member]), np.zeros(lnz.size, dtype=int)
-        Lh, Rh = self._strips(keys)
-        L, R = (Lh, Rh) if own else self._strips(0 * keys)
-        off = self._na + np.zeros((keys.size, 1))
+            keys, inv = np.unique(keys, return_inverse=True)
+        krow, keys = np.divmod(keys, span)
+        Lh, Rh = self._strips(keys, krow)
+        L, R = (Lh, Rh) if own else self._strip[krow].T
+        off = self._na[krow] + np.zeros((keys.size, 1))
         off[:, -1] += keys
-        # one pass over each member's abscissae: a finite bracket's ends and
+        # one pass over each key's abscissae: a finite bracket's ends and
         # quarter points, a half-open one's start and first 16 doublings
         finite = isfinite(self.strip[0]) and isfinite(self.strip[1])
         if finite:
@@ -368,7 +419,8 @@ class MellinBarnesIntegral:
         # huge gamma arguments overflow here before _truncation rejects them
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             K, D, N = (e.reshape(P.shape) for e in self._dlog(
-                P.ravel(), np.repeat(off, P.shape[1], axis=0)))
+                P.ravel(), np.repeat(off, P.shape[1], axis=0),
+                np.repeat(krow, P.shape[1])))
             while True:
                 H = K[inv] - lnz[:, None]
                 past = sgn * H[:, 1:] > 0
@@ -379,7 +431,8 @@ class MellinBarnesIntegral:
                 P = np.column_stack([P, new])
                 K, D, N = (np.column_stack([e, f.reshape(new.shape)])
                            for e, f in zip((K, D, N), self._dlog(
-                               new.ravel(), np.repeat(off, 16, axis=0))))
+                               new.ravel(), np.repeat(off, 16, axis=0),
+                               np.repeat(krow, 16))))
             # the first abscissa past the root, and the one before it
             j = np.where(found, past.argmax(axis=1), P.shape[1] - 2) + 1
             a, b = (j - 1, j) if sgn > 0 else (j, j - 1)
@@ -390,7 +443,8 @@ class MellinBarnesIntegral:
             if act.size < lnz.size:
                 inv, a, b, lnz = inv[act], a[act], b[act], lnz[act]
                 lo, hi, hlo, hhi = lo[act], hi[act], hlo[act], hhi[act]
-            off, Lh, Rh, dp = off[inv], Lh[inv], Rh[inv], D[inv, a]
+            off, row, Lh, Rh = off[inv], krow[inv], Lh[inv], Rh[inv]
+            dp = D[inv, a]
 
             def newton(x, h, slope):
                 il, ir = 1.0 / (x - Lh), 1.0 / (Rh - x)
@@ -407,7 +461,7 @@ class MellinBarnesIntegral:
                 (xh > lo) & (xh < hi), xh,
                 lo - hlo * (hi - lo) / (hhi - hlo)))
             for _ in range(100):
-                h, den, nslope = self._dlog(x, off)
+                h, den, nslope = self._dlog(x, off, row)
                 h -= lnz
                 neg = h < 0
                 np.copyto(lo, x, where=neg)
@@ -421,9 +475,9 @@ class MellinBarnesIntegral:
                 if done.any():
                     c[act[done]] = np.minimum(np.maximum(xn, lo), hi)[done]
                     keep = ~done
-                    act, lo, hi, x, den, xn, off, lnz, Lh, Rh, dphi = (
-                        e[keep] for e in (act, lo, hi, x, den, xn, off, lnz,
-                                          Lh, Rh, dphi))
+                    act, lo, hi, x, den, xn, off, row, lnz, Lh, Rh, dphi = (
+                        e[keep] for e in (act, lo, hi, x, den, xn, off, row,
+                                          lnz, Lh, Rh, dphi))
                 xp, dp = x, den
                 x = np.where((xn > lo) & (xn < hi) & (dphi > 0), xn,
                              0.5 * (lo + hi))
@@ -440,25 +494,26 @@ class MellinBarnesIntegral:
         return ((gammaln(x) - gammaln(np.maximum(x, 1.0))).sum(axis=-1)
                 - np.log(np.minimum(xl, 1.0)).sum(axis=-1))
 
-    def _truncation(self, c, member):
+    def _truncation(self, c, member, row=0):
         """Heights T, one per line c, at which |f(c + iT)| has dropped to
-        e^-51 |f(c)| (less the _spike) for family members `member` (arrays
-        that broadcast): negligible for ~1e-15 work, with a margin of 1 for
-        the check of _value_group.  For each gamma factor Stirling's formula
-        at w = x + i|b|T, ln|Gamma(w)| ~ (x - 1/2) ln|w| - |b|T arg w - x +
-        ln(2 pi)/2 (DLMF 5.11.1), against log Gamma(x) on the axis; for each
-        linear factor its exact -ln|x + i*b*T| against -ln x.  For large T
-        the drop is rho ln T + sum (x - 1/2) ln|b| + ln(2 pi)/2 - log Gamma(x)
-        - decay*T (signed sums over numerator less denominator factors, a
-        linear factor adding -ln|b|T + ln x); its root starts Newton's
-        iteration on the full form, concave in T, whose iterates stay above
-        the root.  The lower members have dropped further there: |(x +
-        ibt)_k| grows with t and with k for x > 0."""
+        e^-51 |f(c)| (less the _spike) for family members `member` of the
+        rows `row` (arrays that broadcast): negligible for ~1e-15 work, with
+        a margin of 1 for the check of _value_group.  For each gamma factor
+        Stirling's formula at w = x + i|b|T, ln|Gamma(w)| ~ (x - 1/2) ln|w| -
+        |b|T arg w - x + ln(2 pi)/2 (DLMF 5.11.1), against log Gamma(x) on
+        the axis; for each linear factor its exact -ln|x + i*b*T| against -ln
+        x.  For large T the drop is rho ln T + sum (x - 1/2) ln|b| + ln(2
+        pi)/2 - log Gamma(x) - decay*T (signed sums over numerator less
+        denominator factors, a linear factor adding -ln|b|T + ln x); its root
+        starts Newton's iteration on the full form, concave in T, whose
+        iterates stay above the root.  The lower members have dropped further
+        there: |(x + ibt)_k| grows with t and with k for x > 0."""
         c = np.asarray(c, dtype=float).ravel()
-        n, sg = self._na.size, self._sign
-        x = self._a + c[:, None] * self._b
+        n, sg = self._na.shape[1], self._sign
+        x = self._a[row] + c[:, None] * self._b[row]
         x[:, n - 1] += member
-        xl, bl = self._la + c[:, None] * self._lb, np.abs(self._lb)
+        lb, slope, decay = self._lb[row], self._slope[row], self._decay[row]
+        xl, bl = self._la[row] + c[:, None] * lb, np.abs(lb)
         if np.abs(x).max(initial=0.0) > 1e11:
             # log Gamma(x) rounds by about |x ln x| ulps of 1: past 1e-3,
             # the log-integrand is noise no contour resolves (a linear
@@ -472,17 +527,17 @@ class MellinBarnesIntegral:
         with np.errstate(invalid="ignore", divide="ignore"):
             lg0 = ((gammaln(x) * sg).sum(axis=1) - np.log(xl).sum(axis=1)
                    - self._spike(x[:, :n], xl))
-        stirling = 0.5 * log(2.0 * pi) * (n - self._da.size)
-        C = (((x - 0.5) * (sg * np.log(self._slope))).sum(axis=1)
-             - np.log(bl).sum() + stirling - lg0)
-        rho, target = ((x - 0.5) * sg).sum(axis=1) - bl.size, 51.0
-        T = np.maximum((target + C) / self.decay, 1.0)
+        stirling = 0.5 * log(2.0 * pi) * (n - self._da.shape[1])
+        C = (((x - 0.5) * (sg * np.log(slope))).sum(axis=1)
+             - np.log(bl).sum(axis=-1) + stirling - lg0)
+        rho, target = ((x - 0.5) * sg).sum(axis=1) - self._lb.shape[1], 51.0
+        T = np.maximum((target + C) / decay, 1.0)
         for _ in range(2):
-            T = np.maximum(T - (self.decay * T - rho * np.log(T) - target - C)
-                           / (self.decay - rho / T), 1e-3)
+            T = np.maximum(T - (decay * T - rho * np.log(T) - target - C)
+                           / (decay - rho / T), 1e-3)
         done = np.zeros(T.size, dtype=bool)
         for _ in range(30):
-            y = self._slope * T[:, None]
+            y = slope * T[:, None]
             r2 = x * x + y * y
             ang = np.arctan2(y, x)
             yl = bl * T[:, None]
@@ -490,7 +545,7 @@ class MellinBarnesIntegral:
             drop = ((((x - 0.5) * 0.5 * np.log(r2) - y * ang - x) * sg).sum(
                 axis=1) - np.log(hl).sum(axis=1) + stirling - lg0)
             step = (drop + target) / -(
-                ((ang + 0.5 * y / r2) * (sg * self._slope)).sum(axis=1)
+                ((ang + 0.5 * y / r2) * (sg * slope)).sum(axis=1)
                 + (bl * (yl / hl) / hl).sum(axis=1))
             T = np.where(done, T, np.where(T > step, T - step, 0.5 * T))
             done |= np.abs(step) <= 0.02 * T
@@ -498,34 +553,40 @@ class MellinBarnesIntegral:
                 return T
         return T
 
-    def _log_integrand(self, v: np.ndarray) -> np.ndarray:
-        """The log-integrand at the nodes v, from one loggamma pass over
-        every gamma factor's argument at every node and one log pass over
-        every linear factor's."""
-        lg = loggamma(self._a + self._b * v[..., None])
-        n = self._na.size
+    def _log_integrand(self, v: np.ndarray, row=0) -> np.ndarray:
+        """The log-integrand of the rows `row` (one per row of nodes, or one
+        for all) at the nodes v, from one loggamma pass over every gamma
+        factor's argument at every node and one log pass over every linear
+        factor's."""
+        lg = loggamma(self._a[row][..., None, :]
+                      + self._b[row][..., None, :] * v[..., None])
+        n = self._na.shape[1]
         g = lg[..., :n].sum(axis=-1) - lg[..., n:].sum(axis=-1)
-        for a, b in self.linear:
-            g -= np.log(a + b * v)
-        return g + self._log_const
+        la, lb = self._la[row], self._lb[row]
+        for j in range(la.shape[-1]):
+            g -= np.log(la[..., j, None] + lb[..., j, None] * v)
+        return g + self._log_consts[row][..., None]
 
-    def _log_family(self, v: np.ndarray, count: int) -> np.ndarray:
-        """Log-integrands of family members 0..count-1 at the nodes v (groups
-        x nodes), shape (count, *v.shape), from one gamma pass: by Gamma(x +
-        1) = x Gamma(x) (DLMF 5.5.1) member k is member k-1 times (a + k - 1
-        + b*v)/(a + k)."""
-        g = self._log_integrand(v)
+    def _log_family(self, v: np.ndarray, count: int, row=0) -> np.ndarray:
+        """Log-integrands of family members 0..count-1 of the rows `row` at
+        the nodes v (groups x nodes), shape (count, *v.shape), from one gamma
+        pass: by Gamma(x + 1) = x Gamma(x) (DLMF 5.5.1) member k is member
+        k-1 times (a + k - 1 + b*v)/(a + k)."""
+        g = self._log_integrand(v, row)
         if count == 1:
             return g[None]
-        a, b = self.numer[-1]
-        j = (a + np.arange(count - 1))[:, None, None]
+        a, b = self._na[row, -1][..., None], self._nb[row, -1][..., None]
+        j = np.arange(count - 1)[:, None, None] + a
         steps = np.log((j + b * v) / (j + 1))
         return np.concatenate([g[None], g + np.cumsum(steps, axis=0)])
 
     def _member(self, k: int) -> "MellinBarnesIntegral":
         """Family member k on its own: the last numerator factor Gamma(a +
         b*v) raised to Gamma(a + k + b*v), the integrand divided by
-        Gamma(a + k + 1)/Gamma(a + 1)."""
+        Gamma(a + k + 1)/Gamma(a + 1); of a stack, the stack of its rows'."""
+        if self._parts is not None:
+            return self._stack([mb._member(k) for mb in self._parts],
+                               self._sizes)
         a, b = self.numer[-1]
         return MellinBarnesIntegral(
             self.numer[:-1] + ((a + k, b),), self.denom, self.linear,
@@ -542,6 +603,8 @@ class MellinBarnesIntegral:
         """Evaluate at several log-arguments: each group of arguments within
         4 of one another shares a contour and its nodes, and the groups of a
         call step through the trapezoid levels together (see _value_group).
+        The arguments of a stack's rows (see _stack) group row by row, and
+        each group is evaluated on its row's integrand.
 
         With count > 1, evaluate the family whose member k has the last
         numerator factor Gamma(a + b*v) raised to Gamma(a + k + b*v) and
@@ -554,11 +617,10 @@ class MellinBarnesIntegral:
         one member are evaluated together, each its own group.  A lone
         integrand's AccuracyError propagates.
         """
-        if self.decay <= 0:
+        if (self._decay <= 0).any():
             raise ParameterError("contour integral diverges: numerator slope "
                                  "mass does not dominate the denominator")
-        L, R = self.strip
-        if L >= R:
+        if (self._strip[:, 0] >= self._strip[:, 1]).any():
             raise DegenerateParameterError(
                 "numerator pole families interlace; no separating contour")
         lnz = np.atleast_1d(np.asarray(ln_arguments, dtype=float))
@@ -571,44 +633,49 @@ class MellinBarnesIntegral:
                 self._member(k).value_many(lnz, options, min(
                     _FAMILY_RUN, count - k)).reshape(-1, lnz.size)
                 for k in range(0, count, _FAMILY_RUN)])
-        order = np.argsort(lnz, kind="stable")
-        z = lnz[order]
-        first = [0]
+        sizes = self._sizes or (lnz.size,)
+        row = np.repeat(np.arange(len(sizes)), sizes)
+        order = np.lexsort((lnz, row))
+        z, zr = lnz[order], row[order]
+        zs, rs, first = z.tolist(), zr.tolist(), [0]
         for i in range(1, z.size):
-            if z[i] - z[first[-1]] > 4.0:
+            if rs[i] != rs[first[-1]] or zs[i] - zs[first[-1]] > 4.0:
                 first.append(i)
         bounds = np.array(first + [z.size])
         size = bounds[1:] - bounds[:-1]
         # every group's contour through the middle member's saddle at the
         # median argument, placed together
         mid = bounds[:-1] + (size - 1) // 2
+        row = zr[bounds[:-1]]
         c = self._saddle(0.5 * (z[mid] + z[mid + (size + 1) % 2]),
-                         (count - 1) // 2)
+                         (count - 1) // 2, row=row)
         vals, far = self._value_group(z, size, c,
-                                      self._truncation(c, count - 1),
-                                      options, count)
+                                      self._truncation(c, count - 1, row),
+                                      options, count, row)
         k, j = np.nonzero(far)
         if k.size:
-            c = self._saddle(z[j], k, own=True)
-            T = self._truncation(c, k)
+            row = zr[j]
+            c = self._saddle(z[j], k, own=True, row=row)
+            T = self._truncation(c, k, row)
             for m in np.unique(k):
                 pair = k == m
                 member = self._member(m) if count > 1 else self
                 vals[m, j[pair]] = member._value_group(
                     z[j[pair]], np.ones(np.count_nonzero(pair), dtype=int),
-                    c[pair], T[pair], options)[0][0]
+                    c[pair], T[pair], options, 1, row[pair])[0][0]
         out = np.empty_like(vals)
         out[:, order] = vals
         return out if count > 1 else out[0]
 
     def _value_group(self, lnz: np.ndarray, size: np.ndarray, c: np.ndarray,
-                     T: np.ndarray, options: EvalOptions, count: int = 1):
+                     T: np.ndarray, options: EvalOptions, count: int = 1,
+                     row=0):
         """Values of family members 0..count-1 at the log-arguments lnz,
         shape (count, lnz.size), where lnz holds the groups' arguments one
         group after another, size[i] of them on group i's line through c[i]
-        truncated at height T[i]; and the mask, of the same shape, of the
-        values their contour does not serve (see _values), which are to be
-        discarded.
+        truncated at height T[i] and on the integrand of row row[i]; and the
+        mask, of the same shape, of the values their contour does not serve
+        (see _values), which are to be discarded.
 
         The groups step through the trapezoid levels together: one gamma
         pass over the (groups x nodes) array of a level's nodes.  Each group
@@ -619,22 +686,25 @@ class MellinBarnesIntegral:
         lone integrand; for a family it puts all its pairs in the mask."""
         c, T = np.asarray(c, dtype=float), np.array(T, dtype=float)
         size = np.asarray(size)
-        x = self._na + self._nb * c[:, None]
-        xl = self._la + self._lb * c[:, None]
+        row = row + np.zeros(c.size, dtype=int)
+        na, nb, la, lb = self._na[row], self._nb[row], self._la[row], \
+            self._lb[row]
+        x = na + nb * c[:, None]
+        xl = la + lb * c[:, None]
         # a strip a few ulps wide leaves c on a pole or so near one that
         # a + b*c rounds by more than 1e-3 of itself; a subnormal one
         # overflows T/alpha
-        for off, b, arg in ((self._na, self._nb, x), (self._la, self._lb, xl)):
+        for off, b, arg in ((na, nb, x), (la, lb, xl)):
             if not np.all(arg > 2e-13 * (np.abs(off)
                                          + np.abs(b * c[:, None]))):
                 raise self._degenerate()
-        d = np.min(np.concatenate([x / np.abs(self._nb),
-                                   xl / np.abs(self._lb)], axis=1), axis=1)
+        d = np.min(np.concatenate([x / np.abs(nb), xl / np.abs(lb)], axis=1),
+                   axis=1)
         x[:, -1] += count - 1
         spike = self._spike(x, xl)
         n = 64
 
-        def first_level(c, d, T, spike):
+        def first_level(c, d, T, spike, row):
             # the trapezoid in s on [0, S], t = alpha*sinh(s): the poles
             # nearest the line, at t = +-i*d, map to Im s = +-pi/2 whatever
             # d, so they no longer set the error rate and a level needs
@@ -646,14 +716,14 @@ class MellinBarnesIntegral:
             s = np.arange(n + 1) * (S / n)[:, None]
             s[:, -1] = S
             t = alpha[:, None] * np.sinh(s)
-            g = self._log_family(c[:, None] + 1j * t, count)
+            g = self._log_family(c[:, None] + 1j * t, count, row)
             # the height's check on the level's last node: the top member
             # has dropped by 50 from the axis at c + iT (a NaN drop passes)
             with np.errstate(invalid="ignore"):
                 low = g[-1, :, -1].real - (g[-1, :, 0].real - spike) > -50.0
             return (alpha, S, s, t, g), low
 
-        (alpha, S, s, t, g), low = first_level(c, d, T, spike)
+        (alpha, S, s, t, g), low = first_level(c, d, T, spike, row)
         # a line that fails doubles T and redoes the level, up to 8 times
         redo = np.arange(c.size)
         for _ in range(8):
@@ -662,33 +732,35 @@ class MellinBarnesIntegral:
             redo = redo[low]
             T[redo] *= 2.0
             (alpha[redo], S[redo], s[redo], t[redo], g[:, redo]), low = (
-                first_level(c[redo], d[redo], T[redo], spike[redo]))
+                first_level(c[redo], d[redo], T[redo], spike[redo],
+                            row[redo]))
         # Jacobian alpha*cosh(s), halved at the two ends
         w = alpha[:, None] * np.cosh(s)
         w[:, 0] *= 0.5
         w[:, -1] *= 0.5
 
         def layout(size):
-            # the groups' first arguments, and the index that takes each
-            # group's row to its arguments: one group broadcasts instead
+            # the groups' first arguments, and each argument's group (the
+            # index that takes a group's row to its arguments): one group
+            # broadcasts instead
             return np.cumsum(size) - size, (
                 np.repeat(np.arange(size.size), size) if size.size > 1
                 else slice(None))
 
-        first, row = layout(size)
+        first, at = layout(size)
         # a lone (member, argument) pair's sum counts no mass: the contour
         # is already its own
         Sm = np.where(size * count > 1, S, 0.0)
         out = np.empty((count, lnz.size))
         far = np.empty((count, lnz.size), dtype=bool)
-        pos, Sa, cz = slice(None), S[row], c[row] * lnz
+        pos, Sa, cz = slice(None), S[at], c[at] * lnz
         scale = g.real.max(axis=-1)
-        sums, mass = self._assemble(t, g, w, lnz, row, scale)
+        sums, mass = self._assemble(t, g, w, lnz, at, scale)
         prev = change = None
         while True:
             vals, ratio, over = self._values(
-                sums * (Sa / n), (mass * (Sm / n))[:, row],
-                scale[:, row] - cz)
+                sums * (Sa / n), (mass * (Sm / n))[:, at],
+                scale[:, at] - cz)
             cancel = ratio > _MAX_CANCELLATION
             # the trapezoid converges geometrically on an analytic integrand
             # (Trefethen & Weideman 2014): the finer level's error is far
@@ -733,11 +805,11 @@ class MellinBarnesIntegral:
                                                       cancel[:, end])
                 arg = ~end
                 size = size[keep]
-                first, row = layout(size)
-                c, alpha, S, Sm, scale, mass = (
-                    c[keep], alpha[keep], S[keep], Sm[keep], scale[:, keep],
-                    mass[:, keep])
-                pos, lnz, Sa, cz = pos[arg], lnz[arg], S[row], cz[arg]
+                first, at = layout(size)
+                c, row, alpha, S, Sm, scale, mass = (
+                    c[keep], row[keep], alpha[keep], S[keep], Sm[keep],
+                    scale[:, keep], mass[:, keep])
+                pos, lnz, Sa, cz = pos[arg], lnz[arg], S[at], cz[arg]
                 sums, vals = sums[:, arg], vals[:, arg]
                 if change is not None:
                     change = change[:, arg]
@@ -745,14 +817,14 @@ class MellinBarnesIntegral:
             # the new level's midpoints: S_2n = S_n/2 + (S/2n) * their sum
             s = (np.arange(n // 2) + 0.5) * (S / (n // 2))[:, None]
             t = alpha[:, None] * np.sinh(s)
-            g = self._log_family(c[:, None] + 1j * t, count)
+            g = self._log_family(c[:, None] + 1j * t, count, row)
             top = g.real.max(axis=-1)
             if (top > scale).any():
                 rescale = np.exp(scale - np.maximum(scale, top))
                 scale = np.maximum(scale, top)
-                sums, mass = sums * rescale[:, row], mass * rescale
+                sums, mass = sums * rescale[:, at], mass * rescale
             new_sums, new_mass = self._assemble(
-                t, g, alpha[:, None] * np.cosh(s), lnz, row, scale)
+                t, g, alpha[:, None] * np.cosh(s), lnz, at, scale)
             sums, mass, prev = sums + new_sums, mass + new_mass, vals
 
     def _degenerate(self):

@@ -1,7 +1,9 @@
 """Config parsing, sweep mechanics, CSV stability, exit codes."""
 
+import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +253,93 @@ def test_failure_in_a_merged_call_stays_with_its_cell(preset, label, metrics,
             assert r.value == pytest.approx(single, rel=1e-13, abs=1e-14), r
 
 
+def test_failure_in_a_cross_curve_pass_stays_with_its_cell(tmp_path,
+                                                          monkeypatch):
+    """fig1's three curves share one FSO link, so main stacks their calls
+    in one pass.  value_many raises whenever one curve's first spsc1
+    ln-argument at one point is in the call: the stacked pass raises, its
+    calls run again one at a time, then that call's requests, and only that
+    row carries the flag; every row equals its curve's own run_sweep row."""
+    preset = figure_preset("fig1")
+    sweep = replace(preset.sweep, points=5)
+    (label, cfg), bad_point = preset.curves[1], 20.0
+
+    def ln_args(curve, v):
+        plan = cli._CLOSED["spsc1"](cli._with_axis(curve, sweep.axis, v))
+        return np.concatenate([ln_w for _, ln_w, _, _ in plan.requests])
+    # an argument of no other cell (the curves' unit terms coincide)
+    others = np.concatenate([
+        ln_args(curve, v) for name, curve in preset.curves
+        for v in np.linspace(sweep.start, sweep.stop, sweep.points)
+        if (name, v) != (label, bad_point)])
+    bad = next(x for x in ln_args(cfg, bad_point) if x not in others)
+    original = MellinBarnesIntegral.value_many
+    stacked_raised = []
+
+    def flaky(self, ln_arguments, *args, **kwargs):
+        if np.any(np.asarray(ln_arguments) == bad):
+            stacked_raised.append(self._parts is not None)
+            raise AccuracyError("synthetic", best_estimate=0.0,
+                                error_bound=1.0)
+        return original(self, ln_arguments, *args, **kwargs)
+    monkeypatch.setattr(MellinBarnesIntegral, "value_many", flaky)
+    out = tmp_path / "fig1.csv"
+    assert main(["--preset", "fig1", "--points", "5", "--out",
+                 str(out)]) == 3
+    assert stacked_raised[0]
+    lines = [cli.CSV_HEADER]
+    for name, curve in preset.curves:
+        lines.append(f"# curve: {name}")
+        rows, failed = run_sweep(curve, sweep)
+        assert failed == (name == label)
+        for r in rows:
+            flagged = (name, r.axis_value) == (label, bad_point)
+            assert r.error_flag == ("AccuracyError" if flagged else ""), r
+        lines.extend(r.to_csv() for r in rows)
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
+# the CLI's preset table, --evaluators closed,asymptotic --points 21, as the
+# previous engine printed it: "## <preset> exit <code>", then the CSV
+_PRESET_TABLE = Path(__file__).parent / "data" / "preset_table_21.txt"
+
+
+def _recorded_presets():
+    table, name = {}, None
+    for line in _PRESET_TABLE.read_text().splitlines():
+        if line.startswith("## "):
+            name, _, code = line[3:].split()
+            table[name] = (int(code), [])
+        else:
+            table[name][1].append(line)
+    return table
+
+
+@pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 11)])
+def test_preset_table_matches_the_record(name, tmp_path):
+    """Every preset at 21 points, closed form and asymptote, against the
+    recorded table: each value within 1e-11 relative plus one unit in its
+    12th printed digit (the benchmark fingerprint's rule), every other
+    field, the error flags among them, and the exit code exactly (fig6
+    exits 3 on its overflowing asymptotes)."""
+    code, recorded = _recorded_presets()[name]
+    out = tmp_path / f"{name}.csv"
+    assert main(["--preset", name, "--evaluators", "closed,asymptotic",
+                 "--points", "21", "--out", str(out)]) == code
+    lines = out.read_text().splitlines()
+    assert len(lines) == len(recorded)
+    for line, ref in zip(lines, recorded):
+        got, want = line.split(","), ref.split(",")
+        if ref == cli.CSV_HEADER or ref.startswith("#") or not want[4]:
+            assert line == ref
+            continue
+        assert got[:4] + got[5:] == want[:4] + want[5:], (line, ref)
+        value, value_ref = float(got[4]), float(want[4])
+        slack = 1e-11 * abs(value_ref) + (10.0 ** (
+            math.floor(math.log10(abs(value_ref))) - 11) if value_ref else 0)
+        assert abs(value - value_ref) <= slack, (line, ref)
+
+
 def test_overflowing_asymptote_flags_its_rows_and_exits_3(tmp_path):
     """sop1_asymptotic on wt HD at U_d = 0 dB and eps 30..100 overflows a
     residue: the asymptote rows carry AccuracyError and the closed rows
@@ -342,7 +431,7 @@ def test_cli_unwritable_out_exits_2_before_any_cell(tmp_path, capsys,
                                                     monkeypatch, where):
     out = tmp_path if where == "a directory" else tmp_path / "no" / "x.csv"
     # the output must be opened before any cell is evaluated
-    monkeypatch.setattr(cli, "run_sweep", None)
+    monkeypatch.setattr(cli, "_run_curves", None)
     assert main(["--preset", "fig2", "--points", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -364,7 +453,7 @@ def test_cli_unwritable_out_exits_2_before_any_cell(tmp_path, capsys,
 ])
 def test_cli_axis_outside_the_parameter_domain_exits_2(capsys, monkeypatch,
                                                         argv):
-    monkeypatch.setattr(cli, "run_sweep", None)
+    monkeypatch.setattr(cli, "_run_curves", None)
     assert main(argv + ["--points", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -264,10 +264,10 @@ def _reference_saddle(mb, x, member=0):
     min(2% of it, 0.02) at a finite pair of poles, else from 1e-3 past the
     pole to the first doubling of max(|pole| + 1, 1) past the root."""
     off = mb._na.copy()
-    off[-1] += member
+    off[:, -1] += member
 
     def h(c):
-        return float(mb._dlog(np.array([c]), off[None])[0][0]) - x
+        return float(mb._dlog(np.array([c]), off)[0][0]) - x
     L, R = mb.strip
     if np.isfinite(L) and np.isfinite(R):
         margin = 0.02 * min(R - L, 1.0)
@@ -347,7 +347,7 @@ def _trapezoid_levels(mb, ln_args, c, T, opts):
     third level on, when that change times its ratio to the change before
     (the geometric rate) is within a hundredth of it."""
     x = np.concatenate([(mb._na + mb._nb * c) / np.abs(mb._nb),
-                        (mb._la + mb._lb * c) / np.abs(mb._lb)])
+                        (mb._la + mb._lb * c) / np.abs(mb._lb)], axis=1)
     alpha = min(float(np.min(x)), T)
     S = np.arcsinh(T / alpha)
     levels, changes = [], []
@@ -381,11 +381,12 @@ def test_low_height_doubles_and_redoes_the_level(st_link, monkeypatch):
     ln_args = np.array([float(st_link.ln_cdf_argument(st_link.electrical_snr))])
     ref = mb.value_many(ln_args)
     low = mb._truncation
-    monkeypatch.setattr(mb, "_truncation", lambda c, k: low(c, k) / 20.0)
+    monkeypatch.setattr(mb, "_truncation",
+                        lambda c, k, row: low(c, k, row) / 20.0)
     nodes = []
     log_family = mb._log_family
-    monkeypatch.setattr(mb, "_log_family",
-                        lambda v, k: nodes.append(v.size) or log_family(v, k))
+    monkeypatch.setattr(mb, "_log_family", lambda v, k, row: nodes.append(
+        v.size) or log_family(v, k, row))
     np.testing.assert_allclose(mb.value_many(ln_args), ref, rtol=1e-12,
                                atol=0.0)
     assert nodes[:7] == [65] * 6 + [64]
@@ -396,8 +397,8 @@ def _group_nodes(mb, monkeypatch, ln_args, c, T, opts):
     the gamma-pass nodes it evaluated."""
     nodes = []
     log_integrand = mb._log_integrand
-    monkeypatch.setattr(mb, "_log_integrand",
-                        lambda v: nodes.append(v.size) or log_integrand(v))
+    monkeypatch.setattr(mb, "_log_integrand", lambda v, row: nodes.append(
+        v.size) or log_integrand(v, row))
     out, far = mb._value_group(ln_args, [ln_args.size], np.array([c]),
                                np.array([T]), opts)
     assert not far.any()
@@ -468,9 +469,9 @@ def test_lockstep_call_equals_one_call_per_group(preset, s, monkeypatch):
     passes = []
     value_group = MellinBarnesIntegral._value_group
 
-    def recorded(self, lnz, size, c, T, options, count=1):
+    def recorded(self, lnz, size, c, T, options, count=1, row=0):
         passes.append(len(size))
-        return value_group(self, lnz, size, c, T, options, count)
+        return value_group(self, lnz, size, c, T, options, count, row)
 
     monkeypatch.setattr(MellinBarnesIntegral, "_value_group", recorded)
     together = dgg_survival(link, g)
@@ -488,10 +489,10 @@ def _nodes_by_line(mb, monkeypatch):
     nodes = {}
     log_integrand = mb._log_integrand
 
-    def counted(v):
-        for row in np.atleast_2d(v):
-            nodes[row[0].real] = nodes.get(row[0].real, 0) + row.size
-        return log_integrand(v)
+    def counted(v, row):
+        for line in np.atleast_2d(v):
+            nodes[line[0].real] = nodes.get(line[0].real, 0) + line.size
+        return log_integrand(v, row)
 
     monkeypatch.setattr(mb, "_log_integrand", counted)
     return nodes
@@ -514,6 +515,66 @@ def test_lockstep_groups_keep_their_own_node_counts(monkeypatch):
     assert sorted(set(together.values())) == [129, 257, 513]
 
 
+def _stacked_cases():
+    """(label, integrands of one layout, each row's log-arguments, family
+    count, options): the integrands a preset's closed forms stack."""
+    from rfso_secrecy import figure_preset
+    from rfso_secrecy.secrecy import _crossing, _laplace
+    from rfso_secrecy.specfun import _spec_factors
+    fig5 = [cfg for _, cfg in figure_preset("fig5").curves]
+    yield ("fig5 crossings", [_crossing(cfg) for cfg in fig5],
+           [np.array([-30.0 + 7.0 * i, -2.0 + i, 1.5, 20.0 - 3.0 * i])
+            for i in range(len(fig5))], 1, specfun.TIGHT_OPTIONS)
+    # under a 128-node budget the wt s0 = 2 family does not converge at
+    # ln w = -12, and its pairs go to their own saddles
+    links = [cfg.fso_main for _, cfg in figure_preset("fig3").curves]
+    yield ("fig3 sop1 tails", [_laplace(link._cdf_mb, link.tau, 1)
+                               for link in links],
+           [np.array([-8.0, -1.0, 5.0]), np.array([-12.0, -3.0, 4.0])]
+           + [np.array([-12.0, -1.0, 3.5, 9.0])] * 4, 3,
+           replace(specfun.TIGHT_OPTIONS, max_quadrature_nodes=128))
+    for law in ("_cdf_mb", "_sf_mb"):
+        yield (f"wt and st {law}", [getattr(links[i], law) for i in (0, 4)],
+               [np.array([-20.0, -3.0, 0.0, 2.5, 14.0]),
+                np.array([-9.0, 1.0, 30.0])], 1, specfun.TIGHT_OPTIONS)
+    yield ("meijer_g with a denominator", [_spec_factors(MeijerGSpec(
+        2, 1, 2, 3, a, b, 1.0)) for a, b in (((0.3, 1.7), (0.1, 0.6, 0.9)),
+                                             ((0.5, 2.2), (0.2, 0.3, 1.4)))],
+           [np.array([-6.0, 0.0, 4.5]), np.array([-1.0, 3.0])], 1, TIGHT)
+    # a family longer than _FAMILY_RUN, as a mixture eta-mu link asks for
+    yield ("count 10 survival families", [_laplace(links[i]._sf_mb,
+                                                   links[i].tau, 1)
+                                          for i in (1, 3)],
+           [np.array([-40.0, -5.0, 0.0]), np.array([-3.0, 12.0])], 10,
+           specfun.TIGHT_OPTIONS)
+
+
+def test_stacked_pass_equals_separate_calls(monkeypatch):
+    """One stacked value_many pass over integrands of one layout gives each
+    row's values bit for bit as that integrand's own call does: the fig5
+    crossings, the fig3 sop1 tail families (some pairs on their own
+    saddles), two links' CDF and survival laws, meijer_g integrands with a
+    denominator, and families longer than _FAMILY_RUN."""
+    placed = []
+    saddle = MellinBarnesIntegral._saddle
+
+    def recorded(self, lnz, member, own=False, row=0):
+        placed.append(own)
+        return saddle(self, lnz, member, own, row)
+
+    monkeypatch.setattr(MellinBarnesIntegral, "_saddle", recorded)
+    for label, rows, ln_args, count, opts in _stacked_cases():
+        assert len({mb._layout() for mb in rows}) == 1, label
+        placed.clear()
+        stack = MellinBarnesIntegral._stack(rows, [a.size for a in ln_args])
+        got = stack.value_many(np.concatenate(ln_args), opts, count=count)
+        # pairs on their own saddles
+        assert any(placed) == label.startswith("fig3"), label
+        alone = np.concatenate([mb.value_many(a, opts, count=count)
+                                for mb, a in zip(rows, ln_args)], axis=-1)
+        assert np.array_equal(got, alone), label
+
+
 def test_low_height_doubles_only_its_own_line(st_link, monkeypatch):
     """Three lines placed together, the middle one's truncation height cut
     to a twentieth: only that line fails the check at c + iT, doubling five
@@ -524,12 +585,12 @@ def test_low_height_doubles_only_its_own_line(st_link, monkeypatch):
            + np.array([-12.0, 0.0, 12.0]))
     ref = mb.value_many(lnz)
     low = mb._truncation
-    monkeypatch.setattr(mb, "_truncation", lambda c, k: low(c, k) / np.where(
-        np.arange(np.size(c)) == 1, 20.0, 1.0))
+    monkeypatch.setattr(mb, "_truncation", lambda c, k, row: low(
+        c, k, row) / np.where(np.arange(np.size(c)) == 1, 20.0, 1.0))
     shapes = []
     log_family = mb._log_family
-    monkeypatch.setattr(mb, "_log_family", lambda v, k: shapes.append(
-        v.shape) or log_family(v, k))
+    monkeypatch.setattr(mb, "_log_family", lambda v, k, row: shapes.append(
+        v.shape) or log_family(v, k, row))
     got = mb.value_many(lnz)
     assert shapes[:7] == [(3, 65)] + [(1, 65)] * 5 + [(3, 64)]
     np.testing.assert_array_equal(got[[0, 2]], ref[[0, 2]])
@@ -664,8 +725,8 @@ def test_family_group_shares_one_gamma_pass(st_link, monkeypatch):
                for z in range(1, 6)]
     nodes = []
     log_integrand = mb._log_integrand
-    monkeypatch.setattr(mb, "_log_integrand",
-                        lambda v: nodes.append(v.size) or log_integrand(v))
+    monkeypatch.setattr(mb, "_log_integrand", lambda v, row: nodes.append(
+        v.size) or log_integrand(v, row))
     # no member may leave the shared contour
     monkeypatch.setattr(MellinBarnesIntegral, "_member", None)
     family = mb.value_many(ln_args, count=5)
@@ -814,8 +875,8 @@ def test_wt_survival_group_node_count(monkeypatch):
     mb = link._sf_mb
     nodes = []
     log_integrand = mb._log_integrand
-    monkeypatch.setattr(mb, "_log_integrand",
-                        lambda v: nodes.append(v.size) or log_integrand(v))
+    monkeypatch.setattr(mb, "_log_integrand", lambda v, row: nodes.append(
+        v.size) or log_integrand(v, row))
     out = mb.value(-16.16985022502494)
     assert sum(nodes) <= 513
     assert out == pytest.approx(146.539715467697320726020585032, rel=1e-12)
@@ -837,8 +898,8 @@ def test_spread_group_masks_cancelling_arguments(monkeypatch):
     assert ref[-1] < 1e-40 < 1e-3 < ref[0]
     nodes = []
     log_integrand = mb._log_integrand
-    monkeypatch.setattr(mb, "_log_integrand",
-                        lambda v: nodes.append(v.size) or log_integrand(v))
+    monkeypatch.setattr(mb, "_log_integrand", lambda v, row: nodes.append(
+        v.size) or log_integrand(v, row))
     got = mb.value_many(lnz)
     assert sum(nodes) < 4096
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
@@ -934,8 +995,8 @@ def test_family_group_accuracy_error_falls_back_to_member_saddles(
     passes = []
     value_group = MellinBarnesIntegral._value_group
 
-    def recorded(self, lnz, size, c, T, options, count=1):
-        out, far = value_group(self, lnz, size, c, T, options, count)
+    def recorded(self, lnz, size, c, T, options, count=1, row=0):
+        out, far = value_group(self, lnz, size, c, T, options, count, row)
         passes.append((count, c.size, "masked" if far.all() else "converged"))
         return out, far
 

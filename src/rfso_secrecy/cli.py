@@ -15,6 +15,7 @@ import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -264,20 +265,21 @@ def _check_axis_range(sweep: SweepSpec, curves):
             raise ConfigError(f"{sweep.axis} = {v:g} is outside its domain")
 
 
-# a closed cell's table entry builds its plan (secrecy._Plan); the plans of
-# all the curves are evaluated together (see _run_curves)
+# a closed or asymptote cell's entry builds its plan (secrecy._Plan; an SOP
+# asymptote's is its lower bound's), which _run_curves evaluates in batches
 _CLOSED = {"sop1": secrecy._sop1_plan, "sop2": secrecy._sop2_plan,
            "spsc1": secrecy._spsc1_plan, "spsc2": secrecy._spsc2_plan}
-_ASYM = {"sop1": secrecy.sop1_asymptotic, "sop2": secrecy.sop2_asymptotic}
+_ASYM = {"sop1": partial(secrecy._sop1_plan, label="sop1_asymptotic"),
+         "sop2": partial(secrecy._sop2_plan, label="sop2_asymptotic")}
 _QUAD = {"sop1": secrecy.sop1_exact_quadrature,
          "sop2": secrecy.sop2_exact_quadrature}
 # the MC evaluator estimates the same quantity the closed form computes:
 # lower-bound event for SOP metrics, the crossing event for SPSC
 _MC = {"sop1": montecarlo.estimate_sop1, "sop2": montecarlo.estimate_sop2,
        "spsc1": montecarlo.estimate_spsc1, "spsc2": montecarlo.estimate_spsc2}
-# metric -> function per evaluator; every table is a module-level dict,
-# because perfbench's tracer patches functions in a module's dicts one level
-# deep
+# metric -> plan builder or public function per evaluator; the functions
+# sit in module-level dicts because perfbench's tracer patches functions in
+# a module's dicts one level deep
 _EVALUATORS = {"closed": _CLOSED, "asymptotic": _ASYM,
                "exact_quadrature": _QUAD, "mc": _MC}
 
@@ -288,10 +290,10 @@ def _cell_supported(metric: str, evaluator: str) -> bool:
 
 def _evaluate_cell(cfg, metric: str, evaluator: str, sweep: SweepSpec,
                    cell_index: int):
-    """(value, std_error, n_samples) of a cell that is not closed-form;
+    """(value, std_error, n_samples) of a quadrature or MC cell;
     deterministic per (sweep.seed, index)."""
     fn = _EVALUATORS[evaluator][metric]
-    if evaluator != "mc":
+    if evaluator == "exact_quadrature":
         return fn(cfg), None, None
     est = fn(cfg, sweep.mc_samples,
              RngStream(sweep.seed, stream_id=cell_index))
@@ -305,10 +307,11 @@ def _run_curves(cfgs, sweep: SweepSpec, jobs: int = 1) -> list:
     The closed-form cells of all the curves are one batch per curve in one
     secrecy._evaluate call: a curve's plans share each contour integral's
     evaluation, and the curves share stacked passes, with every value the
-    one its curve gives alone.  The other cells run one at a time, in a pool
-    of `jobs` threads when jobs > 1.  Rows come out in deterministic (axis
-    point, metric, evaluator) order regardless of evaluation order; failed
-    cells carry an error flag instead of aborting the sweep.
+    one its curve gives alone.  The asymptote cells are one more such call,
+    served by residues.  The quadrature and MC cells run one at a time, in
+    a pool of `jobs` threads when jobs > 1.  Rows come out in deterministic
+    (axis point, metric, evaluator) order regardless of evaluation order;
+    failed cells carry an error flag instead of aborting the sweep.
     """
     values = np.linspace(sweep.start, sweep.stop, sweep.points)
     cells = []
@@ -336,21 +339,24 @@ def _run_curves(cfgs, sweep: SweepSpec, jobs: int = 1) -> list:
         except RfsoError as exc:
             return row(cell, exc)
 
-    rows, batches = {}, [{} for _ in cfgs]
-    for cell in cells:
-        n, _, v, metric, evaluator = cell
-        if evaluator == "closed":
-            try:
-                batches[n][cell] = _CLOSED[metric](_with_axis(
-                    cfgs[n], sweep.axis, v))
-            except RfsoError as exc:
-                rows[cell] = row(cell, exc)
-    results = secrecy._evaluate([list(batch.values()) for batch in batches])
-    for batch, batch_results in zip(batches, results):
-        for cell, result in zip(batch, batch_results):
-            rows[cell] = row(cell, result if isinstance(result, RfsoError)
-                             else (result, None, None))
-    rest = [cell for cell in cells if cell[4] != "closed"]
+    rows = {}
+    for plans in ("closed", "asymptotic"):
+        batches = [{} for _ in cfgs]
+        for cell in cells:
+            n, _, v, metric, evaluator = cell
+            if evaluator == plans:
+                try:
+                    batches[n][cell] = _EVALUATORS[plans][metric](_with_axis(
+                        cfgs[n], sweep.axis, v))
+                except RfsoError as exc:
+                    rows[cell] = row(cell, exc)
+        results = secrecy._evaluate(
+            [list(batch.values()) for batch in batches], plans != "closed")
+        for batch, batch_results in zip(batches, results):
+            for cell, result in zip(batch, batch_results):
+                rows[cell] = row(cell, result if isinstance(result, RfsoError)
+                                 else (result, None, None))
+    rest = [cell for cell in cells if cell not in rows]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows.update(zip(rest, pool.map(work, rest)))

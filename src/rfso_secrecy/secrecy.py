@@ -17,7 +17,8 @@ Each closed form at one point is a plan: the contour integrals it needs and
 a finish step that turns their values into the metric.  _evaluate runs any
 number of plans with one value_many call per distinct integrand, so a
 curve's points share contour placement and, where their ln-arguments lie
-close, nodes; the public closed forms are _evaluate on one plan.
+close, nodes; the public closed forms are _evaluate on one plan.  An SOP
+asymptote is its lower bound's plan, its integrals served by residues.
 """
 
 from __future__ import annotations
@@ -262,9 +263,10 @@ class _Plan:
     finish: Callable
 
 
-def _evaluate(batches) -> list:
+def _evaluate(batches, residues: bool = False) -> list:
     """The metric of each plan of each batch (a list of plans), in order, or
-    the RfsoError that stopped it.
+    the RfsoError that stopped it.  With residues, every integral is its
+    _leading_residues, not its contour value: the plans' asymptotes.
 
     Within a batch, the requests that share an integrand (factor lists and
     log_const), family count and options are one call over all their
@@ -290,24 +292,34 @@ def _evaluate(batches) -> list:
                        options)
                 merged.setdefault(key, []).append((b, i, j))
     passes = {}
-    for slots in merged.values():
+    for n, slots in enumerate(merged.values()):
         mb, _, count, options = request(slots[0])
-        passes.setdefault((mb._layout(), count, options), []).append(slots)
+        passes.setdefault(n if residues else (mb._layout(), count, options),
+                          []).append(slots)
     values = [[[None] * len(plan.requests) for plan in batch]
               for batch in batches]
     failed = {}
 
     def run(calls):
-        """One stacked pass over the calls, each the slots (batch, plan,
-        request) of one integrand."""
+        """One pass over the calls, each the slots (batch, plan, request) of
+        one integrand: a stacked value_many, or the lone call's residues
+        for each family member (member 0 is the integrand)."""
         slots = [slot for call in calls for slot in call]
-        _, _, count, options = request(slots[0])
+        mb, _, count, options = request(slots[0])
         ln_w = [request(slot)[1] for slot in slots]
-        stack = MellinBarnesIntegral._stack(
-            [request(call[0])[0] for call in calls],
-            [sum(request(slot)[1].size for slot in call) for call in calls])
+        lnz = np.concatenate(ln_w)
         try:
-            out = stack.value_many(np.concatenate(ln_w), options, count=count)
+            if residues:
+                out = np.array([_leading_residues(
+                    mb._member(k) if k else mb, lnz,
+                    options.pole_separation_tol) for k in range(count)])
+                out = out if count > 1 else out[0]
+            else:
+                stack = MellinBarnesIntegral._stack(
+                    [request(call[0])[0] for call in calls],
+                    [sum(request(slot)[1].size for slot in call)
+                     for call in calls])
+                out = stack.value_many(lnz, options, count=count)
         except RfsoError as exc:
             if len(calls) > 1:
                 for call in calls:
@@ -323,9 +335,6 @@ def _evaluate(batches) -> list:
         for (b, i, j), v in zip(slots, np.split(out, ends, axis=-1)):
             values[b][i][j] = v
 
-    for calls in passes.values():
-        run(calls)
-
     def finish(b, i):
         if (b, i) in failed:
             return failed[b, i]
@@ -333,13 +342,19 @@ def _evaluate(batches) -> list:
             return batches[b][i].finish(values[b][i])
         except RfsoError as exc:
             return exc
-    return [[finish(b, i) for i in range(len(batch))]
-            for b, batch in enumerate(batches)]
+
+    # a residue beyond double range is inf, and its plan's sum raises
+    with np.errstate(**(dict(over="ignore", invalid="ignore") if residues
+                        else {})):
+        for calls in passes.values():
+            run(calls)
+        return [[finish(b, i) for i in range(len(batch))]
+                for b, batch in enumerate(batches)]
 
 
-def _evaluate_one(plan: _Plan) -> float:
+def _evaluate_one(plan: _Plan, residues: bool = False) -> float:
     """The metric of one plan; raises the RfsoError that stopped it."""
-    (result,), = _evaluate([[plan]])
+    (result,), = _evaluate([[plan]], residues)
     if isinstance(result, RfsoError):
         raise result
     return result
@@ -443,17 +458,18 @@ def _distinct(values, tol: float) -> np.ndarray:
 
 
 def _leading_residues(mb: MellinBarnesIntegral, ln_w, tol):
-    """Sum of the residues of mb at the leading poles of a DGG kernel K(s*v)
-    or K(-s*v), whose factors lead mb's lists: the pole of its pointing
-    factor 1/(a + b*v), the first linear one, and the |b| = s*lambda poles
-    -(a + k)/b, k < |b|, of each of its two gamma factors Gamma(a + b*v),
-    the first two numerator ones (one per ladder entry of the paper's
-    G-form); every distinct pole once (poles of two factors that meet make
-    a double pole)."""
+    """The integral of mb from the residues at the leading poles of a DGG
+    kernel K(s*v) or K(-s*v), whose factors lead mb's lists: the pole of
+    its pointing factor 1/(a + b*v), the first linear one, and the |b| =
+    s*lambda poles -(a + k)/b, k < |b|, of each of its two gamma factors
+    Gamma(a + b*v), the first two numerator ones (one per ladder entry of
+    the paper's G-form); every distinct pole once (poles of two factors
+    that meet make a double pole): left poles for b > 0, whose residues
+    add, right ones for b < 0, whose residues subtract."""
     a, b = mb.linear[0]
-    poles = np.concatenate([[-a / b]] + [-(q + np.arange(abs(p))) / p
-                                         for q, p in mb.numer[:2]])
-    return mb.residue(_distinct(poles, tol), ln_w, tol).sum(axis=0)
+    poles = _distinct(np.concatenate([[-a / b]] + [
+        -(q + np.arange(abs(p))) / p for q, p in mb.numer[:2]]), tol)
+    return np.sign(b) * mb.residue(poles, ln_w, tol).sum(axis=0)
 
 
 def sop1_lower(cfg: Scenario1Config,
@@ -468,18 +484,12 @@ def sop1_asymptotic(cfg: Scenario1Config,
     block replaced by its leading residues (the factors of the law's K(s*v)
     lead).
 
-    The residue at the smallest lower parameter dominates, so the distance
-    to the outage floor falls off like U_d^(-tau*min(j4)).  A residue beyond
-    double range is inf, and the sum raises AccuracyError.
+    The residue at a leading pole v0 < 0 goes like U_d^(tau*v0) (times
+    powers of ln U_d at a multiple pole), so the distance to the outage
+    floor falls off like U_d^(tau*v0) at the pole nearest 0.  A residue
+    beyond double range is inf, and the sum raises AccuracyError.
     """
-    fso = cfg.fso_main
-    plan = _sop1_plan(cfg, options, "sop1_asymptotic")
-    tol = options.pole_separation_tol
-    with np.errstate(over="ignore", invalid="ignore"):
-        return plan.finish([
-            [_leading_residues(_laplace(fso._cdf_mb, fso.tau, z1), ln_w, tol)
-             for z1 in range(1, count + 1)]
-            for _, ln_w, count, _ in plan.requests])
+    return _evaluate_one(_sop1_plan(cfg, options, "sop1_asymptotic"), True)
 
 
 def sop1_exact_quadrature(cfg: Scenario1Config, abs_tol: float = 1e-7) -> float:
@@ -562,33 +572,22 @@ def _crossing(cfg: Scenario2Config) -> MellinBarnesIntegral:
         + list(eve._sf_mb.linear))
 
 
-def _crossing_ln_z(cfg: Scenario2Config, phi: float) -> float:
-    return (cfg.fso_eve.ln_cdf_argument(1.0)
-            - cfg.fso_main.ln_cdf_argument(phi))
-
-
-def _crossing_scale(cfg: Scenario2Config) -> float:
-    """The normalisers that turn the crossing integral into Pr(main FSO SNR
-    <= phi * eavesdropper FSO SNR)."""
-    main, eve = cfg.fso_main, cfg.fso_eve
-    return exp(main.ln_norm + eve.ln_norm) / (main.tau * eve.tau)
-
-
 def _crossing_plan(cfg: Scenario2Config, phi: float, options: EvalOptions,
                    metric) -> _Plan:
     """A metric of the crossing probability Pr(main FSO SNR <= phi *
     eavesdropper FSO SNR), one G-value: metric(probability)."""
-    scale = _crossing_scale(cfg)
-    return _Plan([(_crossing(cfg), np.array([_crossing_ln_z(cfg, phi)]), 1,
-                   options)],
+    main, eve = cfg.fso_main, cfg.fso_eve
+    scale = exp(main.ln_norm + eve.ln_norm) / (main.tau * eve.tau)
+    ln_z = eve.ln_cdf_argument(1.0) - main.ln_cdf_argument(phi)
+    return _Plan([(_crossing(cfg), np.array([ln_z]), 1, options)],
                  lambda values: metric(scale * float(values[0][0])))
 
 
-def _sop2_plan(cfg: Scenario2Config,
-               options: EvalOptions = TIGHT_OPTIONS) -> _Plan:
+def _sop2_plan(cfg: Scenario2Config, options: EvalOptions = TIGHT_OPTIONS,
+               label: str = "sop2_lower") -> _Plan:
     rf_ok = float(cfg.rf_main.survival(cfg.phi2 - 1.0))
     return _crossing_plan(cfg, cfg.phi2, options, lambda crossing: _clamp_unit(
-        1.0 - rf_ok * (1.0 - crossing), "sop2_lower"))
+        1.0 - rf_ok * (1.0 - crossing), label))
 
 
 def sop2_lower(cfg: Scenario2Config,
@@ -599,15 +598,10 @@ def sop2_lower(cfg: Scenario2Config,
 
 def sop2_asymptotic(cfg: Scenario2Config,
                     options: EvalOptions = TIGHT_OPTIONS) -> float:
-    """High-U_d asymptote: large-argument expansion of the crossing
-    G-function over the leading poles of the main link's factors (right
-    poles, so the integral is minus their residue sum)."""
-    phi2 = cfg.phi2
-    S = -float(_leading_residues(_crossing(cfg), _crossing_ln_z(cfg, phi2),
-                                 options.pole_separation_tol)[0])
-    crossing = _crossing_scale(cfg) * S
-    rf_ok = float(cfg.rf_main.survival(phi2 - 1.0))
-    return _clamp_unit(1.0 - rf_ok * (1.0 - crossing), "sop2_asymptotic")
+    """High-U_d asymptote: the lower bound with the crossing G-function's
+    large-argument expansion over the leading poles of the main link's
+    factors (right poles, so the integral is minus their residue sum)."""
+    return _evaluate_one(_sop2_plan(cfg, options, "sop2_asymptotic"), True)
 
 
 def sop2_exact_quadrature(cfg: Scenario2Config, abs_tol: float = 1e-7) -> float:

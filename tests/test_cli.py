@@ -192,26 +192,46 @@ def test_failed_cells_flag_and_exit_code(config_file, tmp_path, monkeypatch):
 # each closed form evaluated on one point alone
 _SINGLE = {"sop1": secrecy.sop1_lower, "sop2": secrecy.sop2_lower,
            "spsc1": secrecy.spsc1, "spsc2": secrecy.spsc2}
+# and each asymptote
+_SINGLE_ASYMPTOTE = {"sop1": secrecy.sop1_asymptotic,
+                     "sop2": secrecy.sop2_asymptotic}
 
 
-@pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 11)])
-def test_batched_closed_cells_equal_single_cell_values(name):
+@pytest.mark.parametrize("name, evaluator", [
+    *(pytest.param(f"fig{i}", "closed", id=f"fig{i}") for i in range(1, 11)),
+    *(pytest.param(f"fig{i}", "asymptotic", id=f"fig{i}-asymptotic")
+      for i in (3, 5, 6, 7, 9, 10))])
+@pytest.mark.filterwarnings("ignore::rfso_secrecy.errors.ClampExcessWarning")
+def test_batched_closed_cells_equal_single_cell_values(name, evaluator):
     """A curve's closed cells are one batch, whose merged contour calls
     group ln-arguments of neighbouring points together: each row stays
     within 1e-13 relative of the public function on the same point (or
     1e-14 absolute: spsc1 at phi_sr = 0 dB on fig1 is a sum of terms near
     1 that cancel to 0.0126, so a 1e-14 relative change of its blocks moves
-    it by 2.8e-13 relative)."""
+    it by 2.8e-13 relative).  So does a curve's batch of asymptote cells,
+    whose merged residue calls sum each argument's poles in another order
+    than a lone call; a row is flagged exactly where the public asymptote
+    raises, with its error class (fig6's wt curve at U_d = 0 dB)."""
     preset = figure_preset(name)
-    sweep = replace(preset.sweep, points=5, evaluators=("closed",))
+    sweep = replace(preset.sweep, points=5, evaluators=(evaluator,))
+    single_of = _SINGLE if evaluator == "closed" else _SINGLE_ASYMPTOTE
+    flagged = []
     for label, cfg in preset.curves:
         rows, failed = run_sweep(cfg, sweep)
-        assert not failed and len(rows) == 5 * len(sweep.metrics)
+        assert len(rows) == 5 * len(set(sweep.metrics) & set(single_of))
         for r in rows:
-            single = _SINGLE[r.metric](cli._with_axis(cfg, sweep.axis,
-                                                      r.axis_value))
+            point = cli._with_axis(cfg, sweep.axis, r.axis_value)
+            try:
+                single = single_of[r.metric](point)
+            except RfsoError as exc:
+                assert (r.error_flag, r.value) == (type(exc).__name__, None)
+                flagged.append(r)
+                continue
+            assert r.error_flag == ""
             assert r.value == pytest.approx(single, rel=1e-13, abs=1e-14), (
                 label, r)
+        assert failed == any(r.error_flag for r in rows)
+    assert bool(flagged) == ((name, evaluator) == ("fig6", "asymptotic"))
 
 
 @pytest.mark.parametrize("preset, label, metrics", [
@@ -361,6 +381,50 @@ def test_overflowing_asymptote_flags_its_rows_and_exits_3(tmp_path):
             assert r[-1] == "" and 0.0 <= float(r[4]) <= 1.0, r
         else:
             assert r[-1] == "AccuracyError" and r[4] == "", r
+
+
+@pytest.mark.filterwarnings("ignore::rfso_secrecy.errors.ClampExcessWarning")
+def test_overflow_in_a_merged_residue_call_stays_with_its_cell(
+        tmp_path, monkeypatch):
+    """The config of the test above along U_d: the three points' sop1
+    asymptotes make one residue call per family count, the calls one point
+    alone makes, and the 0 dB point's residue overflows in it.  Only the
+    0 dB asymptote row carries AccuracyError; the 10 and 20 dB rows equal
+    their public values, and the run exits 3."""
+    p = tmp_path / "overflow.cfg"
+    p.write_text(
+        "[scenario]\nscenario = 1\neta0 = 50\nmu0 = 3\nphi_sr_db = 10\n"
+        "eta_e = 50\nmu_e = 3\nphi_se_db = 0\nturbulence = wt\neps = 30\n"
+        "s0 = 1\nUd_db = 0\ntarget_rate = 0.5\n"
+        "[sweep]\naxis = Ud_db\nstart = 0\nstop = 20\npoints = 3\n"
+        "metrics = sop1\nevaluators = closed,asymptotic\n")
+    cfg, _ = load_config(str(p))
+    calls = []
+    original = MellinBarnesIntegral.residue
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(MellinBarnesIntegral, "residue", counted)
+    with pytest.raises(AccuracyError):
+        secrecy.sop1_asymptotic(cfg)
+    alone = len(calls)
+    out = tmp_path / "rows.csv"
+    assert main(["--config", str(p), "--out", str(out)]) == 3
+    assert len(calls) == 2 * alone
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[1], r[3]) for r in rows] == [
+        (v, e) for v in ("0", "10", "20") for e in ("closed", "asymptotic")]
+    for r in rows:
+        if r[3] == "closed":
+            assert r[-1] == "" and 0.0 <= float(r[4]) <= 1.0, r
+        elif r[1] == "0":
+            assert r[-1] == "AccuracyError" and r[4] == "", r
+        else:
+            single = secrecy.sop1_asymptotic(cli._with_axis(
+                cfg, "Ud_db", float(r[1])))
+            assert r[-1] == "" and float(r[4]) == pytest.approx(
+                single, rel=1e-11), r
 
 
 def test_cli_byte_stability(config_file, tmp_path):

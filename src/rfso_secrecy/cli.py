@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import montecarlo, secrecy
-from .channels import (EPS_MAX, EPS_MIN, DggLink, EtaMuLink, RngStream,
-                       TURBULENCE_PRESETS)
+from .channels import DggLink, EtaMuLink, RngStream, TURBULENCE_PRESETS
 from .errors import ConfigError, ParameterError, RfsoError
 from .presets import AXES, EVALUATORS, METRICS, SweepSpec, _db, figure_preset
 from .secrecy import Scenario1Config, Scenario2Config
@@ -245,28 +244,20 @@ def _with_axis(cfg, axis: str, value: float):
 
 
 def _check_axis_range(sweep: SweepSpec, curves):
-    """ConfigError unless both ends of the sweep lie in the domain of the
-    parameter its axis sets, without building a link: an SNR (from dB)
-    positive and finite, eps in [EPS_MIN, EPS_MAX), target_rate as
-    every curve's config accepts it (2^rate or 4^rate finite).  Each domain
-    is an interval, so every point between the ends is valid too."""
+    """ConfigError unless every curve's config accepts both ends of the
+    sweep (_with_axis).  Each parameter's domain is an interval, so every
+    point between the ends is valid too."""
     for v in (sweep.start, sweep.stop):
-        if sweep.axis == "target_rate":
-            try:
-                for _, cfg in curves:
-                    replace(cfg, target_rate=float(v))
-            except ParameterError as exc:
-                raise ConfigError(f"target_rate = {v:g} is outside its "
-                                  f"domain: {exc}") from None
-            continue
-        x = _db(v) if sweep.axis.endswith("_db") else v
-        if not ((EPS_MIN <= x < EPS_MAX) if sweep.axis == "eps"
-                else 0 < x < np.inf):
-            raise ConfigError(f"{sweep.axis} = {v:g} is outside its domain")
+        try:
+            for _, cfg in curves:
+                _with_axis(cfg, sweep.axis, v)
+        except ParameterError as exc:
+            raise ConfigError(f"{sweep.axis} = {v:g} is outside its "
+                              f"domain: {exc}") from None
 
 
 # a closed or asymptote cell's entry builds its plan (secrecy._Plan; an SOP
-# asymptote's is its lower bound's), which _run_curves evaluates in batches
+# asymptote's is its lower bound's), which _run_curves hands to the driver
 _CLOSED = {"sop1": secrecy._sop1_plan, "sop2": secrecy._sop2_plan,
            "spsc1": secrecy._spsc1_plan, "spsc2": secrecy._spsc2_plan}
 _ASYM = {"sop1": partial(secrecy._sop1_plan, label="sop1_asymptotic"),
@@ -277,9 +268,10 @@ _QUAD = {"sop1": secrecy.sop1_exact_quadrature,
 # lower-bound event for SOP metrics, the crossing event for SPSC
 _MC = {"sop1": montecarlo.estimate_sop1, "sop2": montecarlo.estimate_sop2,
        "spsc1": montecarlo.estimate_spsc1, "spsc2": montecarlo.estimate_spsc2}
-# metric -> plan builder or public function per evaluator; the functions
-# sit in module-level dicts because perfbench's tracer patches functions in
-# a module's dicts one level deep
+# metric -> plan builder (a point's config to its plan, which is data) or
+# public function per evaluator; the functions sit in module-level dicts
+# because perfbench's tracer patches functions in a module's dicts one
+# level deep
 _EVALUATORS = {"closed": _CLOSED, "asymptotic": _ASYM,
                "exact_quadrature": _QUAD, "mc": _MC}
 
@@ -304,14 +296,15 @@ def _run_curves(cfgs, sweep: SweepSpec, jobs: int = 1) -> list:
     """Evaluate the sweep grid on each curve config; returns each curve's
     rows.
 
-    The closed-form cells of all the curves are one batch per curve in one
-    secrecy._evaluate call: a curve's plans share each contour integral's
-    evaluation, and the curves share stacked passes, with every value the
-    one its curve gives alone.  The asymptote cells are one more such call,
-    served by residues.  The quadrature and MC cells run one at a time, in
-    a pool of `jobs` threads when jobs > 1.  Rows come out in deterministic
-    (axis point, metric, evaluator) order regardless of evaluation order;
-    failed cells carry an error flag instead of aborting the sweep.
+    The closed-form cells of all the curves are one flat list of (curve,
+    plan) in one secrecy._evaluate call: a curve's plans share each contour
+    integral's evaluation, and the curves share integrands and stacked
+    passes, with every value the one its curve gives alone.  The asymptote
+    cells are one more such call, served by residues.  The quadrature and
+    MC cells run one at a time, in a pool of `jobs` threads when jobs > 1.
+    Rows come out in deterministic (axis point, metric, evaluator) order
+    regardless of evaluation order; failed cells carry an error flag
+    instead of aborting the sweep.
     """
     values = np.linspace(sweep.start, sweep.stop, sweep.points)
     cells = []
@@ -340,22 +333,21 @@ def _run_curves(cfgs, sweep: SweepSpec, jobs: int = 1) -> list:
             return row(cell, exc)
 
     rows = {}
-    for plans in ("closed", "asymptotic"):
-        batches = [{} for _ in cfgs]
+    for kind in ("closed", "asymptotic"):
+        plans = {}
         for cell in cells:
             n, _, v, metric, evaluator = cell
-            if evaluator == plans:
+            if evaluator == kind:
                 try:
-                    batches[n][cell] = _EVALUATORS[plans][metric](_with_axis(
+                    plans[cell] = n, _EVALUATORS[kind][metric](_with_axis(
                         cfgs[n], sweep.axis, v))
                 except RfsoError as exc:
                     rows[cell] = row(cell, exc)
-        results = secrecy._evaluate(
-            [list(batch.values()) for batch in batches], plans != "closed")
-        for batch, batch_results in zip(batches, results):
-            for cell, result in zip(batch, batch_results):
-                rows[cell] = row(cell, result if isinstance(result, RfsoError)
-                                 else (result, None, None))
+        results = secrecy._evaluate(list(plans.values()),
+                                    residues=kind != "closed")
+        for cell, result in zip(plans, results):
+            rows[cell] = row(cell, result if isinstance(result, RfsoError)
+                             else (result, None, None))
     rest = [cell for cell in cells if cell not in rows]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

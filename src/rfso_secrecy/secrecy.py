@@ -13,9 +13,10 @@ reduces exactly to the plain-G expression for the Gamma-Gamma special cases,
 where tau = 1.)  Each metric has an independent quadrature oracle in this
 module and a Monte Carlo oracle in :mod:`rfso_secrecy.montecarlo`.
 
-Each closed form at one point is a plan: the contour integrals it needs and
-a finish step that turns their values into the metric.  _evaluate runs any
-number of plans with one value_many call per distinct integrand, so a
+Each closed form at one point is a plan: its contour integrals as data
+(factor lists and ln-arguments) and a finish step that turns their values
+into the metric.  _evaluate, the one place that builds integrands, runs a
+flat list of plans with one value_many call per integrand and curve, so a
 curve's points share contour placement and, where their ln-arguments lie
 close, nodes; the public closed forms are _evaluate on one plan.  An SOP
 asymptote is its lower bound's plan, its integrals served by residues.
@@ -255,68 +256,68 @@ def _integrate(f, abs_tol: float) -> float:
 @dataclass(frozen=True)
 class _Plan:
     """A closed form at one point.  Each request is a contour integral it
-    needs, (integrand, ln-arguments, family count, options) as
-    MellinBarnesIntegral.value_many takes them; finish turns their values,
-    in request order, into the metric."""
+    needs, (factors, ln-arguments, family count), factors the float tuples
+    (numer, denom, linear, log_const) MellinBarnesIntegral takes; finish
+    turns their values, in request order, into the metric."""
 
     requests: list
     finish: Callable
 
 
-def _evaluate(batches, residues: bool = False) -> list:
-    """The metric of each plan of each batch (a list of plans), in order, or
-    the RfsoError that stopped it.  With residues, every integral is its
+def _evaluate(plans, options: EvalOptions = TIGHT_OPTIONS,
+              residues: bool = False) -> list:
+    """The metric of each (curve, plan) of plans, in order, or the RfsoError
+    that stopped it.  With residues, every integral is its
     _leading_residues, not its contour value: the plans' asymptotes.
 
-    Within a batch, the requests that share an integrand (factor lists and
-    log_const), family count and options are one call over all their
-    ln-arguments, and each request takes its slice of the values.  The calls
-    of every batch whose integrands share a layout
-    (MellinBarnesIntegral._layout), family count and options are one stacked
+    The requests of one curve (any key) that share factors and family count
+    are one call over all their ln-arguments, and each request takes its
+    slice of the values; each distinct factor list is built once, as one
+    MellinBarnesIntegral.  The calls whose integrands share a layout
+    (MellinBarnesIntegral._layout) and family count are one stacked
     value_many pass, each call a row of its own (MellinBarnesIntegral._stack):
     arguments of different calls never share a contour group, so each value
-    is the one its call gives alone, and batches are evaluated together as
+    is the one its call gives alone, and curves are evaluated together as
     they would be apart.
     When a pass raises, its calls are evaluated again one at a time, and
     when a call raises, its requests one at a time, so the failure stays with
     the plans whose own request raises."""
     def request(slot):
-        b, i, j = slot
-        return batches[b][i].requests[j]
+        i, j = slot
+        return plans[i][1].requests[j]
 
     merged = {}
-    for b, batch in enumerate(batches):
-        for i, plan in enumerate(batch):
-            for j, (mb, _, count, options) in enumerate(plan.requests):
-                key = (b, mb.numer, mb.denom, mb.linear, mb._log_const, count,
-                       options)
-                merged.setdefault(key, []).append((b, i, j))
+    for i, (curve, plan) in enumerate(plans):
+        for j, (factors, _, count) in enumerate(plan.requests):
+            merged.setdefault((curve, factors, count), []).append((i, j))
+    integrands = {factors: MellinBarnesIntegral(*factors)
+                  for factors in {key[1] for key in merged}}
     passes = {}
-    for n, slots in enumerate(merged.values()):
-        mb, _, count, options = request(slots[0])
-        passes.setdefault(n if residues else (mb._layout(), count, options),
+    for n, ((_, factors, count), slots) in enumerate(merged.items()):
+        passes.setdefault(n if residues
+                          else (integrands[factors]._layout(), count),
                           []).append(slots)
-    values = [[[None] * len(plan.requests) for plan in batch]
-              for batch in batches]
+    values = [[None] * len(plan.requests) for _, plan in plans]
     failed = {}
 
     def run(calls):
-        """One pass over the calls, each the slots (batch, plan, request) of
-        one integrand: a stacked value_many, or the lone call's residues
-        for each family member (member 0 is the integrand)."""
+        """One pass over the calls, each the slots (plan, request) of one
+        integrand: a stacked value_many, or the lone call's residues for
+        each family member (member 0 is the integrand)."""
         slots = [slot for call in calls for slot in call]
-        mb, _, count, options = request(slots[0])
+        factors, _, count = request(slots[0])
         ln_w = [request(slot)[1] for slot in slots]
         lnz = np.concatenate(ln_w)
         try:
             if residues:
+                mb = integrands[factors]
                 out = np.array([_leading_residues(
                     mb._member(k) if k else mb, lnz,
                     options.pole_separation_tol) for k in range(count)])
                 out = out if count > 1 else out[0]
             else:
                 stack = MellinBarnesIntegral._stack(
-                    [request(call[0])[0] for call in calls],
+                    [integrands[request(call[0])[0]] for call in calls],
                     [sum(request(slot)[1].size for slot in call)
                      for call in calls])
                 out = stack.value_many(lnz, options, count=count)
@@ -326,20 +327,20 @@ def _evaluate(batches, residues: bool = False) -> list:
                     run([call])
             elif len(slots) > 1:
                 for slot in slots:
-                    if slot[:2] not in failed:
+                    if slot[0] not in failed:
                         run([[slot]])
             else:
-                failed[slots[0][:2]] = exc
+                failed[slots[0][0]] = exc
             return
         ends = np.cumsum([w.size for w in ln_w])[:-1]
-        for (b, i, j), v in zip(slots, np.split(out, ends, axis=-1)):
-            values[b][i][j] = v
+        for (i, j), v in zip(slots, np.split(out, ends, axis=-1)):
+            values[i][j] = v
 
-    def finish(b, i):
-        if (b, i) in failed:
-            return failed[b, i]
+    def finish(i):
+        if i in failed:
+            return failed[i]
         try:
-            return batches[b][i].finish(values[b][i])
+            return plans[i][1].finish(values[i])
         except RfsoError as exc:
             return exc
 
@@ -348,13 +349,13 @@ def _evaluate(batches, residues: bool = False) -> list:
                         else {})):
         for calls in passes.values():
             run(calls)
-        return [[finish(b, i) for i in range(len(batch))]
-                for b, batch in enumerate(batches)]
+        return [finish(i) for i in range(len(plans))]
 
 
-def _evaluate_one(plan: _Plan, residues: bool = False) -> float:
+def _evaluate_one(plan: _Plan, options: EvalOptions,
+                  residues: bool = False) -> float:
     """The metric of one plan; raises the RfsoError that stopped it."""
-    (result,), = _evaluate([[plan]], residues)
+    result, = _evaluate([(None, plan)], options, residues)
     if isinstance(result, RfsoError):
         raise result
     return result
@@ -388,10 +389,10 @@ def _pairs(x, alpha, y, beta):
     return np.exp(log_c), H, x + y
 
 
-def _family(mb: MellinBarnesIntegral, ln_w, H, p, options: EvalOptions):
-    """Member p of the Laplace-kernel family mb at the rate H, for each
-    pair: returns the requests and gather, which takes their values to the
-    member values, of the shape of H.
+def _family(factors, ln_w, H, p):
+    """Member p of the Laplace-kernel family of the factors (_laplace) at
+    the rate H, for each pair: returns the requests and gather, which takes
+    their values to the member values, of the shape of H.
 
     The rates that need K members make one request of count K (members
     0..K-1 at ln_w(rates)), so rates that need few members pay for few."""
@@ -400,8 +401,7 @@ def _family(mb: MellinBarnesIntegral, ln_w, H, p, options: EvalOptions):
     count = np.zeros(rates.size, dtype=int)
     np.maximum.at(count, at, p + 1)
     counts = np.unique(count)
-    requests = [(mb, ln_w(rates[count == K]), int(K), options)
-                for K in counts]
+    requests = [(factors, ln_w(rates[count == K]), int(K)) for K in counts]
 
     def gather(values):
         out = np.empty((counts[-1], rates.size))
@@ -411,8 +411,7 @@ def _family(mb: MellinBarnesIntegral, ln_w, H, p, options: EvalOptions):
     return requests, gather
 
 
-def _sop1_plan(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS,
-               label: str = "sop1_lower") -> _Plan:
+def _sop1_plan(cfg: Scenario1Config, label: str = "sop1_lower") -> _Plan:
     """The scenario-1 outage sum.
 
     1 - SOP1 = int f_e(g) S_0(phi g) S_d(phi g) dg is one sum over pairs of
@@ -429,7 +428,7 @@ def _sop1_plan(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS,
     c, F, p = _pairs(x0, phi1 * lam0, xe, lame)
     requests, tail = _family(_laplace(fso._cdf_mb, fso.tau, 1),
                              lambda rate: fso.ln_cdf_argument(phi1 / rate),
-                             F, p, options)
+                             F, p)
     weight = W0[:, None] * we * c * lame / F
     scale = exp(fso.ln_norm) / fso.tau * (p + 1)
 
@@ -439,14 +438,14 @@ def _sop1_plan(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS,
     return _Plan(requests, finish)
 
 
-def _laplace(kernel: MellinBarnesIntegral, slope: float,
-             z: int) -> MellinBarnesIntegral:
-    """A Laplace block of the scenario-1 sums: a DGG link kernel (_cdf_mb,
-    _sf_mb or _pdf_mb) against the Laplace kernel Gamma(z - slope*v) / z!.
-    Every Laplace kernel here comes divided by z!, as the members of the
-    engine's families do, which keeps blocks of any z in double range."""
-    return MellinBarnesIntegral(kernel.numer + ((float(z), -slope),),
-                                kernel.denom, kernel.linear, -lgamma(z + 1))
+def _laplace(kernel: MellinBarnesIntegral, slope: float, z: int) -> tuple:
+    """The factors of a Laplace block of the scenario-1 sums: a DGG link
+    kernel (_cdf_mb, _sf_mb or _pdf_mb) against the Laplace kernel
+    Gamma(z - slope*v) / z!.  Every Laplace kernel here comes divided by
+    z!, as the members of the engine's families do, which keeps blocks of
+    any z in double range."""
+    return (kernel.numer + ((float(z), -float(slope)),), kernel.denom,
+            kernel.linear, -lgamma(z + 1))
 
 
 def _distinct(values, tol: float) -> np.ndarray:
@@ -475,7 +474,7 @@ def _leading_residues(mb: MellinBarnesIntegral, ln_w, tol):
 def sop1_lower(cfg: Scenario1Config,
                options: EvalOptions = TIGHT_OPTIONS) -> float:
     """Lower-bound secure outage probability for the RF-side eavesdropper."""
-    return _evaluate_one(_sop1_plan(cfg, options))
+    return _evaluate_one(_sop1_plan(cfg), options)
 
 
 def sop1_asymptotic(cfg: Scenario1Config,
@@ -489,7 +488,7 @@ def sop1_asymptotic(cfg: Scenario1Config,
     floor falls off like U_d^(tau*v0) at the pole nearest 0.  A residue
     beyond double range is inf, and the sum raises AccuracyError.
     """
-    return _evaluate_one(_sop1_plan(cfg, options, "sop1_asymptotic"), True)
+    return _evaluate_one(_sop1_plan(cfg, "sop1_asymptotic"), options, True)
 
 
 def sop1_exact_quadrature(cfg: Scenario1Config, abs_tol: float = 1e-7) -> float:
@@ -516,8 +515,7 @@ def sop1_exact_quadrature(cfg: Scenario1Config, abs_tol: float = 1e-7) -> float:
                        "sop1_exact_quadrature")
 
 
-def _spsc1_plan(cfg: Scenario1Config,
-                options: EvalOptions = TIGHT_OPTIONS) -> _Plan:
+def _spsc1_plan(cfg: Scenario1Config) -> _Plan:
     """The scenario-1 SPSC sum.
 
     With f_min = f_0 S_d + S_0 f_d the density of the minimum, SPSC1 is
@@ -535,10 +533,10 @@ def _spsc1_plan(cfg: Scenario1Config,
     c *= np.append(1.0, -We)
     sf_requests, survival = _family(
         _laplace(fso._sf_mb, tau, 1),
-        lambda rate: fso.ln_cdf_argument(1.0 / rate), H, p, options)
+        lambda rate: fso.ln_cdf_argument(1.0 / rate), H, p)
     pdf_requests, density = _family(
         _laplace(fso._pdf_mb, tau / s, 0),
-        lambda rate: fso.ln_pdf_argument(1.0 / rate), H, p, options)
+        lambda rate: fso.ln_pdf_argument(1.0 / rate), H, p)
     n = len(sf_requests)
 
     def finish(values):
@@ -553,47 +551,45 @@ def _spsc1_plan(cfg: Scenario1Config,
 def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
     """Probability of strictly positive secrecy capacity, RF eavesdropper:
     Pr(min-combined SNR > eavesdropper SNR)."""
-    return _evaluate_one(_spsc1_plan(cfg, options))
+    return _evaluate_one(_spsc1_plan(cfg), options)
 
 
 # ---------------------------------------------------------------------------
 # scenario 2
 # ---------------------------------------------------------------------------
 
-def _crossing(cfg: Scenario2Config) -> MellinBarnesIntegral:
-    """Integrand of Pr(main FSO SNR <= phi * eavesdropper FSO SNR): the
+def _crossing(cfg: Scenario2Config) -> tuple:
+    """The factors of Pr(main FSO SNR <= phi * eavesdropper FSO SNR): the
     eavesdropper's survival integrand against the main link's K(s*v) (its
     CDF integrand without 1/(-v)) with every slope negated, whose factors
     lead."""
     main, eve = cfg.fso_main, cfg.fso_eve
-    return MellinBarnesIntegral(
-        [(a, -b) for a, b in main._cdf_mb.numer] + list(eve._sf_mb.numer),
-        linear=[(a, -b) for a, b in main._cdf_mb.linear[:-1]]
-        + list(eve._sf_mb.linear))
+    numer = tuple((a, -b) for a, b in main._cdf_mb.numer) + eve._sf_mb.numer
+    linear = (tuple((a, -b) for a, b in main._cdf_mb.linear[:-1])
+              + eve._sf_mb.linear)
+    return numer, (), linear, 0.0
 
 
-def _crossing_plan(cfg: Scenario2Config, phi: float, options: EvalOptions,
-                   metric) -> _Plan:
+def _crossing_plan(cfg: Scenario2Config, phi: float, metric) -> _Plan:
     """A metric of the crossing probability Pr(main FSO SNR <= phi *
     eavesdropper FSO SNR), one G-value: metric(probability)."""
     main, eve = cfg.fso_main, cfg.fso_eve
     scale = exp(main.ln_norm + eve.ln_norm) / (main.tau * eve.tau)
     ln_z = eve.ln_cdf_argument(1.0) - main.ln_cdf_argument(phi)
-    return _Plan([(_crossing(cfg), np.array([ln_z]), 1, options)],
+    return _Plan([(_crossing(cfg), np.array([ln_z]), 1)],
                  lambda values: metric(scale * float(values[0][0])))
 
 
-def _sop2_plan(cfg: Scenario2Config, options: EvalOptions = TIGHT_OPTIONS,
-               label: str = "sop2_lower") -> _Plan:
+def _sop2_plan(cfg: Scenario2Config, label: str = "sop2_lower") -> _Plan:
     rf_ok = float(cfg.rf_main.survival(cfg.phi2 - 1.0))
-    return _crossing_plan(cfg, cfg.phi2, options, lambda crossing: _clamp_unit(
+    return _crossing_plan(cfg, cfg.phi2, lambda crossing: _clamp_unit(
         1.0 - rf_ok * (1.0 - crossing), label))
 
 
 def sop2_lower(cfg: Scenario2Config,
                options: EvalOptions = TIGHT_OPTIONS) -> float:
     """Lower-bound secure outage probability for the FSO-side eavesdropper."""
-    return _evaluate_one(_sop2_plan(cfg, options))
+    return _evaluate_one(_sop2_plan(cfg), options)
 
 
 def sop2_asymptotic(cfg: Scenario2Config,
@@ -601,7 +597,7 @@ def sop2_asymptotic(cfg: Scenario2Config,
     """High-U_d asymptote: the lower bound with the crossing G-function's
     large-argument expansion over the leading poles of the main link's
     factors (right poles, so the integral is minus their residue sum)."""
-    return _evaluate_one(_sop2_plan(cfg, options, "sop2_asymptotic"), True)
+    return _evaluate_one(_sop2_plan(cfg, "sop2_asymptotic"), options, True)
 
 
 def sop2_exact_quadrature(cfg: Scenario2Config, abs_tol: float = 1e-7) -> float:
@@ -620,13 +616,12 @@ def sop2_exact_quadrature(cfg: Scenario2Config, abs_tol: float = 1e-7) -> float:
     return _clamp_unit(val * (1.0 - rf_fail) + rf_fail, "sop2_exact_quadrature")
 
 
-def _spsc2_plan(cfg: Scenario2Config,
-                options: EvalOptions = TIGHT_OPTIONS) -> _Plan:
-    return _crossing_plan(cfg, 1.0, options,
+def _spsc2_plan(cfg: Scenario2Config) -> _Plan:
+    return _crossing_plan(cfg, 1.0,
                           lambda crossing: _clamp_unit(1.0 - crossing, "spsc2"))
 
 
 def spsc2(cfg: Scenario2Config, options: EvalOptions = TIGHT_OPTIONS) -> float:
     """Probability of strictly positive secrecy capacity, FSO eavesdropper:
     Pr(main FSO SNR > eavesdropper FSO SNR)."""
-    return _evaluate_one(_spsc2_plan(cfg, options))
+    return _evaluate_one(_spsc2_plan(cfg), options)

@@ -286,7 +286,7 @@ def test_failure_in_a_cross_curve_pass_stays_with_its_cell(tmp_path,
 
     def ln_args(curve, v):
         plan = cli._CLOSED["spsc1"](cli._with_axis(curve, sweep.axis, v))
-        return np.concatenate([ln_w for _, ln_w, _, _ in plan.requests])
+        return np.concatenate([ln_w for _, ln_w, _ in plan.requests])
     # an argument of no other cell (the curves' unit terms coincide)
     others = np.concatenate([
         ln_args(curve, v) for name, curve in preset.curves
@@ -317,6 +317,49 @@ def test_failure_in_a_cross_curve_pass_stays_with_its_cell(tmp_path,
             assert r.error_flag == ("AccuracyError" if flagged else ""), r
         lines.extend(r.to_csv() for r in rows)
     assert out.read_text() == "\n".join(lines) + "\n"
+
+
+def _count_integrands(monkeypatch) -> list:
+    """A list that gains an entry at each MellinBarnesIntegral built."""
+    built = []
+    init = MellinBarnesIntegral.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(MellinBarnesIntegral, "__init__", counted)
+    return built
+
+
+def test_building_a_plan_constructs_no_integrand(monkeypatch):
+    """A plan's requests are factor lists: every closed and asymptote plan
+    builder, on a point of every fig1-fig10 curve, builds no integrand."""
+    points = []
+    for i in range(1, 11):
+        preset = figure_preset(f"fig{i}")
+        points += [(metric, cli._with_axis(cfg, preset.sweep.axis,
+                                           preset.sweep.stop))
+                   for _, cfg in preset.curves
+                   for metric in preset.sweep.metrics]
+    built = _count_integrands(monkeypatch)
+    plans = [builders[metric](cfg) for metric, cfg in points
+             for builders in (cli._CLOSED, cli._ASYM) if metric in builders]
+    assert len(plans) > len(points) and all(plan.requests for plan in plans)
+    assert built == []
+
+
+def test_a_closed_sweep_builds_each_integrand_once(monkeypatch):
+    """fig3's six curves along U_d at 21 points: every sop1 cell of a curve
+    asks for the same tail family's factors, so the closed sweep builds six
+    integrands, one per curve."""
+    preset = figure_preset("fig3")
+    sweep = replace(preset.sweep, points=21, evaluators=("closed",))
+    cfgs = [cfg for _, cfg in preset.curves]
+    built = _count_integrands(monkeypatch)
+    results = cli._run_curves(cfgs, sweep)
+    assert len(cfgs) == 6 and len(built) == 6
+    assert all(len(rows) == 21 and not any(r.error_flag for r in rows)
+               for rows in results)
 
 
 # the CLI's preset table, --evaluators closed,asymptotic --points 21, as the

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rfso_secrecy.errors import (AccuracyError, DegenerateParameterError,
                                  ParameterError, PoleCollisionError)
-from rfso_secrecy import dgg_cdf, dgg_from_preset, dgg_pdf, specfun
+from rfso_secrecy import dgg_cdf, dgg_from_preset, dgg_pdf, secrecy, specfun
 from rfso_secrecy.channels import dgg_survival
 from rfso_secrecy.specfun import (EvalOptions, MeijerGSpec,
                                   MellinBarnesIntegral, delta_expand,
@@ -21,6 +21,18 @@ from rfso_secrecy.specfun import (EvalOptions, MeijerGSpec,
 from conftest import paper_dgg_form
 
 TIGHT = EvalOptions(target_abs_tol=1e-300, target_rel_tol=1e-12)
+
+
+def _laplace(kernel, slope, z):
+    """A scenario-1 Laplace block (secrecy._laplace's factors) as an
+    integrand."""
+    return MellinBarnesIntegral(*secrecy._laplace(kernel, slope, z))
+
+
+def _crossing(cfg):
+    """The scenario-2 crossing (secrecy._crossing's factors) as an
+    integrand."""
+    return MellinBarnesIntegral(*secrecy._crossing(cfg))
 
 
 def g10(z):
@@ -226,7 +238,6 @@ def test_truncation_height_covers_large_slope_mass(mt_link_imdd):
 def _saddle_cases():
     """(integrand, label) for every contour integrand family of a link."""
     from rfso_secrecy import EtaMuLink, Scenario2Config
-    from rfso_secrecy.secrecy import _crossing, _laplace
     for preset in ("st", "mt", "wt"):
         for detection in (1, 2):
             link = dgg_from_preset(preset, eps=1.0, detection=detection,
@@ -519,7 +530,6 @@ def _stacked_cases():
     """(label, integrands of one layout, each row's log-arguments, family
     count, options): the integrands a preset's closed forms stack."""
     from rfso_secrecy import figure_preset
-    from rfso_secrecy.secrecy import _crossing, _laplace
     from rfso_secrecy.specfun import _spec_factors
     fig5 = [cfg for _, cfg in figure_preset("fig5").curves]
     yield ("fig5 crossings", [_crossing(cfg) for cfg in fig5],
@@ -617,7 +627,6 @@ def test_value_many_rejects_non_finite_log_arguments(wt_link):
     """NaN and infinite log-arguments are a ParameterError before any
     grouping, alone or next to finite ones, for lone integrands and
     families; no arguments give an empty result."""
-    from rfso_secrecy.secrecy import _laplace
     lone = wt_link._sf_mb
     family = _laplace(wt_link._sf_mb, wt_link.tau, 1)
     for bad in (math.nan, math.inf, -math.inf):
@@ -634,7 +643,6 @@ def test_value_many_rejects_non_finite_log_arguments(wt_link):
 def _family_cases():
     """(family base, per-member integrands, label): the Gamma(z - tau*v)
     families of the scenario-1 closed forms, five members each."""
-    from rfso_secrecy.secrecy import _laplace
     for preset in ("st", "mt", "wt"):
         for detection in (1, 2):
             link = dgg_from_preset(preset, eps=1.0, detection=detection,
@@ -694,7 +702,6 @@ def test_linear_factor_residues_equal_gamma_pairs():
     poles (a linear pole on a gamma pole): Gamma(v) Gamma(5/2 - v) / ((1 +
     v)(1/2 + 2v)), and the wt sop1 tail block at eps^2/tau = 4, where the
     pointing pole meets Gamma(4 + v)'s first."""
-    from rfso_secrecy.secrecy import _laplace
     ln_z = np.array([-20.0, -3.0, 0.0, 7.5, 30.0])
     link = dgg_from_preset("wt", eps=math.sqrt(8.4), detection=1,
                            electrical_snr=100.0)
@@ -717,7 +724,6 @@ def test_linear_factor_residues_equal_gamma_pairs():
 def test_family_group_shares_one_gamma_pass(st_link, monkeypatch):
     """A family group evaluates the gamma factors once per trapezoid level,
     not once per member."""
-    from rfso_secrecy.secrecy import _laplace
     mb = _laplace(st_link._sf_mb, st_link.tau, 1)
     # one group, near the members' saddles: all of them stay on the contour
     ln_args = np.array([-61.0, -60.0, -59.0])
@@ -988,7 +994,6 @@ def test_family_group_accuracy_error_falls_back_to_member_saddles(
     not converge, so the group masks every pair, the middle member's too,
     whose saddle carries the line; each member then converges on its own
     saddle within that budget, to the family's default-budget values."""
-    from rfso_secrecy.secrecy import _laplace
     link = dgg_from_preset("wt", eps=1.0, detection=1, electrical_snr=100.0)
     mb = _laplace(link._sf_mb, link.tau, 1)
     ref = mb.value_many([10.0], specfun.TIGHT_OPTIONS, count=5)

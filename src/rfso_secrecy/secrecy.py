@@ -303,7 +303,7 @@ def _evaluate(plans, options: EvalOptions = TIGHT_OPTIONS,
     def run(calls):
         """One pass over the calls, each the slots (plan, request) of one
         integrand: a stacked value_many, or the lone call's residues for
-        each family member (member 0 is the integrand)."""
+        each family member (MellinBarnesIntegral._members)."""
         slots = [slot for call in calls for slot in call]
         factors, _, count = request(slots[0])
         ln_w = [request(slot)[1] for slot in slots]
@@ -312,8 +312,8 @@ def _evaluate(plans, options: EvalOptions = TIGHT_OPTIONS,
             if residues:
                 mb = integrands[factors]
                 out = np.array([_leading_residues(
-                    mb._member(k) if k else mb, lnz,
-                    options.pole_separation_tol) for k in range(count)])
+                    mb._members(0, k), lnz, options.pole_separation_tol)
+                    for k in range(count)])
                 out = out if count > 1 else out[0]
             else:
                 stack = MellinBarnesIntegral._stack(

@@ -49,6 +49,7 @@ representable.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from math import factorial, isfinite, lgamma, log, pi
 from typing import Sequence
@@ -89,8 +90,8 @@ _MAX_CANCELLATION = 16.0
 # sets the height and node count, which grow with its index (O(K^2) work).
 _FAMILY_RUN = 8
 # The per-integrand arrays of MellinBarnesIntegral, indexed by row (_stack).
-_ROWS = ("_rest", "_strip", "_decay", "_log_consts", "_na", "_nb", "_da",
-         "_db", "_la", "_lb", "_a", "_b", "_slope")
+_ROWS = ("_rest", "_decay", "_log_consts", "_na", "_nb", "_da", "_db", "_la",
+         "_lb", "_a", "_b", "_slope")
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,7 @@ class MellinBarnesIntegral:
     descending-factor pole, a linear factor's included.  value / value_many
     raise when either condition fails; the residues exist regardless.
     log_const is added to the log-integrand (a family member's scaling, see
-    _member).
+    _members).
     """
 
     def __init__(self, numer, denom=(), linear=(), log_const: float = 0.0):
@@ -210,13 +211,11 @@ class MellinBarnesIntegral:
         self.strip = (max(L, -a / b), R) if b > 0 else (L, min(R, a / (-b)))
         self.decay = (pi / 2.0) * (sum(abs(b) for _, b in self.numer)
                                    - sum(abs(b) for _, b in self.denom))
-        self._log_const = float(log_const)
         # the pass's per-integrand quantities, each with a leading row axis:
         # one row here, one per integrand in a stack (see _stack)
         self._rest = np.array([[L, R]])
-        self._strip = np.array([self.strip])
         self._decay = np.array([self.decay])
-        self._log_consts = np.array([self._log_const])
+        self._log_consts = np.array([float(log_const)])
         self._na = np.array([[a for a, _ in self.numer]])
         self._nb = np.array([[b for _, b in self.numer]])
         self._da = np.array([[a for a, _ in self.denom]])
@@ -230,7 +229,7 @@ class MellinBarnesIntegral:
         self._sign = np.concatenate([np.ones(len(self.numer)),
                                      -np.ones(len(self.denom))])
         self._slope = np.abs(self._b)
-        self._parts = self._sizes = None
+        self._sizes = None
 
     def _layout(self):
         """What the integrands of one stack share: the factor counts and
@@ -252,12 +251,28 @@ class MellinBarnesIntegral:
             "a stack's integrands share one layout"
         if len(integrands) == 1:
             return integrands[0]
-        out = cls.__new__(cls)
-        out.__dict__.update(vars(integrands[0]))
+        out = copy(integrands[0])
         for name in _ROWS:
             setattr(out, name, np.concatenate([getattr(mb, name)
                                                for mb in integrands]))
-        out._parts, out._sizes = tuple(integrands), tuple(sizes)
+        out._sizes = tuple(sizes)
+        return out
+
+    def _members(self, row, member) -> "MellinBarnesIntegral":
+        """The stack (with no sizes) whose row i is row row[i] raised to
+        family member k = member[i] (arrays that broadcast): its last
+        numerator factor Gamma(a + b*v) is Gamma(a + k + b*v)/(a + 1)_k."""
+        row, member = np.atleast_1d(*np.broadcast_arrays(row, member))
+        out = copy(self)
+        for name in _ROWS:
+            setattr(out, name, getattr(self, name)[row])
+        a = out._na[:, -1].tolist()
+        out._na[:, -1] += member
+        out._a[:, len(self.numer) - 1] += member
+        out._log_consts = np.array([
+            c - lgamma(x + k + 1) + lgamma(x + 1) if k else c
+            for c, x, k in zip(out._log_consts.tolist(), a, member.tolist())])
+        out._sizes = None
         return out
 
     def residue(self, poles, ln_arguments,
@@ -296,7 +311,7 @@ class MellinBarnesIntegral:
         rl = np.where(lpole, lb, xl)
         lg = gammaln(xc)
         lg = np.cumsum(np.concatenate([
-            np.full(v0.shape, self._log_const),
+            np.full(v0.shape, self._log_consts[0]),
             side * np.where(pole, -lg - np.log(np.abs(b)), lg),
             -np.log(np.abs(rl))], axis=1), axis=1)[:, -1:]
         sg = (np.where(pole, np.where(k % 2, -1.0, 1.0) * np.sign(b),
@@ -324,10 +339,11 @@ class MellinBarnesIntegral:
 
     # -- contour placement -------------------------------------------------
 
-    def _strips(self, member, row=0):
+    def _strips(self, member, row=slice(None)):
         """Strips (L, R) of family members `member` of the rows `row` (arrays
-        that broadcast): member k raises the last numerator offset a to a +
-        k, which moves that factor's poles outward."""
+        that broadcast; all rows by default): member k raises the last
+        numerator offset a to a + k, which moves that factor's poles
+        outward."""
         a, b = self._na[row, -1], self._nb[row, -1]
         L, R = self._rest[row].T
         end = -(a + member) / b
@@ -369,14 +385,14 @@ class MellinBarnesIntegral:
                     axis=-1)
         return h - den, den, slope
 
-    def _saddle(self, lnz, member, own=False, row=0):
+    def _saddle(self, lnz, member, row=0):
         """Saddles of family members `member` of the rows `row` at the
         log-arguments lnz, placed together (arrays that broadcast).  Each
         point iterates on its own, so its saddle does not depend on the
         others, to the bit.
 
-        The bracket is member 0's strip (a contour the family shares: raising
-        the offset only moves poles outward), or the member's `own`, less
+        The bracket is member 0's strip (the family's: raising the offset
+        only moves poles outward; a pair's own is its _members row's), less
         min(2% of it, 0.02) at either pole, since a saddle clipped further
         off leaves the trapezoid sum cancelling.  The derivative less ln z
         does not depend on the argument, so one digamma pass over each
@@ -401,7 +417,7 @@ class MellinBarnesIntegral:
             keys, inv = np.unique(keys, return_inverse=True)
         krow, keys = np.divmod(keys, span)
         Lh, Rh = self._strips(keys, krow)
-        L, R = (Lh, Rh) if own else self._strip[krow].T
+        L, R = self._strips(0, krow)
         off = self._na[krow] + np.zeros((keys.size, 1))
         off[:, -1] += keys
         # one pass over each key's abscissae: a finite bracket's ends and
@@ -580,18 +596,6 @@ class MellinBarnesIntegral:
         steps = np.log((j + b * v) / (j + 1))
         return np.concatenate([g[None], g + np.cumsum(steps, axis=0)])
 
-    def _member(self, k: int) -> "MellinBarnesIntegral":
-        """Family member k on its own: the last numerator factor Gamma(a +
-        b*v) raised to Gamma(a + k + b*v), the integrand divided by
-        Gamma(a + k + 1)/Gamma(a + 1); of a stack, the stack of its rows'."""
-        if self._parts is not None:
-            return self._stack([mb._member(k) for mb in self._parts],
-                               self._sizes)
-        a, b = self.numer[-1]
-        return MellinBarnesIntegral(
-            self.numer[:-1] + ((a + k, b),), self.denom, self.linear,
-            self._log_const - lgamma(a + k + 1) + lgamma(a + 1))
-
     # -- evaluation --------------------------------------------------------
 
     def value(self, ln_argument: float,
@@ -613,14 +617,14 @@ class MellinBarnesIntegral:
         result gets a leading member axis.
         A (member, argument) pair the group's contour does not serve (its sum
         cancels too much, see _values) is evaluated on its own saddle, and so
-        is every pair of a family group that does not converge; the pairs of
-        one member are evaluated together, each its own group.  A lone
-        integrand's AccuracyError propagates.
+        is every pair of a family group that does not converge: all of them
+        in one pass, each its own group on member 0 of its (row, member)'s
+        row of _members.  A lone integrand's AccuracyError propagates.
         """
         if (self._decay <= 0).any():
             raise ParameterError("contour integral diverges: numerator slope "
                                  "mass does not dominate the denominator")
-        if (self._strip[:, 0] >= self._strip[:, 1]).any():
+        if np.greater_equal(*self._strips(0)).any():
             raise DegenerateParameterError(
                 "numerator pole families interlace; no separating contour")
         lnz = np.atleast_1d(np.asarray(ln_arguments, dtype=float))
@@ -629,10 +633,13 @@ class MellinBarnesIntegral:
         if not lnz.size:
             return np.empty((count, 0)) if count > 1 else np.empty(0)
         if count > _FAMILY_RUN:
-            return np.concatenate([
-                self._member(k).value_many(lnz, options, min(
-                    _FAMILY_RUN, count - k)).reshape(-1, lnz.size)
-                for k in range(0, count, _FAMILY_RUN)])
+            runs = []
+            for k in range(0, count, _FAMILY_RUN):
+                run = self._members(np.arange(self._decay.size), k)
+                run._sizes = self._sizes
+                runs.append(run.value_many(lnz, options, min(
+                    _FAMILY_RUN, count - k)).reshape(-1, lnz.size))
+            return np.concatenate(runs)
         sizes = self._sizes or (lnz.size,)
         row = np.repeat(np.arange(len(sizes)), sizes)
         order = np.lexsort((lnz, row))
@@ -654,15 +661,13 @@ class MellinBarnesIntegral:
                                       options, count, row)
         k, j = np.nonzero(far)
         if k.size:
-            row = zr[j]
-            c = self._saddle(z[j], k, own=True, row=row)
-            T = self._truncation(c, k, row)
-            for m in np.unique(k):
-                pair = k == m
-                member = self._member(m) if count > 1 else self
-                vals[m, j[pair]] = member._value_group(
-                    z[j[pair]], np.ones(np.count_nonzero(pair), dtype=int),
-                    c[pair], T[pair], options, 1, row[pair])[0][0]
+            # one row per distinct (row, member), each pair its own group
+            keys, at = np.unique(zr[j] * count + k, return_inverse=True)
+            own = self._members(*np.divmod(keys, count))
+            c = own._saddle(z[j], 0, row=at)
+            vals[k, j] = own._value_group(
+                z[j], np.ones(k.size, dtype=int), c,
+                own._truncation(c, 0, at), options, 1, at)[0][0]
         out = np.empty_like(vals)
         out[:, order] = vals
         return out if count > 1 else out[0]

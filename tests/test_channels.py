@@ -476,6 +476,20 @@ def test_inverse_cdf_sampler_ks(wt_link):
     assert ks_statistic(srt, F) <= 0.012
 
 
+def test_inverse_cdf_sampler_walks_its_grid_down_to_the_floor():
+    """wt HD at eps 0.5: the CDF is 6.8e-4 at U*1e-12, above the grid's
+    1e-9 floor, and 3.2e-82 at the smallest positive double, so the grid's
+    lower end walks down in steps of 1e-3 until the CDF falls below the
+    floor.  The samples follow dgg_cdf: their KS distance is below
+    1.36/sqrt(n), the 5% critical value."""
+    link = dgg_from_preset("wt", eps=0.5, detection=1, electrical_snr=100.0)
+    assert (dgg_cdf(link, 100.0 * 1e-12) > 1e-9
+            > dgg_cdf(link, np.nextafter(0.0, 1.0)))
+    n = 2000
+    draws = np.sort(dgg_sample_inverse_cdf(link, RngStream(5, 0), n))
+    assert ks_statistic(draws, dgg_cdf(link, draws)) < 1.36 / math.sqrt(n)
+
+
 @pytest.mark.parametrize("eps", [3e-3, 1e-2, 0.1])
 def test_inverse_cdf_sampler_rejects_a_cdf_above_its_floor_at_zero(eps):
     """A narrow pointing beam leaves the st CDF above 1e-9 down to the

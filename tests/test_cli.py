@@ -298,7 +298,7 @@ def test_failure_in_a_cross_curve_pass_stays_with_its_cell(tmp_path,
 
     def flaky(self, ln_arguments, *args, **kwargs):
         if np.any(np.asarray(ln_arguments) == bad):
-            stacked_raised.append(self._parts is not None)
+            stacked_raised.append(self._sizes is not None)
             raise AccuracyError("synthetic", best_estimate=0.0,
                                 error_bound=1.0)
         return original(self, ln_arguments, *args, **kwargs)
@@ -563,6 +563,72 @@ def test_cli_axis_outside_the_parameter_domain_exits_2(capsys, monkeypatch,
     monkeypatch.setattr(cli, "_run_curves", None)
     assert main(argv + ["--points", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_failing_quadrature_cell_flags_only_its_row(tmp_path, monkeypatch):
+    """fig5 at 3 points with closed and quadrature cells: the quadrature
+    cells run one at a time (in a pool under --jobs 2), and one that raises
+    AccuracyError, on the wt/s=2 curve at U_d = 20 dB, flags only its own
+    row; the run exits 3, every other row equals an unpatched run's, and
+    --jobs 2 writes the same bytes."""
+    argv = ["--preset", "fig5", "--points", "3", "--evaluators",
+            "closed,exact_quadrature"]
+    clean = tmp_path / "clean.csv"
+    assert main(argv + ["--out", str(clean)]) == 0
+    preset = figure_preset("fig5")
+    label, cfg = preset.curves[-1]
+
+    def link(cfg):
+        f = cfg.fso_main
+        return f.a1, f.b1, f.detection, f.electrical_snr
+    bad = link(cli._with_axis(cfg, "Ud_db", 20.0))
+    quadrature = cli._QUAD["sop2"]
+
+    def failing(cfg):
+        if link(cfg) == bad:
+            raise AccuracyError("synthetic", best_estimate=0.5,
+                                error_bound=1.0)
+        return quadrature(cfg)
+    monkeypatch.setitem(cli._QUAD, "sop2", failing)
+    texts = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 3
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    want = clean.read_text().splitlines()
+    got = texts[0].splitlines()
+    assert len(got) == len(want)
+    curve, flagged = None, []
+    for g, w in zip(got, want):
+        if g.startswith("# curve: "):
+            curve = g[len("# curve: "):]
+        if g != w:
+            flagged.append((curve, g))
+    assert flagged == [
+        (label, "Ud_db,20,sop2,exact_quadrature,,,,AccuracyError")]
+
+
+def test_cli_scenario2_eps_axis_sets_both_links(capsys):
+    """fig2 along eps from 1 to 6.7 at 3 points exits 0, and every row is
+    spsc2 of its curve's config with both FSO links at that eps (the
+    scenario-2 branch of _with_axis)."""
+    assert main(["--preset", "fig2", "--axis", "eps", "--start", "1",
+                 "--stop", "6.7", "--points", "3"]) == 0
+    curves = dict(figure_preset("fig2").curves)
+    rows = []
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("# curve: "):
+            cfg, points = curves[line[len("# curve: "):]], iter(
+                np.linspace(1.0, 6.7, 3))
+        elif line.startswith("eps,"):
+            eps = next(points)
+            want = secrecy.spsc2(replace(cfg,
+                                         fso_main=cfg.fso_main.with_eps(eps),
+                                         fso_eve=cfg.fso_eve.with_eps(eps)))
+            assert line == f"eps,{eps:.12g},spsc2,closed,{want:.12g},,,", line
+            rows.append(line)
+    assert len(rows) == 3 * len(curves)
 
 
 def test_cli_large_eps_axis_gives_values(capsys):

@@ -44,13 +44,15 @@ Laplace-transform kernels Gamma(z - tau*v) non-integer ones; the engine
 treats every slope identically, and evaluates integrands that differ only
 in the integer z as one family on a shared contour.  Gamma products
 accumulate in the log domain, where G-values far outside double range stay
-representable.
+representable; a family's members come out of one complex exp per node as
+complex values, each on a log-scale of its own.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
+from functools import reduce
 from math import factorial, isfinite, lgamma, log, pi
 from typing import Sequence
 
@@ -571,30 +573,47 @@ class MellinBarnesIntegral:
 
     def _log_integrand(self, v: np.ndarray, row=0) -> np.ndarray:
         """The log-integrand of the rows `row` (one per row of nodes, or one
-        for all) at the nodes v, from one loggamma pass over every gamma
-        factor's argument at every node and one log pass over every linear
-        factor's."""
-        lg = loggamma(self._a[row][..., None, :]
-                      + self._b[row][..., None, :] * v[..., None])
-        n = self._na.shape[1]
-        g = lg[..., :n].sum(axis=-1) - lg[..., n:].sum(axis=-1)
-        la, lb = self._la[row], self._lb[row]
-        for j in range(la.shape[-1]):
-            g -= np.log(la[..., j, None] + lb[..., j, None] * v)
+        for all) at the nodes v: one loggamma pass per gamma factor over
+        every node, accumulated in factor order (the numerators, less the
+        sum of the denominators), and one complex log of the product of the
+        linear factors, whose imaginary part is their phase mod 2 pi."""
+        a, b = self._a[row][..., None], self._b[row][..., None]
+        g, *lg = [loggamma(a[..., j, :] + b[..., j, :] * v)
+                  for j in range(a.shape[-2])]
+        for x in lg[:len(self.numer) - 1]:
+            g += x
+        if self.denom:
+            g -= sum(lg[len(self.numer) - 1:])
+        la, lb = self._la[row][..., None], self._lb[row][..., None]
+        if self.linear:
+            g -= np.log(reduce(np.multiply, [la[..., j, :] + lb[..., j, :] * v
+                                             for j in range(la.shape[-2])]))
         return g + self._log_consts[row][..., None]
 
-    def _log_family(self, v: np.ndarray, count: int, row=0) -> np.ndarray:
-        """Log-integrands of family members 0..count-1 of the rows `row` at
-        the nodes v (groups x nodes), shape (count, *v.shape), from one gamma
-        pass: by Gamma(x + 1) = x Gamma(x) (DLMF 5.5.1) member k is member
-        k-1 times (a + k - 1 + b*v)/(a + k)."""
+    def _log_family(self, v: np.ndarray, count: int, row=0):
+        """Family members 0..count-1 of the rows `row` at the nodes v (groups
+        x nodes), shape (count, *v.shape), and their log-scales, shape
+        (count, groups).  One member is its log-integrand g, on the scale
+        max Re g.  A family is complex values from one gamma pass and one
+        complex exp: E_0 = exp(g - m), m = max Re g, and by Gamma(x + 1) = x
+        Gamma(x) (DLMF 5.5.1) E_k = E_(k-1) (a + k - 1 + b*v)/(a + k); member
+        k is E_k/M_k on the scale m + ln M_k, M_k its largest modulus.  A
+        run has at most _FAMILY_RUN members and gamma arguments below 1e11
+        (_truncation), so |E_k| stays below about 1e77, and where E_0
+        underflows every member lies e^-550 below its largest value."""
         g = self._log_integrand(v, row)
+        m = g.real.max(axis=-1)
         if count == 1:
-            return g[None]
+            return g[None], m[None]
         a, b = self._na[row, -1][..., None], self._nb[row, -1][..., None]
         j = np.arange(count - 1)[:, None, None] + a
-        steps = np.log((j + b * v) / (j + 1))
-        return np.concatenate([g[None], g + np.cumsum(steps, axis=0)])
+        e = np.empty((count, *v.shape), dtype=complex)
+        e[0] = np.exp(g - m[..., None])
+        e[1:].real = (j + b * v.real) / (j + 1)
+        e[1:].imag = b / (j + 1) * v.imag
+        np.cumprod(e, axis=0, out=e)
+        top = np.abs(e).max(axis=-1)
+        return e * (1.0 / top)[..., None], m + np.log(top)
 
     # -- evaluation --------------------------------------------------------
 
@@ -684,9 +703,11 @@ class MellinBarnesIntegral:
 
         The groups step through the trapezoid levels together: one gamma
         pass over the (groups x nodes) array of a level's nodes.  Each group
-        keeps its own height check, scale and acceptance and drops out when
-        it accepts, and every sum runs over one row of nodes, so no value
-        depends on the other groups (a matrix product's rounding does).  A
+        keeps its own height check, acceptance and scale per member, the
+        largest of the members' log-scales (_log_family) so far, to which a
+        higher level rescales its sums; it drops out when it accepts, and
+        every sum runs over one row of nodes, so no value depends on the
+        other groups (a matrix product's rounding does).  A
         group that overflows or runs out of nodes raises AccuracyError for a
         lone integrand; for a family it puts all its pairs in the mask."""
         c, T = np.asarray(c, dtype=float), np.array(T, dtype=float)
@@ -721,14 +742,16 @@ class MellinBarnesIntegral:
             s = np.arange(n + 1) * (S / n)[:, None]
             s[:, -1] = S
             t = alpha[:, None] * np.sinh(s)
-            g = self._log_family(c[:, None] + 1j * t, count, row)
+            g, top = self._log_family(c[:, None] + 1j * t, count, row)
             # the height's check on the level's last node: the top member
             # has dropped by 50 from the axis at c + iT (a NaN drop passes)
-            with np.errstate(invalid="ignore"):
-                low = g[-1, :, -1].real - (g[-1, :, 0].real - spike) > -50.0
-            return (alpha, S, s, t, g), low
+            h = g[-1][:, [0, -1]]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                h = h.real if count == 1 else np.log(np.abs(h))
+                low = h[:, 1] - (h[:, 0] - spike) > -50.0
+            return (alpha, S, s, t, g, top), low
 
-        (alpha, S, s, t, g), low = first_level(c, d, T, spike, row)
+        (alpha, S, s, t, g, scale), low = first_level(c, d, T, spike, row)
         # a line that fails doubles T and redoes the level, up to 8 times
         redo = np.arange(c.size)
         for _ in range(8):
@@ -736,9 +759,9 @@ class MellinBarnesIntegral:
                 break
             redo = redo[low]
             T[redo] *= 2.0
-            (alpha[redo], S[redo], s[redo], t[redo], g[:, redo]), low = (
-                first_level(c[redo], d[redo], T[redo], spike[redo],
-                            row[redo]))
+            (alpha[redo], S[redo], s[redo], t[redo], g[:, redo],
+             scale[:, redo]), low = first_level(c[redo], d[redo], T[redo],
+                                                spike[redo], row[redo])
         # Jacobian alpha*cosh(s), halved at the two ends
         w = alpha[:, None] * np.cosh(s)
         w[:, 0] *= 0.5
@@ -759,8 +782,7 @@ class MellinBarnesIntegral:
         out = np.empty((count, lnz.size))
         far = np.empty((count, lnz.size), dtype=bool)
         pos, Sa, cz = slice(None), S[at], c[at] * lnz
-        scale = g.real.max(axis=-1)
-        sums, mass = self._assemble(t, g, w, lnz, at, scale)
+        sums, mass = self._assemble(t, g, w, lnz, at, scale, scale)
         prev = change = None
         while True:
             vals, ratio, over = self._values(
@@ -822,14 +844,13 @@ class MellinBarnesIntegral:
             # the new level's midpoints: S_2n = S_n/2 + (S/2n) * their sum
             s = (np.arange(n // 2) + 0.5) * (S / (n // 2))[:, None]
             t = alpha[:, None] * np.sinh(s)
-            g = self._log_family(c[:, None] + 1j * t, count, row)
-            top = g.real.max(axis=-1)
+            g, top = self._log_family(c[:, None] + 1j * t, count, row)
             if (top > scale).any():
                 rescale = np.exp(scale - np.maximum(scale, top))
                 scale = np.maximum(scale, top)
                 sums, mass = sums * rescale[:, at], mass * rescale
             new_sums, new_mass = self._assemble(
-                t, g, alpha[:, None] * np.cosh(s), lnz, at, scale)
+                t, g, alpha[:, None] * np.cosh(s), lnz, at, scale, top)
             sums, mass, prev = sums + new_sums, mass + new_mass, vals
 
     def _degenerate(self):
@@ -838,26 +859,27 @@ class MellinBarnesIntegral:
             "separating contour")
 
     @staticmethod
-    def _assemble(t, g, w, lnz, row, scale):
+    def _assemble(t, g, w, lnz, row, scale, top):
         """Trapezoid sums sum w Re f at the nodes c + i*t (rows of t, one per
-        group) with weights w, of each member (first axis of g) at each
-        argument on its group's row (t[row]), shape (members, arguments),
-        and sum w |f| of each member and group, on the scale exp(scale - c
-        ln z) of the member and group.  On the line Re v = c, so |f| =
-        exp(Re g - c ln z): each member is scaled once by a = w exp(Re g -
-        scale), and each argument adds only a cos(Im g - t ln z); a family
-        expands it as cos Im g cos(t ln z) + sin Im g sin(t ln z), so that
-        the members share the tables in t ln z.  Each sum runs over one row
-        of nodes in a fixed order, so results are reproducible bit for bit
-        and free of the other groups."""
-        a = w * np.exp(g.real - scale[..., None])
+        group) with weights w, of each member (first axis of g, see
+        _log_family, on the scales top) at each argument on its group's row
+        (t[row]), shape (members, arguments), and sum w |f| of each member
+        and group, on the scale exp(scale - c ln z) of the member and group.
+        On the line Re v = c, so |f| = exp(Re g - c ln z): one member is
+        scaled once by a = w exp(Re g - scale), and each argument adds only
+        a cos(Im g - t ln z); a family member E is scaled once to e = E w
+        exp(top - scale), and each argument adds Re e cos(t ln z) + Im e
+        sin(t ln z), so that the members share the tables in t ln z.  Each
+        sum runs over one row of nodes in a fixed order, so results are
+        reproducible bit for bit and free of the other groups."""
         tz = t[row] * lnz[:, None]
         if g.shape[0] == 1:
+            a = w * np.exp(g.real - scale[..., None])
             f = a[:, row] * np.cos(g.imag[:, row] - tz)
-        else:
-            f = ((a * np.cos(g.imag))[:, row] * np.cos(tz)
-                 + (a * np.sin(g.imag))[:, row] * np.sin(tz))
-        return f.sum(axis=-1), a.sum(axis=-1)
+            return f.sum(axis=-1), a.sum(axis=-1)
+        e = g * (w * np.exp(top - scale)[..., None])
+        f = e.real[:, row] * np.cos(tz) + e.imag[:, row] * np.sin(tz)
+        return f.sum(axis=-1), np.abs(e).sum(axis=-1)
 
     @staticmethod
     def _values(sums, mass, log_scale):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import loggamma
 
 from rfso_secrecy.errors import (AccuracyError, DegenerateParameterError,
                                  ParameterError, PoleCollisionError)
@@ -683,6 +684,86 @@ def test_family_matches_members():
                 np.testing.assert_allclose(
                     family[k], member.value_many(ln_args), rtol=1e-12,
                     atol=atol, err_msg=f"{label}, member {k}")
+
+
+def test_scaled_members_equal_the_log_recurrence():
+    """A family's members come out of the node pass as complex values E_k
+    on log-scales: at count 8, on three groups of 129 nodes from the axis
+    up to each group's truncation height (the lines through the middle
+    member's saddles at ln w = -60, 0 and 60), exp(scale_k) E_k equals the
+    log recurrence exp(g_0 + sum_{j<k} log((a + j + b*v)/(a + j + 1)))
+    within 1e-13 of member k's largest modulus, for every scenario-1 family
+    on st/mt/wt x HD/IM-DD.  The st HD survival's and density's saddles at
+    ln w = 60 sit on their brackets' margins, next to a pole."""
+    ln_w, count, pinned = np.array([-60.0, 0.0, 60.0]), 8, 0
+    for base, _, label in _family_cases(count):
+        c = base._saddle(ln_w, (count - 1) // 2)
+        T = base._truncation(c, count - 1)
+        v = c[:, None] + 1j * np.linspace(0.0, 1.0, 129) * T[:, None]
+        members, scale = base._log_family(v, count)
+        assert members.shape == (count, 3, 129) and scale.shape == (count, 3)
+        a, b = base._na[0, -1], base._nb[0, -1]
+        j = a + np.arange(count - 1)[:, None, None]
+        ref = base._log_integrand(v) + np.concatenate([
+            np.zeros((1, *v.shape)),
+            np.cumsum(np.log((j + b * v) / (j + 1)), axis=0)])
+        np.testing.assert_allclose(np.abs(members).max(axis=-1), 1.0,
+                                   rtol=1e-15, err_msg=label)
+        err = np.abs(members - np.exp(ref - scale[..., None])).max()
+        assert err <= 1e-13, (label, err)
+        L, R = (float(e[0]) for e in base._strips(0))
+        if label.startswith("st-hd ") and "sop1" not in label:
+            margin = 0.02 * min(R - L, 1.0)
+            assert c[2] == pytest.approx(R - margin, rel=1e-12), label
+            pinned += 1
+    assert pinned == 2
+
+
+def _one_gamma_pass(mb, v):
+    """The log-integrand at the nodes v as one loggamma call over every
+    gamma factor, summed over the factor axis, less one log per linear
+    factor."""
+    lg = loggamma(mb._a[0] + mb._b[0] * v[..., None])
+    n = len(mb.numer)
+    g = lg[..., :n].sum(axis=-1) - lg[..., n:].sum(axis=-1)
+    for a, b in mb.linear:
+        g -= np.log(a + b * v)
+    return g + mb._log_consts[0]
+
+
+def test_log_integrand_equals_one_factor_at_a_time(st_link, fig5_cfg):
+    """The node pass's log-integrand (one loggamma call per gamma factor,
+    one log of the product of the linear factors) against the sum of its
+    factors' logs, one at a time, for t up to 1e4: on the fig5 crossing (4
+    gamma and 3 linear factors) and a meijer_g integrand with a
+    denominator, the real part within 1e-13 (1 + |Re|) and the imaginary
+    part within as much mod 2 pi.  With at most 3 gamma factors and one
+    linear factor it is, bit for bit, one loggamma pass summed over the
+    factor axis less one log, on a row array as on row 0."""
+    from rfso_secrecy.specfun import _spec_factors
+    t = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 400)])
+    crossing = _crossing(fig5_cfg)
+    assert (len(crossing.numer), len(crossing.linear)) == (4, 3)
+    for mb in (crossing, _spec_factors(MeijerGSpec(
+            2, 1, 2, 3, (0.3, 1.7), (0.1, 0.6, 0.9), 1.0))):
+        v = mb._saddle(np.array([-5.0, 0.0, 5.0]), 0)[:, None] + 1j * t
+        ref = np.full(v.shape, mb._log_consts[0], dtype=complex)
+        for (a, b), sign in zip(mb.numer + mb.denom, mb._sign):
+            ref += sign * loggamma(a + b * v)
+        for a, b in mb.linear:
+            ref -= np.log(a + b * v)
+        got = mb._log_integrand(v)
+        bound = 1e-13 * (1.0 + np.abs(ref.real))
+        assert np.all(np.abs(got.real - ref.real) <= bound)
+        phase = (got.imag - ref.imag + np.pi) % (2.0 * np.pi) - np.pi
+        assert np.all(np.abs(phase) <= bound)
+    for mb in (st_link._pdf_mb, _laplace(st_link._pdf_mb, st_link.tau, 3)):
+        assert len(mb.numer) <= 3 and len(mb.linear) == 1
+        v = mb._saddle(np.array([-5.0, 0.0, 5.0]), 0)[:, None] + 1j * t
+        np.testing.assert_array_equal(mb._log_integrand(v),
+                                      _one_gamma_pass(mb, v))
+        np.testing.assert_array_equal(mb._log_integrand(
+            v, np.zeros(3, dtype=int)), _one_gamma_pass(mb, v))
 
 
 def _with_gamma_pairs(mb):

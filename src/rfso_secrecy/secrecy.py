@@ -391,24 +391,15 @@ def _pairs(x, alpha, y, beta):
 
 def _family(factors, ln_w, H, p):
     """Member p of the Laplace-kernel family of the factors (_laplace) at
-    the rate H, for each pair: returns the requests and gather, which takes
-    their values to the member values, of the shape of H.
-
-    The rates that need K members make one request of count K (members
-    0..K-1 at ln_w(rates)), so rates that need few members pay for few."""
+    the rate H, for each pair: returns one request of count max p + 1 over
+    the distinct rates (members 0..max p at ln_w(rates)), and the gather
+    that takes its values to the member values, of the shape of H."""
     rates, at = np.unique(H, return_inverse=True)
-    at = at.reshape(H.shape)
-    count = np.zeros(rates.size, dtype=int)
-    np.maximum.at(count, at, p + 1)
-    counts = np.unique(count)
-    requests = [(factors, ln_w(rates[count == K]), int(K)) for K in counts]
+    count = int(p.max()) + 1
 
     def gather(values):
-        out = np.empty((counts[-1], rates.size))
-        for K, v in zip(counts, values):
-            out[:K, count == K] = np.reshape(v, (K, -1))
-        return out[p, at]
-    return requests, gather
+        return np.reshape(values[0], (count, -1))[p, at.reshape(H.shape)]
+    return [(factors, ln_w(rates), count)], gather
 
 
 def _sop1_plan(cfg: Scenario1Config, label: str = "sop1_lower") -> _Plan:
@@ -537,13 +528,12 @@ def _spsc1_plan(cfg: Scenario1Config) -> _Plan:
     pdf_requests, density = _family(
         _laplace(fso._pdf_mb, tau / s, 0),
         lambda rate: fso.ln_pdf_argument(1.0 / rate), H, p)
-    n = len(sf_requests)
 
     def finish(values):
         terms = np.concatenate([
             c * (w0 * lam0)[:, None] / H * (exp(fso.ln_norm) / tau) * (p + 1)
-            * survival(values[:n]),
-            c * W0[:, None] * (exp(fso.ln_norm) / s) * density(values[n:])])
+            * survival(values[:1]),
+            c * W0[:, None] * (exp(fso.ln_norm) / s) * density(values[1:])])
         return _unit_sum(terms.ravel(), "spsc1")
     return _Plan(sf_requests + pdf_requests, finish)
 

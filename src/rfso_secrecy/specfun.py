@@ -81,9 +81,6 @@ _PROBE = 0.25j
 # and the points a finite bracket's first pass takes.
 _DOUBLINGS = 2.0 ** np.arange(16)
 _QUARTERS = np.linspace(0.0, 1.0, 5)
-# The recurrence steps that move a denominator digamma argument (see _dlog;
-# meijer_g's integrands only).
-_SHIFTS = np.arange(3.0)
 # A family member whose trapezoid sum cancels more than this (sum w|f| over
 # |sum w Re f|) on the shared contour is evaluated on its own saddle: its
 # rounding noise, ~1e-13 times this factor, would pass the tolerance test.
@@ -358,10 +355,11 @@ class MellinBarnesIntegral:
         member's offsets) of the rows `row`; its denominator part; and the
         derivative of its numerator and linear parts, by the trigamma psi'(x)
         = zeta(2, x) (DLMF 25.11.12) and a linear factor's exact b^2/x^2 (its
-        part of the derivative is -b/x).  The denominator's probe-shifted
-        complex digamma has no real trigamma in scipy; only meijer_g's
-        integrands have a denominator.  Sums over factors run row by row, so
-        no value depends on the batch (a matrix product's rounding does)."""
+        part of the derivative is -b/x).  The denominator part is the real
+        part of scipy's complex digamma at arguments moved off the axis by
+        _PROBE, whose trigamma scipy lacks; only meijer_g's integrands have
+        a denominator.  Sums over factors run row by row, so no value
+        depends on the batch (a matrix product's rounding does)."""
         # numerator and linear arguments are positive everywhere inside the
         # strip
         nb = self._nb[row]
@@ -375,16 +373,8 @@ class MellinBarnesIntegral:
             slope = slope + (r * r).sum(axis=-1)
         den = np.zeros(c.size)
         if self._da.size:
-            # scipy's complex digamma takes a slow series (~8 us) for
-            # -1 < Re z < 2; there psi(z) = psi(z + 3) - sum_{j<3} 1/(z + j)
-            # (DLMF 5.5.2), whose real parts need no complex arithmetic
-            db = self._db[row]
-            xd = self._da[row] + c[:, None] * db
-            near = (xd > -1.0) & (xd < 2.0)
-            w = xd[..., None] + _SHIFTS
-            den = ((digamma(xd + 3.0 * near + _PROBE).real - near * (
-                w / (w * w + _PROBE.imag**2)).sum(axis=-1)) * db).sum(
-                    axis=-1)
+            xd = self._da[row] + c[:, None] * self._db[row]
+            den = (digamma(xd + _PROBE).real * self._db[row]).sum(axis=-1)
         return h - den, den, slope
 
     def _saddle(self, lnz, member, row=0):

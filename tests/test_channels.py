@@ -15,7 +15,8 @@ from rfso_secrecy import (DggLink, EtaMuLink, RngStream, dgg_cdf,
                           dgg_sample_inverse_cdf, eta_mu_cdf, eta_mu_pdf,
                           eta_mu_sample, special_case)
 from rfso_secrecy.channels import EPS_MAX, TURBULENCE_PRESETS, dgg_survival
-from rfso_secrecy.errors import ParameterError, UnsupportedCaseError
+from rfso_secrecy.errors import (AccuracyError, ParameterError,
+                                 UnsupportedCaseError)
 
 from conftest import gamma_gamma_pointing_pdf, ks_statistic, paper_dgg_form
 
@@ -347,6 +348,27 @@ def test_dgg_laws_reject_nan_and_take_infinity_as_an_endpoint(wt_link):
     assert F[1] + S[1] == pytest.approx(1.0, rel=1e-12)
     np.testing.assert_array_equal(dgg_pdf(wt_link, g[1:]),
                                   [dgg_pdf(wt_link, g[1]), 0.0])
+
+
+@pytest.mark.xfail(strict=True, raises=AccuracyError, reason=(
+    "ROADMAP direction 15: the saddle of the half-open strip runs so far "
+    "out that the gamma factor arguments (7.7e12 at 1e14) trip the 1e11 "
+    "guard of _truncation"))
+@pytest.mark.parametrize("gamma", [1e14, 1e20])
+@pytest.mark.parametrize("law", [dgg_pdf, dgg_survival])
+def test_dgg_small_side_far_out_is_zero(wt_link, law, gamma):
+    """On wt HD (eps 1, U = 100) the density and the survival are 0 to
+    double precision from gamma = 1e12 on, where the laws return 0.0."""
+    assert law(wt_link, 1e12) == 0.0
+    assert law(wt_link, gamma) == 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP direction 15: dgg_cdf returns 1.0000000000000002 at "
+    "gamma = 1e20"))
+def test_dgg_cdf_far_out_is_at_most_one(wt_link):
+    """On wt HD (eps 1, U = 100) the CDF at gamma = 1e20 is a probability."""
+    assert dgg_cdf(wt_link, 1e20) <= 1.0
 
 
 def _irradiance_moment(link, r):

@@ -256,6 +256,28 @@ def _saddle_cases():
             yield _crossing(cfg), tag + " crossing"
 
 
+def _denominator_cases():
+    """(integrand, label) for meijer_g integrands with a denominator: the
+    paper's CDF and survival G-forms of each link (conftest.paper_dgg_form)
+    and a G^{3,1}_{1,3}."""
+    from rfso_secrecy.specfun import _spec_factors
+    for preset in ("st", "mt", "wt"):
+        for detection in (1, 2):
+            link = dgg_from_preset(preset, eps=1.0, detection=detection,
+                                   electrical_snr=100.0)
+            paper, s = paper_dgg_form(link), link.s
+            k = len(paper.j4)
+            tag = f"{preset}-{link.detection} G-form"
+            yield _spec_factors(MeijerGSpec(
+                k, 1, s + 1, k + 1, (1.0, *paper.j3), (*paper.j4, 0.0),
+                1.0)), tag + " cdf"
+            yield _spec_factors(MeijerGSpec(
+                k + 1, 0, s + 1, k + 1, (*paper.j3, 1.0), (*paper.j4, 0.0),
+                1.0)), tag + " survival"
+    yield _spec_factors(MeijerGSpec(3, 1, 1, 3, (0.2,), (0.5, 0.1, 1.3),
+                                    0.4)), "G^{3,1}_{1,3}"
+
+
 def _bisect(f, lo, hi):
     """Reference root finder: plain bisection to the last representable
     midpoint."""
@@ -309,11 +331,13 @@ def _mirrored(mb):
 
 def test_saddle_matches_reference_bisection():
     """The placement's saddle lies inside the strip and on the root that
-    bisection of the same bracket finds, for every integrand family and
-    their mirror images (finite, right-open and left-open strips) across
-    120 units of log-argument."""
+    bisection of the same bracket finds, for every integrand family, for
+    meijer_g integrands with a denominator (whose part of the derivative
+    enters the Newton step by a secant), and for their mirror images
+    (finite, right-open and left-open strips) across 120 units of
+    log-argument."""
     ln_args = np.linspace(-60.0, 60.0, 13)
-    cases = list(_saddle_cases())
+    cases = list(_saddle_cases()) + list(_denominator_cases())
     cases += [(_mirrored(mb), label + " mirrored") for mb, label in cases
               if not np.isfinite(mb.strip[1])]
     assert {tuple(np.isfinite(mb.strip)) for mb, _ in cases} == {

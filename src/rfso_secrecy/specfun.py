@@ -13,14 +13,16 @@ log, with no gamma function, so every DGG law has two gamma factors and no
 denominator.  Saddle placement is what preserves relative accuracy when the
 result is exponentially small; a fixed abscissa loses all significant
 digits to cancellation as soon as |log z| is large.  A value_many call
-places the saddles of all its groups of nearby arguments in one vectorised,
-safeguarded Newton iteration (trigamma on the numerator factors, exact on
-the linear ones; a secant on a denominator's, which only meijer_g's
-integrands have), and their heights from Stirling's formula (exact for the
-linear factors), checked at the first trapezoid level's node c + iT (a line
-that fails doubles its height).  The line integral over v = c + i*t is a
-trapezoid sum in s under t = alpha*sinh(s), alpha the distance from c to
-the nearest pole, which puts the nodes where the poles pinch the line.  The
+places the saddles of all its arguments in one vectorised, safeguarded
+Newton iteration (trigamma on the numerator factors, exact on the linear
+ones; a secant on a denominator's, which only meijer_g's integrands have),
+groups the arguments whose saddles are close enough for one line to serve
+them all, and takes the heights of the groups' lines from Stirling's
+formula (exact for the linear factors), checked at the first trapezoid
+level's node c + iT (a line that fails doubles its height).  The line
+integral over v = c + i*t is a trapezoid sum in s under t = alpha*sinh(s),
+alpha the distance from c to the nearest pole, which puts the nodes where
+the poles pinch the line.  The
 sums are updated level by level as the nodes double and accepted when the
 change from the level before, or the geometric rate of the last two
 changes, puts the error within tolerance.  The groups of a call step
@@ -613,11 +615,17 @@ class MellinBarnesIntegral:
 
     def value_many(self, ln_arguments, options: EvalOptions = TIGHT_OPTIONS,
                    count: int = 1):
-        """Evaluate at several log-arguments: each group of arguments within
-        4 of one another shares a contour and its nodes, and the groups of a
-        call step through the trapezoid levels together (see _value_group).
-        The arguments of a stack's rows (see _stack) group row by row, and
-        each group is evaluated on its row's integrand.
+        """Evaluate at several log-arguments: each group of arguments shares
+        a contour and its nodes, and the groups of a call step through the
+        trapezoid levels together (see _value_group).  The arguments run in
+        order and a group closes before the first whose span from the
+        group's first, in the saddle c times in ln z, passes ln
+        _MAX_CANCELLATION; its line is its median argument's saddle.  phi(c)
+        = Re g(c) - c ln z is convex, so an argument's log-magnitude on
+        another's saddle line exceeds its own minimum by at most |dc| |d ln
+        z|: the log of the cancellation ratio that _values tests.  The
+        arguments of a stack's rows (see _stack) group row by row, and each
+        group is evaluated on its row's integrand.
 
         With count > 1, evaluate the family whose member k has the last
         numerator factor Gamma(a + b*v) raised to Gamma(a + k + b*v) and
@@ -653,18 +661,18 @@ class MellinBarnesIntegral:
         row = np.repeat(np.arange(len(sizes)), sizes)
         order = np.lexsort((lnz, row))
         z, zr = lnz[order], row[order]
-        zs, rs, first = z.tolist(), zr.tolist(), [0]
+        # the middle member's saddle of every argument, placed together
+        cz = self._saddle(z, (count - 1) // 2, row=zr)
+        zs, cs, rs = z.tolist(), cz.tolist(), zr.tolist()
+        span, first = log(_MAX_CANCELLATION), [0]
         for i in range(1, z.size):
-            if rs[i] != rs[first[-1]] or zs[i] - zs[first[-1]] > 4.0:
+            f = first[-1]
+            if rs[i] != rs[f] or (cs[i] - cs[f]) * (zs[i] - zs[f]) > span:
                 first.append(i)
         bounds = np.array(first + [z.size])
         size = bounds[1:] - bounds[:-1]
-        # every group's contour through the middle member's saddle at the
-        # median argument, placed together
         mid = bounds[:-1] + (size - 1) // 2
-        row = zr[bounds[:-1]]
-        c = self._saddle(0.5 * (z[mid] + z[mid + (size + 1) % 2]),
-                         (count - 1) // 2, row=row)
+        row, c = zr[bounds[:-1]], cz[mid]
         vals, far = self._value_group(z, size, c,
                                       self._truncation(c, count - 1, row),
                                       options, count, row)

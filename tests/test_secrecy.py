@@ -179,6 +179,25 @@ def test_quadrature_oracle_extrapolates_singular_density(monkeypatch):
     assert len(passes) <= 30
 
 
+def test_quadrature_oracle_extrapolation_stands_density_noise(monkeypatch):
+    """The cell of test_quadrature_oracle_extrapolates_singular_density
+    with 3e-14 relative noise (seeded) on every dgg_pdf value, a few times
+    the contour engine's rounding: the oracle moves by less than 1e-10.  The
+    epsilon table amplifies its totals' noise; with the spread of the last
+    four extrapolations counted once, a newest one that noise threw off by
+    1.1e-10 passed the acceptance test."""
+    from rfso_secrecy import secrecy
+    cfg = dict(figure_preset("fig5").curves)["st/s=2"]
+    cfg = replace(cfg, fso_main=cfg.fso_main.with_electrical_snr(db(5.836)))
+    clean = sop2_exact_quadrature(cfg)
+    pdf = secrecy.dgg_pdf
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(secrecy, "dgg_pdf", lambda link, g: pdf(
+            link, g) * (1.0 + 3e-14 * rng.uniform(-1.0, 1.0, np.shape(g))))
+        assert sop2_exact_quadrature(cfg) == pytest.approx(clean, abs=1e-10)
+
+
 def test_quadrature_oracle_raises_below_reachable_tolerance():
     cfg = dict(figure_preset("fig3").curves)["wt/s0=1"]
     with pytest.raises(AccuracyError) as exc:

@@ -450,7 +450,7 @@ def test_group_stops_at_first_passing_doubling(st_link, monkeypatch):
     accepts, derived by hand in _trapezoid_levels, and returns that level's
     values: no confirming level."""
     mb = st_link._sf_mb
-    # one group: the log-arguments span less than 4
+    # one group of three nearby log-arguments
     ln_args = (st_link.ln_cdf_argument(st_link.electrical_snr)
                + np.array([-1.0, 0.0, 1.0]))
     opts = EvalOptions()
@@ -485,13 +485,18 @@ def test_group_rate_accepts_before_the_change(monkeypatch):
                                    rel=1e-12)
 
 
-def _groups(lnz):
-    """Index arrays of value_many's groups: the arguments in order, each
-    group the ones within 4 of its first."""
+def _groups(mb, lnz, member=0):
+    """Index arrays of value_many's groups on the integrand mb: the
+    arguments in order, each group closed before the first argument whose
+    span from the group's first, in the saddle c of the member times in
+    ln z, passes ln _MAX_CANCELLATION."""
     order = np.argsort(lnz, kind="stable")
+    z = lnz[order]
+    c = mb._saddle(z, member)
+    bound = math.log(specfun._MAX_CANCELLATION)
     out, start = [], 0
     for i in range(1, lnz.size + 1):
-        if i == lnz.size or lnz[order[i]] - lnz[order[start]] > 4.0:
+        if i == lnz.size or (c[i] - c[start]) * (z[i] - z[start]) > bound:
             out.append(order[start:i])
             start = i
     return out
@@ -499,13 +504,17 @@ def _groups(lnz):
 
 @pytest.mark.parametrize("preset,s", [("wt", 1), ("st", 2)])
 def test_lockstep_call_equals_one_call_per_group(preset, s, monkeypatch):
-    """dgg_survival over eight decades of gamma: the groups of one call
-    (on wt HD some with pairs sent to their own saddles, in a second
-    pass) step through the trapezoid levels together, and every value
-    equals the one its group gives in a call of its own, bit for bit."""
+    """dgg_survival over eight decades of gamma, and the link's survival
+    Laplace family of three members (a sop1 tail's) at the same
+    log-arguments: the groups of one call step through the trapezoid
+    levels together, and every value equals the one its group gives in a
+    call of its own, bit for bit.  The law's groups serve every argument
+    in one pass; the family's send pairs to their own saddles, in a second
+    pass."""
     link = dgg_from_preset(preset, eps=1.0, detection=s, electrical_snr=100.0)
     g = np.logspace(-4, 4, 60) * link.electrical_snr
-    groups = _groups(link.ln_cdf_argument(g))
+    lnz = link.ln_cdf_argument(g)
+    family = _laplace(link._sf_mb, link.tau, 1)
     passes = []
     value_group = MellinBarnesIntegral._value_group
 
@@ -515,12 +524,82 @@ def test_lockstep_call_equals_one_call_per_group(preset, s, monkeypatch):
 
     monkeypatch.setattr(MellinBarnesIntegral, "_value_group", recorded)
     together = dgg_survival(link, g)
-    assert passes[0] == len(groups) > 5
-    assert (len(passes) == 2) == (preset == "wt")
+    groups = _groups(link._sf_mb, lnz)
+    assert passes == [len(groups)] and len(groups) > 5
     alone = np.empty_like(together)
     for idx in groups:
         alone[idx] = dgg_survival(link, g[idx])
     np.testing.assert_array_equal(together, alone)
+    passes.clear()
+    together = family.value_many(lnz, count=3)
+    groups = _groups(family, lnz, 1)
+    assert len(passes) == 2 and passes[0] == len(groups) > 1
+    alone = np.empty_like(together)
+    for idx in groups:
+        alone[:, idx] = family.value_many(lnz[idx], count=3)
+    np.testing.assert_array_equal(together, alone)
+
+
+def _grouping_cases():
+    """(label, integrand, family count, log-arguments): the st/mt/wt x
+    HD/IM-DD laws and the fig3 sop1 tail families over ln z in [-60, 60]
+    (wt's densities and HD survival to 50: past it their gamma arguments
+    pass 1e11 and raise AccuracyError, the xfails of direction 15)."""
+    from rfso_secrecy import figure_preset
+    lnz = np.linspace(-60.0, 60.0, 49)
+    for preset in ("st", "mt", "wt"):
+        for s in (1, 2):
+            link = dgg_from_preset(preset, eps=1.0, detection=s,
+                                   electrical_snr=100.0)
+            for law in ("_pdf_mb", "_cdf_mb", "_sf_mb"):
+                top = 50.0 if preset == "wt" and (
+                    law == "_pdf_mb" or (s, law) == (1, "_sf_mb")) else 60.0
+                yield (f"{preset}/{s}{law}", getattr(link, law), 1,
+                       lnz[lnz <= top])
+    for label, cfg in figure_preset("fig3").curves:
+        link = cfg.fso_main
+        yield (f"fig3 {label} tail", _laplace(link._cdf_mb, link.tau, 1), 3,
+               lnz)
+
+
+def test_groups_are_bounded_by_their_saddles(monkeypatch):
+    """value_many's groups on the paper's laws and the sop1 tail families:
+    each is the run the rule closes (_groups), so its span in the middle
+    member's saddle times its span in ln z is within ln _MAX_CANCELLATION;
+    its line is its median argument's saddle; on it every argument's
+    log-magnitude excess over its own saddle, phi(c) = Re g(c) - c ln z,
+    is within the same bound, and no pair cancels past _MAX_CANCELLATION
+    (none goes to a pass of its own); and every value equals the one the
+    argument gives alone, within 1e-13 relative."""
+    bound = math.log(specfun._MAX_CANCELLATION)
+    calls = []
+    value_group = MellinBarnesIntegral._value_group
+
+    def recorded(self, lnz, size, c, T, options, count=1, row=0):
+        out, far = value_group(self, lnz, size, c, T, options, count, row)
+        calls.append((lnz, size, c, far))
+        return out, far
+
+    monkeypatch.setattr(MellinBarnesIntegral, "_value_group", recorded)
+    for label, mb, count, lnz in _grouping_cases():
+        calls.clear()
+        merged = mb.value_many(lnz, count=count)
+        (z, size, c, far), = calls
+        member = (count - 1) // 2
+        assert [idx.size for idx in _groups(mb, lnz, member)] == list(size)
+        assert not far.any(), label
+        phi = mb._members(0, member)._log_integrand
+        for zg, line in zip(np.split(z, np.cumsum(size)[:-1]), c):
+            own = mb._saddle(zg, member)
+            assert (own[-1] - own[0]) * (zg[-1] - zg[0]) <= bound, label
+            assert line == own[(zg.size - 1) // 2], label
+            excess = (phi(np.array([line])).real - line * zg
+                      - (phi(own).real - own * zg))
+            assert excess.max() <= bound, label
+        alone = np.stack([mb.value_many([x], count=count)
+                          for x in lnz], axis=-1).reshape(merged.shape)
+        np.testing.assert_allclose(merged, alone, rtol=1e-13, atol=0.0,
+                                   err_msg=label)
 
 
 def _nodes_by_line(mb, monkeypatch):
@@ -545,7 +624,7 @@ def test_lockstep_groups_keep_their_own_node_counts(monkeypatch):
     one, other = (dgg_from_preset("wt", eps=1.0, detection=1,
                                   electrical_snr=100.0)._sf_mb
                   for _ in range(2))
-    lnz = np.array([-16.33, -10.0, -4.0, 2.0, 8.0])
+    lnz = np.array([-16.33, -2.0, 2.0, 5.0, 8.0])
     together = _nodes_by_line(one, monkeypatch)
     one.value_many(lnz)
     alone = _nodes_by_line(other, monkeypatch)
@@ -564,12 +643,12 @@ def _stacked_cases():
     yield ("fig5 crossings", [_crossing(cfg) for cfg in fig5],
            [np.array([-30.0 + 7.0 * i, -2.0 + i, 1.5, 20.0 - 3.0 * i])
             for i in range(len(fig5))], 1, specfun.TIGHT_OPTIONS)
-    # under a 128-node budget the wt s0 = 2 family does not converge at
-    # ln w = -12, and its pairs go to their own saddles
+    # under a 128-node budget the wt s0 = 2 family's group at ln w = -12
+    # and 4 does not converge, and its pairs go to their own saddles
     links = [cfg.fso_main for _, cfg in figure_preset("fig3").curves]
     yield ("fig3 sop1 tails", [_laplace(link._cdf_mb, link.tau, 1)
                                for link in links],
-           [np.array([-8.0, -1.0, 5.0]), np.array([-12.0, -3.0, 4.0])]
+           [np.array([-8.0, -1.0, 5.0]), np.array([-12.0, 4.0, 12.0])]
            + [np.array([-12.0, -1.0, 3.5, 9.0])] * 4, 3,
            replace(specfun.TIGHT_OPTIONS, max_quadrature_nodes=128))
     for law in ("_cdf_mb", "_sf_mb"):
@@ -622,7 +701,7 @@ def test_low_height_doubles_only_its_own_line(st_link, monkeypatch):
     levels; they keep their heights, nodes and values to the bit."""
     mb = st_link._sf_mb
     lnz = (float(st_link.ln_cdf_argument(st_link.electrical_snr))
-           + np.array([-12.0, 0.0, 12.0]))
+           + np.array([-60.0, 0.0, 60.0]))
     ref = mb.value_many(lnz)
     low = mb._truncation
     monkeypatch.setattr(mb, "_truncation", lambda c, k, row: low(
@@ -1009,13 +1088,16 @@ def test_wt_survival_group_node_count(monkeypatch):
 
 
 def test_spread_group_masks_cancelling_arguments(monkeypatch):
-    """One group of wt HD survival arguments (ln z 4.68 to 8.33, a span
-    under 4) whose values run from 4e-3 down to 2e-45, as the quadrature
-    oracles' batched nodes give: no shared contour serves them all.  The
-    arguments whose sums cancel on it leave the convergence test and go to
-    their own saddles, so the group takes a few hundred gamma-pass nodes
-    (264,480 when it doubled to the node budget, raised AccuracyError and
-    was split), and every value equals a one-at-a-time evaluation."""
+    """Fifteen wt HD survival arguments (ln z 4.68 to 8.33) whose values run
+    from 4e-3 down to 2e-45, as the quadrature oracles' batched nodes give:
+    no shared contour serves them all, and the saddle rule splits them into
+    six groups with nothing masked.  Forced into one group on the median
+    argument's saddle (every argument's grouping saddle set to it), the
+    arguments whose sums cancel on that line leave the convergence test:
+    _value_group masks them, value_many sends each to its own saddle, the
+    call takes a few hundred gamma-pass nodes (264,480 when such a group
+    doubled to the node budget, raised AccuracyError and was split), and
+    every value equals a one-at-a-time evaluation."""
     link = dgg_from_preset("wt", eps=1.0, detection=1, electrical_snr=100.0)
     mb = link._sf_mb
     lnz = np.array([4.677, 4.801, 4.889, 4.935, 4.954, 5.001, 5.098, 5.248,
@@ -1023,12 +1105,34 @@ def test_spread_group_masks_cancelling_arguments(monkeypatch):
     ref = np.array([mb.value(x) for x in lnz])
     assert ref[-1] < 1e-40 < 1e-3 < ref[0]
     # on the class: the pairs on their own saddles run on a copy of mb
+    groups = []
+    value_group = MellinBarnesIntegral._value_group
+
+    def recorded(self, z, size, *args):
+        out = value_group(self, z, size, *args)
+        groups.append((self is mb, list(size), int(out[1].sum())))
+        return out
+
+    monkeypatch.setattr(MellinBarnesIntegral, "_value_group", recorded)
+    np.testing.assert_allclose(mb.value_many(lnz), ref, rtol=1e-12, atol=0.0)
+    assert groups == [(True, [8, 2, 2, 1, 1, 1], 0)]
+    groups.clear()
+    saddle = MellinBarnesIntegral._saddle
+
+    def median_saddle(self, z, *args, **kwargs):
+        c = saddle(self, z, *args, **kwargs)
+        return np.full(c.size, c[c.size // 2]) if self is mb else c
+
+    monkeypatch.setattr(MellinBarnesIntegral, "_saddle", median_saddle)
     nodes = []
     log_integrand = MellinBarnesIntegral._log_integrand
     monkeypatch.setattr(MellinBarnesIntegral, "_log_integrand",
                         lambda self, v, row: nodes.append(v.size)
                         or log_integrand(self, v, row))
     got = mb.value_many(lnz)
+    (lone, size, far), own = groups[0], groups[1:]
+    assert lone and size == [15] and far > 0
+    assert own == [(False, [1] * far, 0)]
     assert sum(nodes) < 4096
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 

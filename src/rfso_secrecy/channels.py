@@ -27,7 +27,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from math import exp, isfinite, lgamma, log, log1p, sqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln, xlogy
@@ -319,6 +319,15 @@ def eta_mu_sample(link: EtaMuLink, rng: RngStream, n: int) -> np.ndarray:
     return out
 
 
+class _Factors(NamedTuple):
+    """The factors of a DGG law's Mellin-Barnes integrand, as
+    MellinBarnesIntegral takes them."""
+
+    numer: tuple
+    denom: tuple
+    linear: tuple
+
+
 class DggLink:
     """One DGG-faded FSO hop with pointing error and detection law.
 
@@ -339,11 +348,13 @@ class DggLink:
     omega scales).  The pointing factor 1/(eps^2/tau + v) is the paper's
     gamma ratio Gamma(eps^2/tau + v)/Gamma(1 + eps^2/tau + v) (DLMF
     5.5.1), kept as a linear factor of the integrand.  Mellin
-    inversion gives the density from K(v) (_pdf_mb, at ln_pdf_argument),
-    the CDF and survival from K(s*v) times 1/(-v) and 1/v, the ratios
-    Gamma(-/+v)/Gamma(1 -/+ v) (_cdf_mb, _sf_mb, at ln_cdf_argument): two
-    gamma factors and one or two linear ones each.  The paper's G-form
-    expands each factor Gamma(q + p*v) into a ladder of p unit-slope
+    inversion gives the density from K(v) (_pdf_factors, at
+    ln_pdf_argument), the CDF and survival from K(s*v) times 1/(-v) and
+    1/v, the ratios Gamma(-/+v)/Gamma(1 -/+ v) (_cdf_factors, _sf_factors,
+    at ln_cdf_argument): two gamma factors and one or two linear ones
+    each.  A law's integrand (_pdf_mb, _cdf_mb, _sf_mb) is built on its
+    first evaluation; the closed forms read only its factors.  The paper's
+    G-form expands each factor Gamma(q + p*v) into a ladder of p unit-slope
     factors; the link keeps the factors, and the tests keep the G-form as
     their reference.
     """
@@ -388,19 +399,32 @@ class DggLink:
         def kernel(k):
             # the factors of K(k*v): two gamma factors, and the pointing
             # factor 1/(eps^2/tau + k*v) first among the linear ones
-            return [(b1, k * lam2), (b2, k * lam1)], [(e2 / tau, k)]
+            return ((b1, k * lam2), (b2, k * lam1)), ((e2 / tau, k),)
 
-        # Mellin-Barnes integrands reused by every evaluation on this link
         numer, linear = kernel(1.0)
-        self._pdf_mb = MellinBarnesIntegral(numer, linear=linear)
+        self._pdf_factors = _Factors(numer, (), linear)
         numer, linear = kernel(float(self.s))
-        self._cdf_mb = MellinBarnesIntegral(numer,
-                                            linear=linear + [(0.0, -1.0)])
-        self._sf_mb = MellinBarnesIntegral(numer, linear=linear + [(0.0, 1.0)])
+        self._cdf_factors = _Factors(numer, (), linear + ((0.0, -1.0),))
+        self._sf_factors = _Factors(numer, (), linear + ((0.0, 1.0),))
+        self._integrands = {}
         self.ln_norm = log(e2) - lgamma(b1) - lgamma(b2)
         self.ln_scale = tau * (-log1p(1.0 / e2)
                                + lgamma(b1 + lam2 / tau) - lgamma(b1)
                                + lgamma(b2 + lam1 / tau) - lgamma(b2))
+
+    def _integrand(self, law: str) -> MellinBarnesIntegral:
+        """The integrand of law "pdf", "cdf" or "sf", built on its first
+        use into the holder that with_electrical_snr's copies share
+        (setdefault: threads that build it at once all get the first)."""
+        mb = self._integrands.get(law)
+        if mb is None:
+            mb = self._integrands.setdefault(law, MellinBarnesIntegral(
+                *getattr(self, f"_{law}_factors")))
+        return mb
+
+    _pdf_mb = property(lambda self: self._integrand("pdf"))
+    _cdf_mb = property(lambda self: self._integrand("cdf"))
+    _sf_mb = property(lambda self: self._integrand("sf"))
 
     # -- derived scale quantities -------------------------------------------
 

@@ -198,12 +198,19 @@ def _epsilon(s) -> float:
     return float(best)
 
 
-def _integrate(f, abs_tol: float) -> float:
+def _integrate(f, abs_tol: float, edges=()) -> float:
     """int_0^inf f(g) dg for a vectorised f, globally adaptive to the
     tolerance max(abs_tol/100, 1e-9 |I|) in at most _QUAD_LIMIT intervals.
     Each pass bisects the intervals that carry the most error, the fewest
     that leave the others' errors within an eighth of the tolerance (the
     rule of scipy's quad_vec), and evaluates all their nodes in one call.
+
+    The first pass takes t in [0, 1] cut into 8 equal intervals, cut
+    again at the caller's edges t = g/(1 + g), where it knows the
+    integrand to change scale.  A call of the DGG laws costs about as much
+    as a hundred further nodes (its contour placement), and a start from
+    [0, 1] alone spent 4 to 5 passes on partitions it always refined to
+    four intervals or more; from 8, a smooth integral takes 1 or 2 passes.
 
     An integrable singularity at g = 0 (a DGG density ~ g^(k/s - 1))
     leaves the error in the interval at t = 0 alone, and bisection only
@@ -216,7 +223,8 @@ def _integrate(f, abs_tol: float) -> float:
     spreads by about 3e, so the factor holds e to a twelfth of the
     tolerance.  Raises AccuracyError when the smaller error estimate ends
     above abs_tol."""
-    a, b = np.zeros(1), np.ones(1)
+    cuts = np.union1d(np.linspace(0.0, 1.0, 9), edges)
+    a, b = cuts[:-1], cuts[1:]
     val, err = _gk15(f, a, b)
     totals, extrapolated = [], []
     best = (np.inf, np.nan)
@@ -414,14 +422,15 @@ def _sop1_plan(cfg: Scenario1Config, label: str = "sop1_lower") -> _Plan:
     Gamma(p + 1, rate F) average of S_d(phi g), F = phi lam_0 + lam_e.
     That average is 1 - (e^A / tau) (p + 1) T_p, A the link's ln_norm, at
     ln_w = fso.ln_cdf_argument(phi / F), T_p member p of the family
-    _laplace(fso._cdf_mb, tau, 1): the full slope-tau kernel (lower bound),
-    whose values the requests ask for, or its leading residues (asymptote).
+    _laplace(fso._cdf_factors, tau, 1): the full slope-tau kernel (lower
+    bound), whose values the requests ask for, or its leading residues
+    (asymptote).
     """
     fso, phi1 = cfg.fso_main, cfg.phi1
     lam0, x0, _, W0 = _poisson_grid(cfg.rf_main)
     lame, xe, we, _ = _poisson_grid(cfg.rf_eve)
     c, F, p = _pairs(x0, phi1 * lam0, xe, lame)
-    requests, tail = _family(_laplace(fso._cdf_mb, fso.tau, 1),
+    requests, tail = _family(_laplace(fso._cdf_factors, fso.tau, 1),
                              lambda rate: fso.ln_cdf_argument(phi1 / rate),
                              F, p)
     weight = W0[:, None] * we * c * lame / F
@@ -433,9 +442,10 @@ def _sop1_plan(cfg: Scenario1Config, label: str = "sop1_lower") -> _Plan:
     return _Plan(requests, finish)
 
 
-def _laplace(kernel: MellinBarnesIntegral, slope: float, z: int) -> tuple:
+def _laplace(kernel, slope: float, z: int) -> tuple:
     """The factors of a Laplace block of the scenario-1 sums: a DGG link
-    kernel (_cdf_mb, _sf_mb or _pdf_mb) against the Laplace kernel
+    kernel's (_cdf_factors, _sf_factors or _pdf_factors, or an integrand's
+    numer, denom and linear) against the Laplace kernel
     Gamma(z - slope*v) / z!.  Every Laplace kernel here comes divided by
     z!, as the members of the engine's families do, which keeps blocks of
     any z in double range."""
@@ -494,7 +504,14 @@ def sop1_exact_quadrature(cfg: Scenario1Config, abs_tol: float = 1e-7) -> float:
     _integrate) evaluates the integrand at all the nodes of one refinement
     pass together, aims at max(abs_tol/100, 1e-9 * value), and raises
     AccuracyError when its error estimate ends above abs_tol.  The eta-mu
-    density comes first: where it is 0 the DGG term is not evaluated."""
+    density comes first: where it is 0 the DGG term is not evaluated.
+
+    The first partition has edges at g = 4^j/lam, j = 0..3, for each decay
+    rate lam of the eavesdropper's Gamma terms, where its density has its
+    mass.  The Rayleigh surrogate eta = 1e-6 has a term of rate 1e6 times
+    the other's, a spike at g = 0 too narrow for the nodes of [0, 1/8]."""
+    rates = np.unique(cfg.rf_eve.terms[2])
+    edges = 1.0 / (1.0 + np.outer(rates, 4.0 ** -np.arange(4)))
     phi1 = cfg.phi1
     shift = phi1 - 1.0
     channel = DualHopChannel(cfg.rf_main, cfg.fso_main)
@@ -506,7 +523,7 @@ def sop1_exact_quadrature(cfg: Scenario1Config, abs_tol: float = 1e-7) -> float:
             out[live] *= min_combine_cdf(channel, phi1 * g[live] + shift)
         return out
 
-    return _clamp_unit(_integrate(integrand, abs_tol),
+    return _clamp_unit(_integrate(integrand, abs_tol, edges),
                        "sop1_exact_quadrature")
 
 
@@ -527,10 +544,10 @@ def _spsc1_plan(cfg: Scenario1Config) -> _Plan:
     c, H, p = _pairs(x0, lam0, np.append(0, xe), np.append(0.0, lame))
     c *= np.append(1.0, -We)
     sf_requests, survival = _family(
-        _laplace(fso._sf_mb, tau, 1),
+        _laplace(fso._sf_factors, tau, 1),
         lambda rate: fso.ln_cdf_argument(1.0 / rate), H, p)
     pdf_requests, density = _family(
-        _laplace(fso._pdf_mb, tau / s, 0),
+        _laplace(fso._pdf_factors, tau / s, 0),
         lambda rate: fso.ln_pdf_argument(1.0 / rate), H, p)
 
     def finish(values):
@@ -558,9 +575,10 @@ def _crossing(cfg: Scenario2Config) -> tuple:
     CDF integrand without 1/(-v)) with every slope negated, whose factors
     lead."""
     main, eve = cfg.fso_main, cfg.fso_eve
-    numer = tuple((a, -b) for a, b in main._cdf_mb.numer) + eve._sf_mb.numer
-    linear = (tuple((a, -b) for a, b in main._cdf_mb.linear[:-1])
-              + eve._sf_mb.linear)
+    numer = (tuple((a, -b) for a, b in main._cdf_factors.numer)
+             + eve._sf_factors.numer)
+    linear = (tuple((a, -b) for a, b in main._cdf_factors.linear[:-1])
+              + eve._sf_factors.linear)
     return numer, (), linear, 0.0
 
 

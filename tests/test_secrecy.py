@@ -151,6 +151,66 @@ def test_quadrature_oracles_match_scalar_quad(preset, label, ud_db):
     assert got == pytest.approx(_quad_reference(cfg), rel=1e-11, abs=0.0)
 
 
+@pytest.mark.parametrize("ud_db", [5.836, 32.695])
+@pytest.mark.parametrize("preset,label", [
+    ("fig3", "wt/s0=1"), ("fig3", "st/s0=1"), ("fig3", "mt/s0=1"),
+    ("fig5", "wt/s=1")])
+def test_quadrature_oracles_take_at_most_two_passes(monkeypatch, preset,
+                                                     label, ud_db):
+    """The cells of test_quadrature_oracles_match_scalar_quad: from the
+    first partition of 8 intervals each oracle reaches its tolerance in at
+    most two Gauss-Kronrod passes (from [0, 1] alone it took 4 or 5)."""
+    from rfso_secrecy import secrecy
+    passes = []
+    gk15 = secrecy._gk15
+    monkeypatch.setattr(secrecy, "_gk15",
+                        lambda *args: passes.append(1) or gk15(*args))
+    cfg = dict(figure_preset(preset).curves)[label]
+    cfg = replace(cfg, fso_main=cfg.fso_main.with_electrical_snr(db(ud_db)))
+    (sop1_exact_quadrature if isinstance(cfg, Scenario1Config)
+     else sop2_exact_quadrature)(cfg)
+    assert 1 <= len(passes) <= 2
+
+
+@pytest.mark.parametrize("label,ud_db", [
+    ("wt/s0=1", 28.0), ("mt/s0=1", 34.0), ("st/s0=1", 40.0)])
+def test_sop1_oracle_on_fig3_rows_matches_scalar_quad(label, ud_db):
+    """Three rows of the fig3 21-point sweep that a start from [0, 1] left
+    about 2e-10 relative off scalar quad, inside its 1e-9 relative
+    tolerance: the start from 8 intervals resolves them to 1e-11."""
+    cfg = dict(figure_preset("fig3").curves)[label]
+    cfg = replace(cfg, fso_main=cfg.fso_main.with_electrical_snr(db(ud_db)))
+    assert sop1_exact_quadrature(cfg) == pytest.approx(
+        _quad_reference(cfg), rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("phi_sr_db", [0.0, 40.0])
+@pytest.mark.parametrize("label", ["rayleigh/k", "rayleigh/double-weibull"])
+def test_sop1_oracle_sees_the_rayleigh_surrogate_spike(label, phi_sr_db):
+    """fig9's Rayleigh eavesdropper is EtaMuLink(1e-6, 1, .), whose density
+    carries a term -1e-6 * lam e^(-lam g) with lam = 3.2e6: a spike 3e-7
+    wide at g = 0 that the nodes of [0, 1/8] miss, leaving the oracle off
+    by 2e-7 to 5e-7 with no error flagged.  The oracle's first partition
+    has edges at the eavesdropper's decay scales; the reference is scalar
+    quad split at 1e-5 and 1, so that its nodes see the spike too."""
+    from scipy.integrate import quad
+    from rfso_secrecy.channels import eta_mu_pdf
+    from rfso_secrecy.dualhop import DualHopChannel, min_combine_cdf
+    cfg = dict(figure_preset("fig9").curves)[label]
+    cfg = replace(cfg, rf_main=cfg.rf_main.with_avg_snr(db(phi_sr_db)))
+    phi1 = cfg.phi1
+    ch = DualHopChannel(cfg.rf_main, cfg.fso_main)
+
+    def f(g):
+        return (min_combine_cdf(ch, phi1 * g + phi1 - 1.0)
+                * float(eta_mu_pdf(cfg.rf_eve, g)))
+
+    tight = dict(epsabs=1e-15, epsrel=1e-12, limit=2000)
+    ref = sum(quad(f, lo, hi, **tight)[0]
+              for lo, hi in ((0.0, 1e-5), (1e-5, 1.0), (1.0, np.inf)))
+    assert sop1_exact_quadrature(cfg) == pytest.approx(ref, abs=1e-9)
+
+
 def test_quadrature_oracle_extrapolates_singular_density(monkeypatch):
     """fig5 st IM/DD: the eavesdropper's density grows like g^-0.53 at
     g = 0, where bisection alone takes 50 to 70 passes.  The reference is

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
+from functools import partial
 from math import exp, isfinite, lgamma, log, log1p, sqrt
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln, xlogy
 
-from .errors import ParameterError, UnsupportedCaseError
+from .errors import ParameterError, RfsoError, UnsupportedCaseError
 from .specfun import MellinBarnesIntegral
 
 __all__ = [
@@ -296,6 +297,77 @@ def eta_mu_cdf(link: EtaMuLink, gamma) -> np.ndarray:
     return link._evaluate("cdf", g)
 
 
+class _Sampler(NamedTuple):
+    """A sampler split into its generator calls and a per-link map.
+
+    draws(generator, shape, n) makes the calls for n SNRs of a link whose
+    shape(link) is `shape`, and yields their standard variates in chunks of
+    rows; snr(link, chunk) maps one chunk to the link's SNRs and reads only
+    key(link).  Links of one shape make the same calls, so a draw from one
+    generator state serves them all (montecarlo._count_hits)."""
+
+    shape: Callable
+    key: Callable
+    draws: Callable
+    snr: Callable
+
+
+def _draw(gen: np.random.Generator, draws, shape, n: int, links: dict):
+    """One draw of n rows from gen, mapped once per link: links maps a key
+    to (snr, link), the result maps it to the link's SNRs, or to the
+    RfsoError its map raised.  The variates are freed on return."""
+    out = {key: [] for key in links}
+    for chunk in draws(gen, shape, n):
+        for key, (snr, link) in links.items():
+            if isinstance(out[key], list):
+                try:
+                    out[key].append(snr(link, chunk))
+                except RfsoError as exc:
+                    out[key] = exc
+    return {key: v if isinstance(v, RfsoError)
+            else v[0] if len(v) == 1 else np.concatenate(v)
+            for key, v in out.items()}
+
+
+def _sample(sampler: _Sampler, link, rng: RngStream, n: int) -> np.ndarray:
+    """n SNRs of the link from the sampler's draws on rng."""
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    snr, = _draw(rng.generator, sampler.draws, sampler.shape(link), n,
+                 {None: (sampler.snr, link)}).values()
+    if isinstance(snr, RfsoError):
+        raise snr
+    return snr
+
+
+def _normal_pairs(gen: np.random.Generator, mu: int, n: int):
+    """Two (m, 2mu) standard-normal blocks, in chunks of m <= 2^20 rows."""
+    for done in range(0, n, 1 << 20):
+        m = min(n - done, 1 << 20)
+        yield (gen.standard_normal((m, 2 * mu)),
+               gen.standard_normal((m, 2 * mu)))
+
+
+def _eta_mu_snr(link: EtaMuLink, normals) -> np.ndarray:
+    """The SNRs of one chunk: the in-phase block scaled to variance eta*c
+    and the quadrature block to c (gen.normal(0, sigma) is 0 + sigma*z),
+    squared and summed by rows, in one scratch block."""
+    c = link.avg_snr / (2.0 * link.mu * (1.0 + link.eta))
+    zp, zq = normals
+    x = sqrt(link.eta * c) * zp
+    x *= x
+    out = x.sum(axis=1)
+    np.multiply(sqrt(c), zq, out=x)
+    x *= x
+    out += x.sum(axis=1)
+    return out
+
+
+_ETA_MU = _Sampler(shape=lambda link: link.mu,
+                   key=lambda link: (link.eta, link.mu, link.avg_snr),
+                   draws=_normal_pairs, snr=_eta_mu_snr)
+
+
 def eta_mu_sample(link: EtaMuLink, rng: RngStream, n: int) -> np.ndarray:
     """Draw SNRs from the physical Gaussian construction.
 
@@ -304,19 +376,7 @@ def eta_mu_sample(link: EtaMuLink, rng: RngStream, n: int) -> np.ndarray:
     mu of each yields a visibly different law, so mind the factor of two.
     Variances are scaled so the sample mean equals avg_snr.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    gen = rng.generator
-    c = link.avg_snr / (2.0 * link.mu * (1.0 + link.eta))
-    out = np.empty(n)
-    done = 0
-    while done < n:
-        m = min(n - done, 1 << 20)
-        P = gen.normal(0.0, sqrt(link.eta * c), size=(m, 2 * link.mu))
-        Q = gen.normal(0.0, sqrt(c), size=(m, 2 * link.mu))
-        out[done:done + m] = (P * P).sum(axis=1) + (Q * Q).sum(axis=1)
-        done += m
-    return out
+    return _sample(_ETA_MU, link, rng, n)
 
 
 class _Factors(NamedTuple):
@@ -512,29 +572,45 @@ def dgg_survival(link: DggLink, gamma) -> np.ndarray:
     return _dgg_distribution(link, gamma, link._sf_mb, 1.0)
 
 
-def dgg_sample(link: DggLink, rng: RngStream, n: int) -> np.ndarray:
-    """Physical sampler: product of two generalized-Gamma irradiances and a
-    pointing-error factor V^(1/eps^2), mapped through SNR = U*(I/c)^s."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    gen = rng.generator
-    Ix = gen.gamma(link.b1, 1.0 / link.b1, size=n) ** (1.0 / link.a1)
-    Iy = gen.gamma(link.b2, 1.0 / link.b2, size=n) ** (1.0 / link.a2)
-    Ip = gen.uniform(size=n) ** (1.0 / link.eps**2)
+def _dgg_key(link: DggLink):
+    return link.shape_key(), link.s, link.electrical_snr
+
+
+def _gamma_pair_uniform(gen: np.random.Generator, shape, n: int):
+    """Standard-Gamma draws of shapes b1 and b2, then uniforms, n each."""
+    b1, b2 = shape
+    yield gen.standard_gamma(b1, n), gen.standard_gamma(b2, n), gen.random(n)
+
+
+def _dgg_snr(link: DggLink, variates) -> np.ndarray:
+    """SNR = U*(Ix*Iy*Ip/c)^s from the standard variates: the irradiances
+    Gamma(b, 1/b)^(1/a) (gen.gamma(b, 1/b) is (1/b)*standard_gamma(b)) and
+    the pointing factor V^(1/eps^2)."""
+    g1, g2, v = variates
+    Ix = ((1.0 / link.b1) * g1) ** (1.0 / link.a1)
+    Iy = ((1.0 / link.b2) * g2) ** (1.0 / link.a2)
+    Ip = v ** (1.0 / link.eps**2)
     c = link.sampler_scale()
     return link.electrical_snr * (Ix * Iy * Ip / c) ** link.s
 
 
-def dgg_sample_inverse_cdf(link: DggLink, rng: RngStream, n: int,
-                           grid_points: int = 4096) -> np.ndarray:
-    """Inverse-CDF sampler through the analytic distribution.
+_DGG = _Sampler(shape=lambda link: (link.b1, link.b2), key=_dgg_key,
+                draws=_gamma_pair_uniform, snr=_dgg_snr)
 
-    Slower and grid-limited (~1e-4 accuracy), but independent of the physical
-    product construction: disagreement between the two samplers localizes a
-    defect to the distribution model rather than the secrecy algebra.
-    """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+
+def dgg_sample(link: DggLink, rng: RngStream, n: int) -> np.ndarray:
+    """Physical sampler: product of two generalized-Gamma irradiances and a
+    pointing-error factor V^(1/eps^2), mapped through SNR = U*(I/c)^s."""
+    return _sample(_DGG, link, rng, n)
+
+
+def _uniforms(gen: np.random.Generator, shape, n: int):
+    """n uniforms on [0, 1): gen.uniform() is 0 + 1*random()."""
+    yield gen.random(n)
+
+
+def _inverse_cdf_snr(link: DggLink, u, grid_points: int = 4096):
+    """The SNRs at CDF levels u, interpolated on a log grid of the CDF."""
     # the grid's ends, searched no further than the finite positive doubles:
     # where the first candidate fails, the last one decides in one call
     # whether any does (each candidate is its own contour group, so a call
@@ -561,8 +637,23 @@ def dgg_sample_inverse_cdf(link: DggLink, rng: RngStream, n: int,
     grid = np.exp(np.linspace(log(lo), log(hi), grid_points))
     F = dgg_cdf(link, grid)
     F = np.maximum.accumulate(F)
-    u = rng.generator.uniform(size=n)
     return np.interp(u, F, grid)
+
+
+_DGG_INVERSE_CDF = _Sampler(shape=lambda link: None, key=_dgg_key,
+                            draws=_uniforms, snr=_inverse_cdf_snr)
+
+
+def dgg_sample_inverse_cdf(link: DggLink, rng: RngStream, n: int,
+                           grid_points: int = 4096) -> np.ndarray:
+    """Inverse-CDF sampler through the analytic distribution.
+
+    Slower and grid-limited (~1e-4 accuracy), but independent of the physical
+    product construction: disagreement between the two samplers localizes a
+    defect to the distribution model rather than the secrecy algebra.
+    """
+    return _sample(_DGG_INVERSE_CDF._replace(snr=partial(
+        _inverse_cdf_snr, grid_points=grid_points)), link, rng, n)
 
 
 def special_case(name: str, **params):

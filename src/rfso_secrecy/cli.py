@@ -265,9 +265,10 @@ _ASYM = {"sop1": partial(secrecy._sop1_plan, label="sop1_asymptotic"),
 _QUAD = {"sop1": secrecy.sop1_exact_quadrature,
          "sop2": secrecy.sop2_exact_quadrature}
 # the MC evaluator estimates the same quantity the closed form computes:
-# lower-bound event for SOP metrics, the crossing event for SPSC
-_MC = {"sop1": montecarlo.estimate_sop1, "sop2": montecarlo.estimate_sop2,
-       "spsc1": montecarlo.estimate_spsc1, "spsc2": montecarlo.estimate_spsc2}
+# lower-bound event for SOP metrics, the crossing event for SPSC; an entry
+# builds the cell's estimator steps, which montecarlo._count_hits walks
+_MC = {"sop1": montecarlo._sop1, "sop2": montecarlo._sop2,
+       "spsc1": montecarlo._spsc1, "spsc2": montecarlo._spsc2}
 # metric -> plan builder (a point's config to its plan, which is data) or
 # public function per evaluator; the functions sit in module-level dicts
 # because perfbench's tracer patches functions in a module's dicts one
@@ -280,16 +281,36 @@ def _cell_supported(metric: str, evaluator: str) -> bool:
     return metric in _EVALUATORS[evaluator]
 
 
-def _evaluate_cell(cfg, metric: str, evaluator: str, sweep: SweepSpec,
-                   cell_index: int):
-    """(value, std_error, n_samples) of a quadrature or MC cell;
-    deterministic per (sweep.seed, index)."""
-    fn = _EVALUATORS[evaluator][metric]
-    if evaluator == "exact_quadrature":
-        return fn(cfg), None, None
-    est = fn(cfg, sweep.mc_samples,
-             RngStream(sweep.seed, stream_id=cell_index))
-    return est.value, est.std_error, est.n_samples
+def _evaluate_cells(cells, cfgs, sweep: SweepSpec) -> dict:
+    """(value, std_error, n_samples), or the RfsoError that stopped it, of
+    each cell (curve, grid index, axis value, metric, evaluator) of one
+    task: a quadrature cell, or the MC cells of every curve at one grid
+    index.  Those all start from RngStream(sweep.seed, index), the stream
+    each has alone, and montecarlo._count_hits walks them together: each
+    distinct generator call is made once, every count is the cell's own,
+    and a failure stays with its cell."""
+    results, steps = {}, {}
+    for cell in cells:
+        n, _, v, metric, evaluator = cell
+        try:
+            cfg = _with_axis(cfgs[n], sweep.axis, v)
+            if evaluator == "mc":
+                steps[cell] = _MC[metric](cfg)
+            else:
+                results[cell] = _EVALUATORS[evaluator][metric](cfg), None, None
+        except RfsoError as exc:
+            results[cell] = exc
+    if steps:
+        hits = montecarlo._count_hits(list(steps.values()), sweep.mc_samples,
+                                      RngStream(sweep.seed, cells[0][1]))
+        for cell, count in zip(steps, hits):
+            if isinstance(count, RfsoError):
+                results[cell] = count
+            else:
+                est = montecarlo.MCEstimate.from_counts(count,
+                                                        sweep.mc_samples)
+                results[cell] = est.value, est.std_error, est.n_samples
+    return results
 
 
 def _run_curves(cfgs, sweep: SweepSpec, jobs: int = 1) -> list:
@@ -300,8 +321,10 @@ def _run_curves(cfgs, sweep: SweepSpec, jobs: int = 1) -> list:
     plan) in one secrecy._evaluate call: a curve's plans share each contour
     integral's evaluation, and the curves share integrands and stacked
     passes, with every value the one its curve gives alone.  The asymptote
-    cells are one more such call, served by residues.  The quadrature and
-    MC cells run one at a time, in a pool of `jobs` threads when jobs > 1.
+    cells are one more such call, served by residues.  The rest are tasks
+    (_evaluate_cells): each quadrature cell is one, and the MC cells of
+    all the curves at one grid index, which share a stream, are one.  The
+    tasks run one at a time, or in a pool of `jobs` threads when jobs > 1.
     Rows come out in deterministic (axis point, metric, evaluator) order
     regardless of evaluation order; failed cells carry an error flag
     instead of aborting the sweep.
@@ -324,14 +347,6 @@ def _run_curves(cfgs, sweep: SweepSpec, jobs: int = 1) -> list:
                              None, error_flag=type(result).__name__)
         return ResultRow(sweep.axis, v, metric, evaluator, *result)
 
-    def work(cell):
-        n, index, v, metric, evaluator = cell
-        try:
-            return row(cell, _evaluate_cell(_with_axis(cfgs[n], sweep.axis, v),
-                                            metric, evaluator, sweep, index))
-        except RfsoError as exc:
-            return row(cell, exc)
-
     rows = {}
     for kind in ("closed", "asymptotic"):
         plans = {}
@@ -348,12 +363,22 @@ def _run_curves(cfgs, sweep: SweepSpec, jobs: int = 1) -> list:
         for cell, result in zip(plans, results):
             rows[cell] = row(cell, result if isinstance(result, RfsoError)
                              else (result, None, None))
-    rest = [cell for cell in cells if cell not in rows]
+    tasks, streams = [], {}
+    for cell in cells:
+        if cell[4] == "exact_quadrature":
+            tasks.append([cell])
+        elif cell[4] == "mc":
+            streams.setdefault(cell[1], []).append(cell)
+    tasks += streams.values()
+    evaluate = partial(_evaluate_cells, cfgs=cfgs, sweep=sweep)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows.update(zip(rest, pool.map(work, rest)))
+            done = list(pool.map(evaluate, tasks))
     else:
-        rows.update((cell, work(cell)) for cell in rest)
+        done = map(evaluate, tasks)
+    for results in done:
+        rows.update((cell, row(cell, result))
+                    for cell, result in results.items())
     return [[rows[cell] for cell in cells if cell[0] == n]
             for n in range(len(cfgs))]
 

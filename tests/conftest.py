@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import kv
 
 from rfso_secrecy import (EtaMuLink, Scenario1Config, Scenario2Config,
-                          dgg_from_preset)
+                          channels, dgg_from_preset)
 from rfso_secrecy.specfun import delta_expand, delta_expand_list
 
 
@@ -86,6 +86,43 @@ def paper_dgg_form(link):
         log_B1=log_B1, log_B2t_tau=log_B2t_tau, log_B3=log_B3, log_B4=log_B4,
         ln_pdf_argument=lambda g: log_B2t_tau + (tau / s) * (np.log(g) - lnU),
         ln_cdf_argument=lambda g: log_B4 + tau * (np.log(g) - lnU))
+
+
+def gaussian_eta_mu_sample(link, rng, n):
+    """The eta-mu sampler as it drew before its split into standard draws
+    and a per-link map, frozen as the reference for its bytes: the physical
+    Gaussian construction, per chunk of at most 2^20 rows a gen.normal
+    block of 2mu in-phase columns with variance eta*c, then one of 2mu
+    quadrature columns with variance c, squared and summed by rows."""
+    gen = rng.generator
+    c = link.avg_snr / (2.0 * link.mu * (1.0 + link.eta))
+    out = np.empty(n)
+    done = 0
+    while done < n:
+        m = min(n - done, 1 << 20)
+        P = gen.normal(0.0, math.sqrt(link.eta * c), size=(m, 2 * link.mu))
+        Q = gen.normal(0.0, math.sqrt(c), size=(m, 2 * link.mu))
+        out[done:done + m] = (P * P).sum(axis=1) + (Q * Q).sum(axis=1)
+        done += m
+    return out
+
+
+def product_dgg_sample(link, rng, n):
+    """The physical DGG sampler as it drew before the split, frozen as the
+    reference for its bytes: gen.gamma(b, 1/b)^(1/a) for each irradiance
+    factor, then gen.uniform()^(1/eps^2) for the pointing factor."""
+    gen = rng.generator
+    Ix = gen.gamma(link.b1, 1.0 / link.b1, size=n) ** (1.0 / link.a1)
+    Iy = gen.gamma(link.b2, 1.0 / link.b2, size=n) ** (1.0 / link.a2)
+    Ip = gen.uniform(size=n) ** (1.0 / link.eps**2)
+    return (link.electrical_snr
+            * (Ix * Iy * Ip / link.sampler_scale()) ** link.s)
+
+
+def uniform_inverse_cdf_sample(link, rng, n):
+    """The inverse-CDF sampler's draw as it was before the split,
+    gen.uniform(), through the sampler's own CDF table."""
+    return channels._inverse_cdf_snr(link, rng.generator.uniform(size=n))
 
 
 @pytest.fixture(scope="session")

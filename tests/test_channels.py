@@ -18,7 +18,9 @@ from rfso_secrecy.channels import EPS_MAX, TURBULENCE_PRESETS, dgg_survival
 from rfso_secrecy.errors import (AccuracyError, ParameterError,
                                  UnsupportedCaseError)
 
-from conftest import gamma_gamma_pointing_pdf, ks_statistic, paper_dgg_form
+from conftest import (gamma_gamma_pointing_pdf, gaussian_eta_mu_sample,
+                      ks_statistic, paper_dgg_form, product_dgg_sample,
+                      uniform_inverse_cdf_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +242,27 @@ def test_eta_mu_sampler_deterministic():
     assert np.array_equal(a, b)
     c = eta_mu_sample(link, RngStream(42, 10), 10)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("n", [10, 50_000])
+@pytest.mark.parametrize("eta,mu", [(20.0, 1), (0.3, 2), (5.0, 3), (50.0, 4),
+                                    (1e-6, 1), (1e-6, 2)])
+def test_eta_mu_sampler_equals_the_gaussian_construction(eta, mu, n):
+    """Split into standard normals and a per-link map, the sampler still
+    gives the bytes of gen.normal(0, sigma) for P then Q, for mu 1 to 4
+    and at the eta = 1e-6 surrogate of the Rayleigh and Nakagami rows."""
+    link = EtaMuLink(eta, mu, 7.0)
+    assert np.array_equal(eta_mu_sample(link, RngStream(13, mu), n),
+                          gaussian_eta_mu_sample(link, RngStream(13, mu), n))
+
+
+def test_eta_mu_sampler_keeps_the_chunk_order():
+    """Past 2^20 rows the draws come in chunks, P then Q in each: at
+    2^20 + 3 the last three rows come from a second pair of blocks."""
+    link = EtaMuLink(20.0, 1, 3.0)
+    n = (1 << 20) + 3
+    assert np.array_equal(eta_mu_sample(link, RngStream(4, 2), n),
+                          gaussian_eta_mu_sample(link, RngStream(4, 2), n))
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +494,31 @@ def test_dgg_sampler_deterministic():
     a = dgg_sample(link, RngStream(3, 4), 10)
     b = dgg_sample(link, RngStream(3, 4), 10)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [10, 50_000])
+@pytest.mark.parametrize("link", [
+    dgg_from_preset(t, eps=eps, detection=s, electrical_snr=10.0)
+    for t in ("st", "mt", "wt") for s in (1, 2) for eps in (1.0, 6.7)] + [
+    special_case("KDistribution", b2=1.8, eps=6.7, detection=1,
+                 electrical_snr=3.0),
+    special_case("DoubleWeibull", eps=1.0, detection=2, electrical_snr=3.0),
+    special_case("GammaGamma", b1=2.296, b2=1.822, eps=1.0, detection=1,
+                 electrical_snr=3.0)], ids=repr)
+def test_dgg_sampler_equals_the_product_construction(link, n):
+    """Split into standard Gamma and uniform draws and a per-link map, the
+    sampler still gives the bytes of gen.gamma(b, 1/b) and gen.uniform."""
+    assert np.array_equal(dgg_sample(link, RngStream(21, 3), n),
+                          product_dgg_sample(link, RngStream(21, 3), n))
+
+
+@pytest.mark.parametrize("n", [10, 50_000])
+@pytest.mark.parametrize("preset,s", [("wt", 1), ("st", 2)])
+def test_inverse_cdf_sampler_equals_its_uniform_draw(preset, s, n):
+    link = dgg_from_preset(preset, eps=1.0, detection=s, electrical_snr=10.0)
+    assert np.array_equal(
+        dgg_sample_inverse_cdf(link, RngStream(8, 1), n),
+        uniform_inverse_cdf_sample(link, RngStream(8, 1), n))
 
 
 def test_gamma_gamma_sampler_against_direct_product():

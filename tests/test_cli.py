@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfso_secrecy import cli, secrecy
+from rfso_secrecy import (RngStream, cli, estimate_sop1, estimate_sop2,
+                          estimate_spsc1, estimate_spsc2, secrecy)
 from rfso_secrecy.channels import TURBULENCE_PRESETS
 from rfso_secrecy.cli import ResultRow, load_config, main, run_sweep
 from rfso_secrecy.errors import AccuracyError, ConfigError, RfsoError
@@ -728,6 +729,39 @@ def test_every_preset_end_to_end_with_mc():
                              and x.axis_value == r.axis_value
                              and x.metric == r.metric][0]
                     assert abs(again.value - ref) <= 3 * se, (name, label, r)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 11)])
+def test_mc_cells_sharing_a_stream_equal_their_own_estimates(name, jobs,
+                                                             tmp_path):
+    """The MC cells of all a preset's curves at one grid index share the
+    stream RngStream(seed, index) and are drawn together; the CSV is still,
+    byte for byte, what each cell's own estimate_* call gives, at either
+    --jobs.  fig9's Rayleigh (mu 1) and eta-mu (mu 2) curves part at
+    their first draw, fig6's eps curves share their Gamma draws and fig2's
+    eavesdroppers share everything but the last map."""
+    estimators = {"sop1": estimate_sop1, "sop2": estimate_sop2,
+                  "spsc1": estimate_spsc1, "spsc2": estimate_spsc2}
+    preset = figure_preset(name)
+    sweep, seed, n = preset.sweep, 23, 3000
+    path = tmp_path / "mc.csv"
+    assert main(["--preset", name, "--evaluators", "mc", "--points", "2",
+                 "--mc-samples", str(n), "--seed", str(seed),
+                 "--jobs", str(jobs), "--out", str(path)]) == 0
+    lines = [cli.CSV_HEADER]
+    grid = [(float(v), metric)
+            for v in np.linspace(sweep.start, sweep.stop, 2)
+            for metric in sweep.metrics]
+    for label, cfg in preset.curves:
+        if len(preset.curves) > 1:
+            lines.append(f"# curve: {label}")
+        for index, (v, metric) in enumerate(grid):
+            est = estimators[metric](cli._with_axis(cfg, sweep.axis, v), n,
+                                     RngStream(seed, index))
+            lines.append(ResultRow(sweep.axis, v, metric, "mc", est.value,
+                                   est.std_error, est.n_samples).to_csv())
+    assert path.read_text() == "\n".join(lines) + "\n"
 
 
 def test_result_row_formatting():

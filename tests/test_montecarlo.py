@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from rfso_secrecy import (EtaMuLink, MCEstimate, RngStream, Scenario1Config,
                           Scenario2Config, dgg_from_preset, estimate_sop1,
                           estimate_sop2, estimate_spsc1, estimate_spsc2,
-                          spsc2)
+                          montecarlo, spsc2)
+from rfso_secrecy.dualhop import instantaneous_sc_scenario2
 from rfso_secrecy.errors import ParameterError
 
-from conftest import db
+from conftest import (db, gaussian_eta_mu_sample, product_dgg_sample,
+                      uniform_inverse_cdf_sample)
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +138,83 @@ def test_rejects_bad_counts(cfg1):
         estimate_sop1(cfg1, 0, RngStream(1, 0))
     with pytest.raises(ParameterError):
         estimate_sop1(cfg1, 100, RngStream(1, 0), n_streams=0)
+
+
+def _reference_estimate(metric, cfg, n, rng, exact_event=False, n_streams=1,
+                        inverse_cdf_fso=False):
+    """The estimators as they counted before the walk, on the frozen
+    samplers: each substream draws its links in the estimator's order."""
+    fso = uniform_inverse_cdf_sample if inverse_cdf_fso else product_dgg_sample
+    eta_mu = gaussian_eta_mu_sample
+    base, extra = divmod(n, n_streams)
+    hits = 0
+    for i in range(n_streams):
+        sub, ni = RngStream(rng.seed, rng.stream_id + i), base + (i < extra)
+        if metric in ("sop1", "spsc1"):
+            g_d = np.minimum(eta_mu(cfg.rf_main, sub, ni),
+                             fso(cfg.fso_main, sub, ni))
+            g_re = eta_mu(cfg.rf_eve, sub, ni)
+            if metric == "spsc1":
+                event = g_d > g_re
+            else:
+                shift = cfg.phi1 - 1.0 if exact_event else 0.0
+                event = g_d <= cfg.phi1 * g_re + shift
+        elif metric == "sop2":
+            g_r0 = eta_mu(cfg.rf_main, sub, ni)
+            g_d0 = fso(cfg.fso_main, sub, ni)
+            g_de = fso(cfg.fso_eve, sub, ni)
+            if exact_event:
+                event = (instantaneous_sc_scenario2(g_r0, g_d0, g_de)
+                         < cfg.target_rate)
+            else:
+                event = (g_r0 <= cfg.phi2 - 1.0) | (g_d0 <= cfg.phi2 * g_de)
+        else:
+            event = fso(cfg.fso_main, sub, ni) > fso(cfg.fso_eve, sub, ni)
+        hits += int(np.count_nonzero(event))
+    return MCEstimate.from_counts(hits, n)
+
+
+_ESTIMATORS = {"sop1": estimate_sop1, "sop2": estimate_sop2,
+               "spsc1": estimate_spsc1, "spsc2": estimate_spsc2}
+_OPTIONS = [{"n_streams": 3}, {"inverse_cdf_fso": True},
+            {"exact_event": True}, {"exact_event": True, "n_streams": 3,
+                                    "inverse_cdf_fso": True}]
+
+
+@pytest.mark.parametrize("metric,options", [
+    pytest.param(metric, options, id=f"{metric}-{','.join(options)}")
+    for metric in _ESTIMATORS for options in _OPTIONS
+    if metric.startswith("sop") or "exact_event" not in options])
+def test_estimators_equal_the_frozen_samplers(metric, options, cfg1, cfg2):
+    """Every estimator, over substreams, on the exact event and with the
+    inverse-CDF FSO draw, counts what it counted on the samplers before
+    their split into draws and maps."""
+    cfg = cfg1 if metric.endswith("1") else cfg2
+    n, rng = 20_001, RngStream(17, 40)
+    assert (_ESTIMATORS[metric](cfg, n, rng, **options)
+            == _reference_estimate(metric, cfg, n, rng, **options))
+
+
+def test_cells_on_one_stream_keep_their_own_counts_and_failures(cfg2):
+    """Cells that start from one stream share draws where their generator
+    calls agree, and still count what each counts alone.  An inverse-CDF
+    link that no grid spans fails its own cell only, and the cells drawn
+    after it in the walk are unaffected."""
+    narrow = Scenario2Config(
+        rf_main=cfg2.rf_main,
+        fso_main=cfg2.fso_main.with_eps(3e-3),
+        fso_eve=cfg2.fso_eve.with_eps(3e-3), target_rate=0.5)
+    cells = [montecarlo._spsc2(cfg2, inverse_cdf_fso=True),
+             montecarlo._spsc2(narrow, inverse_cdf_fso=True),
+             montecarlo._sop2(cfg2), montecarlo._spsc2(cfg2),
+             montecarlo._sop2(narrow, exact_event=True)]
+    n = 5000
+    hits = montecarlo._count_hits(cells, n, RngStream(3, 9))
+    assert isinstance(hits[1], ParameterError)
+    alone = [estimate_spsc2(cfg2, n, RngStream(3, 9), inverse_cdf_fso=True),
+             None, estimate_sop2(cfg2, n, RngStream(3, 9)),
+             estimate_spsc2(cfg2, n, RngStream(3, 9)),
+             estimate_sop2(narrow, n, RngStream(3, 9), exact_event=True)]
+    for count, est in zip(hits, alone):
+        if est is not None:
+            assert MCEstimate.from_counts(count, n) == est

@@ -302,26 +302,47 @@ class _Sampler(NamedTuple):
 
     draws(generator, shape, n) makes the calls for n SNRs of a link whose
     shape(link) is `shape`, and yields their standard variates in chunks of
-    rows; snr(link, chunk) maps one chunk to the link's SNRs and reads only
-    key(link).  Links of one shape make the same calls, so a draw from one
-    generator state serves them all (montecarlo._count_hits)."""
+    rows; snr(data, chunk) maps one chunk to the link's SNRs, where data is
+    the link itself or, for a sampler with a table, table(link).  The map
+    and the table read only key(link).  Links of one shape make the same
+    calls, so a draw from one generator state serves them all
+    (montecarlo._count_hits), and a table is built once per key
+    (_map_data)."""
 
     shape: Callable
     key: Callable
     draws: Callable
     snr: Callable
+    table: Callable | None = None
 
 
-def _draw(gen: np.random.Generator, draws, shape, n: int, links: dict):
-    """One draw of n rows from gen, mapped once per link: links maps a key
-    to (snr, link), the result maps it to the link's SNRs, or to the
-    RfsoError its map raised.  The variates are freed on return."""
-    out = {key: [] for key in links}
+def _map_data(sampler: _Sampler, link, tables: dict):
+    """What sampler.snr reads of the link: the link, or its table, built
+    on the first call for its key and kept in tables with the RfsoError
+    the build raised, if any."""
+    if sampler.table is None:
+        return link
+    key = sampler.table, sampler.key(link)
+    if key not in tables:
+        try:
+            tables[key] = sampler.table(link)
+        except RfsoError as exc:
+            tables[key] = exc
+    return tables[key]
+
+
+def _draw(gen: np.random.Generator, draws, shape, n: int, maps: dict):
+    """One draw of n rows from gen, mapped once per key of maps, which
+    holds (snr, data) for each key; the result holds, for each key, the
+    SNRs snr gives for data, or the RfsoError that data is or that snr
+    raised.  The variates are freed on return."""
+    out = {key: data if isinstance(data, RfsoError) else []
+           for key, (_, data) in maps.items()}
     for chunk in draws(gen, shape, n):
-        for key, (snr, link) in links.items():
+        for key, (snr, data) in maps.items():
             if isinstance(out[key], list):
                 try:
-                    out[key].append(snr(link, chunk))
+                    out[key].append(snr(data, chunk))
                 except RfsoError as exc:
                     out[key] = exc
     return {key: v if isinstance(v, RfsoError)
@@ -334,7 +355,8 @@ def _sample(sampler: _Sampler, link, rng: RngStream, n: int) -> np.ndarray:
     if n < 1:
         raise ParameterError("n must be >= 1")
     snr, = _draw(rng.generator, sampler.draws, sampler.shape(link), n,
-                 {None: (sampler.snr, link)}).values()
+                 {None: (sampler.snr, _map_data(sampler, link, {}))}
+                 ).values()
     if isinstance(snr, RfsoError):
         raise snr
     return snr
@@ -348,18 +370,68 @@ def _normal_pairs(gen: np.random.Generator, mu: int, n: int):
                gen.standard_normal((m, 2 * mu)))
 
 
+# Rows per tile of the eta-mu map: a tile's squares stay in cache while
+# its columns are added.
+_TILE_ROWS = 8192
+
+
+def _add_columns(x: np.ndarray) -> np.ndarray:
+    """The columns of x added in numpy's add.reduce order along a row
+    (pairwise_sum), so the sums equal x.sum(axis=1) bit for bit: left to
+    right below 8 columns; from 8 to 128, 8 partial sums over the columns
+    j mod 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    columns left over; past 128, where numpy splits a row in halves, numpy's
+    own sum.  The partial sums are paired as they are made, so at most four
+    live."""
+    k = x.shape[1]
+    if k > 128:
+        return x.sum(axis=1)
+    if k < 8:
+        s = _add_in_turn(x, range(k))
+        return s.copy() if k == 1 else s
+    tail = k - k % 8
+    stack = []
+    for m in range(8):
+        stack.append(_add_in_turn(x, range(m, tail, 8)))
+        while m & 1:
+            top = stack.pop()
+            stack[-1] = stack[-1] + top
+            m >>= 1
+    s, = stack
+    for j in range(tail, k):
+        s += x[:, j]
+    return s
+
+
+def _add_in_turn(x: np.ndarray, cols: range) -> np.ndarray:
+    """The columns cols of x added left to right; one column is a view."""
+    if len(cols) == 1:
+        return x[:, cols[0]]
+    s = x[:, cols[0]] + x[:, cols[1]]
+    for j in cols[2:]:
+        s += x[:, j]
+    return s
+
+
 def _eta_mu_snr(link: EtaMuLink, normals) -> np.ndarray:
     """The SNRs of one chunk: the in-phase block scaled to variance eta*c
     and the quadrature block to c (gen.normal(0, sigma) is 0 + sigma*z),
-    squared and summed by rows, in one scratch block."""
+    squared, and each block's squares summed by rows as x.sum(axis=1) sums
+    them (_add_columns), one tile of rows at a time."""
     c = link.avg_snr / (2.0 * link.mu * (1.0 + link.eta))
     zp, zq = normals
-    x = sqrt(link.eta * c) * zp
-    x *= x
-    out = x.sum(axis=1)
-    np.multiply(sqrt(c), zq, out=x)
-    x *= x
-    out += x.sum(axis=1)
+    n, k = zp.shape
+    out = np.empty(n)
+    t = np.empty((min(n, _TILE_ROWS), k))
+    for lo in range(0, n, _TILE_ROWS):
+        hi = min(lo + _TILE_ROWS, n)
+        x = t[:hi - lo]
+        np.multiply(sqrt(link.eta * c), zp[lo:hi], out=x)
+        x *= x
+        p = _add_columns(x)
+        np.multiply(sqrt(c), zq[lo:hi], out=x)
+        x *= x
+        np.add(p, _add_columns(x), out=out[lo:hi])
     return out
 
 
@@ -585,13 +657,22 @@ def _gamma_pair_uniform(gen: np.random.Generator, shape, n: int):
 def _dgg_snr(link: DggLink, variates) -> np.ndarray:
     """SNR = U*(Ix*Iy*Ip/c)^s from the standard variates: the irradiances
     Gamma(b, 1/b)^(1/a) (gen.gamma(b, 1/b) is (1/b)*standard_gamma(b)) and
-    the pointing factor V^(1/eps^2)."""
+    the pointing factor V^(1/eps^2).  The powers and products are taken in
+    place on the map's own two arrays; the variates serve every link of
+    the draw and are left as they are."""
     g1, g2, v = variates
-    Ix = ((1.0 / link.b1) * g1) ** (1.0 / link.a1)
-    Iy = ((1.0 / link.b2) * g2) ** (1.0 / link.a2)
-    Ip = v ** (1.0 / link.eps**2)
-    c = link.sampler_scale()
-    return link.electrical_snr * (Ix * Iy * Ip / c) ** link.s
+    x = np.multiply(1.0 / link.b1, g1)
+    x **= 1.0 / link.a1
+    y = np.multiply(1.0 / link.b2, g2)
+    y **= 1.0 / link.a2
+    x *= y
+    np.copyto(y, v)
+    y **= 1.0 / link.eps**2
+    x *= y
+    x /= link.sampler_scale()
+    x **= link.s
+    x *= link.electrical_snr
+    return x
 
 
 _DGG = _Sampler(shape=lambda link: (link.b1, link.b2), key=_dgg_key,
@@ -609,8 +690,9 @@ def _uniforms(gen: np.random.Generator, shape, n: int):
     yield gen.random(n)
 
 
-def _inverse_cdf_snr(link: DggLink, u, grid_points: int = 4096):
-    """The SNRs at CDF levels u, interpolated on a log grid of the CDF."""
+def _cdf_table(link: DggLink, grid_points: int = 4096):
+    """The link's CDF on a log grid of SNRs, as (F, grid) with F made
+    nondecreasing: the inverse-CDF sampler's table."""
     # the grid's ends, searched no further than the finite positive doubles:
     # where the first candidate fails, the last one decides in one call
     # whether any does (each candidate is its own contour group, so a call
@@ -635,13 +717,17 @@ def _inverse_cdf_snr(link: DggLink, u, grid_points: int = 4096):
         while dgg_cdf(link, hi) < 1.0 - 1e-9:
             hi = min(hi * 1e3, last)
     grid = np.exp(np.linspace(log(lo), log(hi), grid_points))
-    F = dgg_cdf(link, grid)
-    F = np.maximum.accumulate(F)
-    return np.interp(u, F, grid)
+    return np.maximum.accumulate(dgg_cdf(link, grid)), grid
+
+
+def _inverse_cdf_snr(table, u) -> np.ndarray:
+    """The SNRs at CDF levels u, interpolated in a link's CDF table."""
+    return np.interp(u, *table)
 
 
 _DGG_INVERSE_CDF = _Sampler(shape=lambda link: None, key=_dgg_key,
-                            draws=_uniforms, snr=_inverse_cdf_snr)
+                            draws=_uniforms, snr=_inverse_cdf_snr,
+                            table=_cdf_table)
 
 
 def dgg_sample_inverse_cdf(link: DggLink, rng: RngStream, n: int,
@@ -652,8 +738,8 @@ def dgg_sample_inverse_cdf(link: DggLink, rng: RngStream, n: int,
     product construction: disagreement between the two samplers localizes a
     defect to the distribution model rather than the secrecy algebra.
     """
-    return _sample(_DGG_INVERSE_CDF._replace(snr=partial(
-        _inverse_cdf_snr, grid_points=grid_points)), link, rng, n)
+    return _sample(_DGG_INVERSE_CDF._replace(table=partial(
+        _cdf_table, grid_points=grid_points)), link, rng, n)
 
 
 def special_case(name: str, **params):

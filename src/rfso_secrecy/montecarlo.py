@@ -26,7 +26,7 @@ from math import sqrt
 import numpy as np
 
 from .channels import (_DGG, _DGG_INVERSE_CDF, _ETA_MU, RngStream, _draw,
-                       _Sampler)
+                       _map_data, _Sampler)
 from .dualhop import instantaneous_sc_scenario2
 from .errors import ParameterError, RfsoError
 from .secrecy import Scenario1Config, Scenario2Config
@@ -125,14 +125,15 @@ def _spsc2(cfg: Scenario2Config, inverse_cdf_fso: bool = False) -> tuple:
 
 
 def _walk(gen: np.random.Generator, n: int, cells: list, depth: int,
-          results: list):
+          results: list, tables: dict):
     """Take each cell (index, steps, partial output) through steps[depth],
     then on depth first, with gen where the cells' earlier draws left it.
 
     The cells are grouped by the generator calls of their next step; each
     group's calls are made once, every group but the first from the state
-    saved before the first, and its draw is mapped once per distinct link.
-    A cell's fold drops the partial output it consumed, and the SNRs are
+    saved before the first, and its draw is mapped once per distinct link,
+    from the link's table in tables where its sampler has one.  A cell's
+    fold drops the partial output it consumed, and the SNRs are
     freed before the walk descends.  A finished or failed cell's result
     lands in results[index]."""
     branches = {}
@@ -146,12 +147,13 @@ def _walk(gen: np.random.Generator, n: int, cells: list, depth: int,
         if k:
             gen.bit_generator.state = state
         branch = branches.pop((draws, shape))
-        links = {}
+        maps = {}
         for _, steps, _ in branch:
             sampler, link, _ = steps[depth]
-            links.setdefault((sampler.snr, sampler.key(link)),
-                             (sampler.snr, link))
-        snrs = _draw(gen, draws, shape, n, links)
+            key = sampler.snr, sampler.key(link)
+            if key not in maps:
+                maps[key] = sampler.snr, _map_data(sampler, link, tables)
+        snrs = _draw(gen, draws, shape, n, maps)
         deeper = []
         for index, steps, partial in branch:
             sampler, link, fold = steps[depth]
@@ -164,30 +166,34 @@ def _walk(gen: np.random.Generator, n: int, cells: list, depth: int,
                 deeper.append((index, steps, fold(partial, snr)))
         del branch, snrs, partial, snr
         if deeper:
-            _walk(gen, n, deeper, depth + 1, results)
+            _walk(gen, n, deeper, depth + 1, results, tables)
 
 
-def _count_hits(cells, n: int, rng: RngStream) -> list:
+def _count_hits(cells, n: int, rng: RngStream, tables=None) -> list:
     """Each cell's hit count on n >= 1 draws from rng's stream, or the
     RfsoError that stopped it; a cell is an estimator's steps (_sop1,
-    _sop2, _spsc1, _spsc2), and every cell gets the count it gets alone."""
+    _sop2, _spsc1, _spsc2), and every cell gets the count it gets alone.
+    tables keeps the maps' tables (the inverse-CDF draw's CDF tables)
+    across calls; each is built on its first use."""
     results = [None] * len(cells)
     _walk(rng.generator, n, [(i, steps, None)
-                             for i, steps in enumerate(cells)], 0, results)
+                             for i, steps in enumerate(cells)], 0, results,
+          {} if tables is None else tables)
     return results
 
 
 def _estimate(steps: tuple, n: int, rng: RngStream,
               n_streams: int) -> MCEstimate:
-    """The estimate of one cell over n_streams substreams of rng."""
+    """The estimate of one cell over n_streams substreams of rng; the
+    substreams share its links' tables."""
     if n < 1:
         raise ParameterError("n must be >= 1")
     if n_streams < 1:
         raise ParameterError("n_streams must be >= 1")
-    hits = 0
+    hits, tables = 0, {}
     for sub, ni in zip(rng.substreams(n_streams), _split(n, n_streams)):
         if ni:
-            count, = _count_hits([steps], ni, sub)
+            count, = _count_hits([steps], ni, sub, tables)
             if isinstance(count, RfsoError):
                 raise count
             hits += count

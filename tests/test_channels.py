@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from rfso_secrecy import (DggLink, EtaMuLink, RngStream, dgg_cdf,
+from rfso_secrecy import (DggLink, EtaMuLink, RngStream, channels, dgg_cdf,
                           dgg_from_preset, dgg_pdf, dgg_sample,
                           dgg_sample_inverse_cdf, eta_mu_cdf, eta_mu_pdf,
                           eta_mu_sample, special_case)
@@ -265,6 +265,78 @@ def test_eta_mu_sampler_keeps_the_chunk_order():
                           gaussian_eta_mu_sample(link, RngStream(4, 2), n))
 
 
+def _wide_squares(rows, cols, seed):
+    """Squares spread over 40 decades, so that sums taken in different
+    orders round differently."""
+    gen = np.random.default_rng(seed)
+    return (gen.standard_normal((rows, cols))
+            * 10.0 ** gen.uniform(-20, 20, (rows, cols))) ** 2
+
+
+@pytest.mark.parametrize("k", [*range(1, 21), 64, 127, 128, 129])
+def test_column_sums_follow_numpy_reduction_order(k):
+    """_add_columns adds column by column in the order x.sum(axis=1) adds
+    a row, numpy's pairwise_sum: left to right below 8 columns, 8 partial
+    sums from 8 to 128; past 128 it is x.sum(axis=1).  A numpy release that
+    changes that order fails here."""
+    x = _wide_squares(2000, k, k)
+    assert np.array_equal(channels._add_columns(x), x.sum(axis=1))
+    if k >= 8:   # the data tells the orders apart
+        in_turn = x[:, 0].copy()
+        for j in range(1, k):
+            in_turn += x[:, j]
+        assert not np.array_equal(in_turn, x.sum(axis=1))
+
+
+@pytest.mark.parametrize("mu,n", [
+    (mu, n) for mu in range(1, 9)
+    for n in (10, channels._TILE_ROWS + 5, 50_000)] + [(70, 10), (70, 9000)])
+def test_eta_mu_map_equals_its_scratch_block_form(mu, n):
+    """The eta-mu map, which adds its squares column by column in tiles of
+    rows, gives the bytes of the whole-block form (scale*z)**2 summed by
+    rows, for mu 1 to 8: 2mu columns on both sides of numpy's switch to 8
+    partial sums; mu 70's 140 columns take numpy's own sum.  The normals
+    it reads are left as they are."""
+    link = EtaMuLink(20.0, mu, 7.0)
+    gen = np.random.default_rng(mu)
+    zp, zq = (gen.standard_normal((n, 2 * mu)) for _ in range(2))
+    copies = zp.copy(), zq.copy()
+    c = link.avg_snr / (2.0 * mu * (1.0 + link.eta))
+    block = ((math.sqrt(link.eta * c) * zp) ** 2).sum(axis=1)
+    block += ((math.sqrt(c) * zq) ** 2).sum(axis=1)
+    assert np.array_equal(channels._eta_mu_snr(link, (zp, zq)), block)
+    assert np.array_equal(zp, copies[0]) and np.array_equal(zq, copies[1])
+
+
+_MAP_LINKS = [
+    dgg_from_preset(t, eps=eps, detection=s, electrical_snr=10.0)
+    for t in ("st", "mt", "wt") for s in (1, 2) for eps in (1.0, 6.7)] + [
+    special_case("KDistribution", b2=1.8, eps=6.7, detection=1,
+                 electrical_snr=3.0),
+    special_case("DoubleWeibull", eps=1.0, detection=2, electrical_snr=3.0),
+    special_case("GammaGamma", b1=2.296, b2=1.822, eps=1.0, detection=1,
+                 electrical_snr=3.0)]
+
+
+@pytest.mark.parametrize("link", _MAP_LINKS, ids=repr)
+def test_dgg_map_equals_its_expression(link):
+    """The DGG map, which takes its powers and products in place, gives the
+    bytes of U*(Ix*Iy*Ip/c)^s written out, and leaves the variates (shared
+    by every link of a draw) as they are."""
+    gen = np.random.default_rng(11)
+    variates = (gen.standard_gamma(link.b1, 50_000),
+                gen.standard_gamma(link.b2, 50_000), gen.random(50_000))
+    copies = [v.copy() for v in variates]
+    g1, g2, v = variates
+    Ix = ((1.0 / link.b1) * g1) ** (1.0 / link.a1)
+    Iy = ((1.0 / link.b2) * g2) ** (1.0 / link.a2)
+    Ip = v ** (1.0 / link.eps**2)
+    expected = (link.electrical_snr
+                * (Ix * Iy * Ip / link.sampler_scale()) ** link.s)
+    assert np.array_equal(channels._dgg_snr(link, variates), expected)
+    assert all(np.array_equal(a, b) for a, b in zip(variates, copies))
+
+
 # ---------------------------------------------------------------------------
 # DGG FSO hop
 # ---------------------------------------------------------------------------
@@ -497,14 +569,7 @@ def test_dgg_sampler_deterministic():
 
 
 @pytest.mark.parametrize("n", [10, 50_000])
-@pytest.mark.parametrize("link", [
-    dgg_from_preset(t, eps=eps, detection=s, electrical_snr=10.0)
-    for t in ("st", "mt", "wt") for s in (1, 2) for eps in (1.0, 6.7)] + [
-    special_case("KDistribution", b2=1.8, eps=6.7, detection=1,
-                 electrical_snr=3.0),
-    special_case("DoubleWeibull", eps=1.0, detection=2, electrical_snr=3.0),
-    special_case("GammaGamma", b1=2.296, b2=1.822, eps=1.0, detection=1,
-                 electrical_snr=3.0)], ids=repr)
+@pytest.mark.parametrize("link", _MAP_LINKS, ids=repr)
 def test_dgg_sampler_equals_the_product_construction(link, n):
     """Split into standard Gamma and uniform draws and a per-link map, the
     sampler still gives the bytes of gen.gamma(b, 1/b) and gen.uniform."""

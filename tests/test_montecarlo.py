@@ -218,3 +218,24 @@ def test_cells_on_one_stream_keep_their_own_counts_and_failures(cfg2):
     for count, est in zip(hits, alone):
         if est is not None:
             assert MCEstimate.from_counts(count, n) == est
+
+
+def test_inverse_cdf_tables_are_built_once_per_estimate(cfg2, monkeypatch):
+    """An estimate over eight substreams builds each inverse-CDF link's
+    CDF table once and reuses it on every substream, with the counts of
+    the frozen sampler, which builds a table per draw."""
+    builds = []
+
+    def table(link):
+        builds.append(link)
+        return table_of(link)
+
+    table_of = montecarlo._DGG_INVERSE_CDF.table
+    monkeypatch.setattr(montecarlo, "_DGG_INVERSE_CDF",
+                        montecarlo._DGG_INVERSE_CDF._replace(table=table))
+    n, rng = 8000, RngStream(5, 2)
+    est = estimate_spsc2(cfg2, n, rng, n_streams=8, inverse_cdf_fso=True)
+    assert [id(link) for link in builds] == [id(cfg2.fso_main),
+                                             id(cfg2.fso_eve)]
+    assert est == _reference_estimate("spsc2", cfg2, n, rng, n_streams=8,
+                                      inverse_cdf_fso=True)

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from functools import partial
 from math import exp, isfinite, lgamma, log, log1p, sqrt
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln, xlogy
 
-from .errors import ParameterError, RfsoError, UnsupportedCaseError
+from .errors import ParameterError, UnsupportedCaseError
 from .specfun import MellinBarnesIntegral
 
 __all__ = [
@@ -195,13 +194,15 @@ class EtaMuLink:
         out = self._evaluate("sf", g)
         # the two-branch weights sum to 1 only to rounding, and the mixture
         # drops a weight below 2^-56; pin the exact endpoint
-        return np.where(g == 0.0, 1.0, out)
+        return np.where(g == 0.0, 1.0, out)[()]
 
     def _evaluate(self, kind: str, g: np.ndarray):
         """Density ("pdf"), distribution ("cdf") or survival ("sf") at g:
         the two-branch sum where its terms' magnitudes stay within _COND_MAX
         of it, the mixture elsewhere (and where the two-branch terms
-        overflow).  A scalar g gives a scalar.
+        overflow).  A scalar g gives a scalar.  g = infinity gives the
+        law's limit (density and survival 0, distribution 1) exactly; a
+        negative or NaN g raises ParameterError.
 
         CDF points that fail the check are first retried in the
         lower-incomplete-gamma two-branch form, which on links away from
@@ -210,6 +211,12 @@ class EtaMuLink:
         tail of links far from eta = 1: at the eta = 1e-6 surrogate, b*g
         reaches 5e5 where 1 - survival cancels.
         """
+        if not np.all(g >= 0):
+            raise ParameterError("gamma must be >= 0 (and not NaN)")
+        top = g == np.inf
+        if np.any(top):
+            out = self._evaluate(kind, np.where(top, 0.0, g))
+            return np.where(top, float(kind == "cdf"), out)[()]
         out, mag = self._two_branch(kind, g)
         bad = ~(mag <= _COND_MAX * np.abs(out))
         if not np.any(bad):
@@ -283,82 +290,50 @@ def _gamma_terms(kind: str, w, n, lam, x):
 
 def eta_mu_pdf(link: EtaMuLink, gamma) -> np.ndarray:
     """Density of the instantaneous SNR."""
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
-        raise ParameterError("gamma must be >= 0")
-    return link._evaluate("pdf", g)
+    return link._evaluate("pdf", np.asarray(gamma, dtype=float))
 
 
 def eta_mu_cdf(link: EtaMuLink, gamma) -> np.ndarray:
     """Distribution of the instantaneous SNR."""
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
-        raise ParameterError("gamma must be >= 0")
-    return link._evaluate("cdf", g)
+    return link._evaluate("cdf", np.asarray(gamma, dtype=float))
 
 
 class _Sampler(NamedTuple):
-    """A sampler split into its generator calls and a per-link map.
+    """A sampler split into its generator calls and a map.
 
-    draws(generator, shape, n) makes the calls for n SNRs of a link whose
-    shape(link) is `shape`, and yields their standard variates in chunks of
-    rows; snr(data, chunk) maps one chunk to the link's SNRs, where data is
-    the link itself or, for a sampler with a table, table(link).  The map
-    and the table read only key(link).  Links of one shape make the same
-    calls, so a draw from one generator state serves them all
-    (montecarlo._count_hits), and a table is built once per key
-    (_map_data)."""
+    draws(generator, shape, n) makes the calls for n SNRs of data whose
+    shape(data) is `shape`, and yields their standard variates in chunks of
+    rows; snr(data, chunk) maps one chunk to the SNRs, where data is what
+    the map reads of a link: the link itself or, for the inverse-CDF draw,
+    its CDF table, built before any draw (_cdf_table).  The map reads only
+    key(data).  Data of one shape make the same calls, so a draw from one
+    generator state serves them all (montecarlo._count_hits)."""
 
     shape: Callable
     key: Callable
     draws: Callable
     snr: Callable
-    table: Callable | None = None
-
-
-def _map_data(sampler: _Sampler, link, tables: dict):
-    """What sampler.snr reads of the link: the link, or its table, built
-    on the first call for its key and kept in tables with the RfsoError
-    the build raised, if any."""
-    if sampler.table is None:
-        return link
-    key = sampler.table, sampler.key(link)
-    if key not in tables:
-        try:
-            tables[key] = sampler.table(link)
-        except RfsoError as exc:
-            tables[key] = exc
-    return tables[key]
 
 
 def _draw(gen: np.random.Generator, draws, shape, n: int, maps: dict):
     """One draw of n rows from gen, mapped once per key of maps, which
     holds (snr, data) for each key; the result holds, for each key, the
-    SNRs snr gives for data, or the RfsoError that data is or that snr
-    raised.  The variates are freed on return."""
-    out = {key: data if isinstance(data, RfsoError) else []
-           for key, (_, data) in maps.items()}
+    SNRs snr gives for data.  The variates are freed on return."""
+    out = {key: [] for key in maps}
     for chunk in draws(gen, shape, n):
         for key, (snr, data) in maps.items():
-            if isinstance(out[key], list):
-                try:
-                    out[key].append(snr(data, chunk))
-                except RfsoError as exc:
-                    out[key] = exc
-    return {key: v if isinstance(v, RfsoError)
-            else v[0] if len(v) == 1 else np.concatenate(v)
+            out[key].append(snr(data, chunk))
+    return {key: v[0] if len(v) == 1 else np.concatenate(v)
             for key, v in out.items()}
 
 
-def _sample(sampler: _Sampler, link, rng: RngStream, n: int) -> np.ndarray:
-    """n SNRs of the link from the sampler's draws on rng."""
+def _sample(sampler: _Sampler, data, rng: RngStream, n: int) -> np.ndarray:
+    """n SNRs of data (a link, or its table) from the sampler's draws on
+    rng."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    snr, = _draw(rng.generator, sampler.draws, sampler.shape(link), n,
-                 {None: (sampler.snr, _map_data(sampler, link, {}))}
-                 ).values()
-    if isinstance(snr, RfsoError):
-        raise snr
+    snr, = _draw(rng.generator, sampler.draws, sampler.shape(data), n,
+                 {None: (sampler.snr, data)}).values()
     return snr
 
 
@@ -732,9 +707,10 @@ def _inverse_cdf_snr(table, u) -> np.ndarray:
     return np.interp(u, *table)
 
 
-_DGG_INVERSE_CDF = _Sampler(shape=lambda link: None, key=_dgg_key,
-                            draws=_uniforms, snr=_inverse_cdf_snr,
-                            table=_cdf_table)
+# its data is a link's CDF table, whose identity is its key: the steps
+# that hold a table keep it alive for the whole walk
+_DGG_INVERSE_CDF = _Sampler(shape=lambda table: None, key=id,
+                            draws=_uniforms, snr=_inverse_cdf_snr)
 
 
 def dgg_sample_inverse_cdf(link: DggLink, rng: RngStream, n: int,
@@ -745,8 +721,9 @@ def dgg_sample_inverse_cdf(link: DggLink, rng: RngStream, n: int,
     product construction: disagreement between the two samplers localizes a
     defect to the distribution model rather than the secrecy algebra.
     """
-    return _sample(_DGG_INVERSE_CDF._replace(table=partial(
-        _cdf_table, grid_points=grid_points)), link, rng, n)
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    return _sample(_DGG_INVERSE_CDF, _cdf_table(link, grid_points), rng, n)
 
 
 def special_case(name: str, **params):

@@ -288,8 +288,9 @@ def _evaluate_cells(cells, cfgs, sweep: SweepSpec) -> dict:
     task: a quadrature cell, or the MC cells of every curve at one grid
     index.  Those all start from RngStream(sweep.seed, index), the stream
     each has alone, and montecarlo._count_hits walks them together: each
-    distinct generator call is made once, every count is the cell's own,
-    and a failure stays with its cell."""
+    distinct generator call is made once and every count is the cell's own.
+    A cell fails only where its config or steps are built, and the failure
+    stays with it."""
     results, steps = {}, {}
     for cell in cells:
         n, _, v, metric, evaluator = cell
@@ -305,12 +306,8 @@ def _evaluate_cells(cells, cfgs, sweep: SweepSpec) -> dict:
         hits = montecarlo._count_hits(list(steps.values()), sweep.mc_samples,
                                       RngStream(sweep.seed, cells[0][1]))
         for cell, count in zip(steps, hits):
-            if isinstance(count, RfsoError):
-                results[cell] = count
-            else:
-                est = montecarlo.MCEstimate.from_counts(count,
-                                                        sweep.mc_samples)
-                results[cell] = est.value, est.std_error, est.n_samples
+            est = montecarlo.MCEstimate.from_counts(count, sweep.mc_samples)
+            results[cell] = est.value, est.std_error, est.n_samples
     return results
 
 

@@ -2,6 +2,8 @@
 
 import math
 import time
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from rfso_secrecy import (DggLink, EtaMuLink, RngStream, channels, dgg_cdf,
-                          dgg_from_preset, dgg_pdf, dgg_sample,
-                          dgg_sample_inverse_cdf, eta_mu_cdf, eta_mu_pdf,
-                          eta_mu_sample, special_case)
+from rfso_secrecy import (DggLink, DualHopChannel, EtaMuLink, RngStream,
+                          channels, dgg_cdf, dgg_from_preset, dgg_pdf,
+                          dgg_sample, dgg_sample_inverse_cdf, eta_mu_cdf,
+                          eta_mu_pdf, eta_mu_sample, min_combine_pdf,
+                          special_case)
 from rfso_secrecy.channels import EPS_MAX, TURBULENCE_PRESETS, dgg_survival
 from rfso_secrecy.errors import (AccuracyError, ParameterError,
                                  UnsupportedCaseError)
@@ -443,6 +446,35 @@ def test_dgg_laws_reject_nan_and_take_infinity_as_an_endpoint(wt_link):
     assert F[1] + S[1] == pytest.approx(1.0, rel=1e-12)
     np.testing.assert_array_equal(dgg_pdf(wt_link, g[1:]),
                                   [dgg_pdf(wt_link, g[1]), 0.0])
+
+
+@pytest.mark.parametrize("link", [EtaMuLink(2.0, 2, 10.0),
+                                  EtaMuLink(0.3, 8, 10.0)],
+                         ids=["two-branch", "mixture"])
+def test_eta_mu_laws_reject_nan_and_take_infinity_as_an_endpoint(link):
+    """The three laws, and the min-combined density that reads two of them,
+    reject a negative or NaN gamma and give the exact limits at infinity,
+    with no numpy warning; finite points keep their values."""
+    laws = (partial(eta_mu_pdf, link), partial(eta_mu_cdf, link),
+            link.survival)
+    g = np.array([0.0, 3.0, 40.0])
+    finite = [law(g) for law in laws]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for law in laws:
+            for bad in (-1.0, float("nan"), [1.0, float("nan")]):
+                with pytest.raises(ParameterError, match="not NaN"):
+                    law(bad)
+        assert [law(np.inf) for law in laws] == [0.0, 1.0, 0.0]
+        assert all(type(law(np.inf)) is np.float64 for law in laws)
+        assert type(link.survival(3.0)) is np.float64
+        for law, values, top in zip(laws, finite, (0.0, 1.0, 0.0)):
+            np.testing.assert_array_equal(law(np.append(g, np.inf)),
+                                          np.append(values, top))
+            np.testing.assert_array_equal(law(g), values)
+        fso = dgg_from_preset("wt", eps=1.0, detection=1,
+                              electrical_snr=10.0)
+        assert min_combine_pdf(DualHopChannel(link, fso), np.inf) == 0.0
 
 
 @pytest.mark.xfail(strict=True, raises=AccuracyError, reason=(

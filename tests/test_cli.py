@@ -523,6 +523,33 @@ def test_an_invalid_ud_point_flags_its_cells_alone():
                 cli._with_axis(cfg, "Ud_db", r.axis_value))
 
 
+def test_eps_points_outside_the_domain_flag_their_cells_alone():
+    """fig6's first curve along eps from 1 to 2^65: the points at and past
+    EPS_MAX (2^64, 2^65) flag their closed, asymptote and MC cells with the
+    ParameterError of DggLink.with_eps, each on the per-point path, and
+    the first point's cells keep the values each gives alone."""
+    cfg = figure_preset("fig6").curves[0][1]
+    sweep = SweepSpec(axis="eps", start=1.0, stop=2.0**65, points=3,
+                      metrics=("sop1",),
+                      evaluators=("closed", "asymptotic", "mc"),
+                      mc_samples=2000, seed=12345)
+    rows, failed = run_sweep(cfg, sweep)
+    assert failed
+    assert [(r.axis_value, r.evaluator) for r in rows] == [
+        (v, e) for v in (1.0, 2.0**64, 2.0**65)
+        for e in ("closed", "asymptotic", "mc")]
+    point = cli._with_axis(cfg, "eps", 1.0)
+    # the MC cell is the third of the grid, so its stream is index 2
+    est = estimate_sop1(point, 2000, RngStream(12345, 2))
+    assert [(r.value, r.std_error, r.n_samples, r.error_flag)
+            for r in rows[:3]] == [
+        (secrecy.sop1_lower(point), None, None, ""),
+        (secrecy.sop1_asymptotic(point), None, None, ""),
+        (est.value, est.std_error, est.n_samples, "")]
+    for r in rows[3:]:
+        assert (r.value, r.error_flag) == (None, "ParameterError"), r
+
+
 def test_clamp_warnings_name_the_callers_line(tmp_path):
     """fig9's clamped sop1 asymptote rows warn from their plans' finish
     steps, inside _evaluate; each warning names the line of this file that
@@ -803,6 +830,44 @@ def test_failing_quadrature_cell_flags_only_its_row(tmp_path, monkeypatch):
             flagged.append((curve, g))
     assert flagged == [
         (label, "Ud_db,20,sop2,exact_quadrature,,,,AccuracyError")]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_mc_cells_flag_only_their_curve(jobs, tmp_path, monkeypatch):
+    """fig1 at 3 points with MC cells only: the cells of the three curves at
+    a grid index share one stream, and a step builder that raises for the
+    phi_se_db = 0 curve flags that curve's MC rows alone; the run exits 3
+    and the other curves' rows, drawn from the same streams without it,
+    equal an unpatched run's byte for byte."""
+    argv = ["--preset", "fig1", "--points", "3", "--evaluators", "mc",
+            "--mc-samples", "2000", "--jobs", jobs]
+    clean = tmp_path / "clean.csv"
+    assert main(argv + ["--out", str(clean)]) == 0
+    preset = figure_preset("fig1")
+    bad_label, bad_cfg = preset.curves[1]
+    assert bad_label == "phi_se_db=0"
+    build = cli._MC["spsc1"]
+
+    def failing(cfg, **kwargs):
+        # _with_axis on phi_sr_db keeps the curve's eavesdropper link
+        if cfg.rf_eve is bad_cfg.rf_eve:
+            raise RfsoError("synthetic failure")
+        return build(cfg, **kwargs)
+    monkeypatch.setitem(cli._MC, "spsc1", failing)
+    monkeypatch.setattr(cli, "figure_preset", lambda _: preset)
+    out = tmp_path / "failing.csv"
+    assert main(argv + ["--out", str(out)]) == 3
+    curve, flagged = None, 0
+    for g, w in zip(out.read_text().splitlines(),
+                    clean.read_text().splitlines(), strict=True):
+        if g.startswith("# curve: "):
+            curve = g[len("# curve: "):]
+        if curve == bad_label and g.startswith("phi_sr_db,"):
+            assert g == ",".join(w.split(",")[:4]) + ",,,,RfsoError"
+            flagged += 1
+        else:
+            assert g == w
+    assert flagged == 3
 
 
 def test_cli_scenario2_eps_axis_sets_both_links(capsys):

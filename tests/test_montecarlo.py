@@ -198,41 +198,39 @@ def test_estimators_equal_the_frozen_samplers(metric, options, cfg1, cfg2):
 def test_cells_on_one_stream_keep_their_own_counts_and_failures(cfg2):
     """Cells that start from one stream share draws where their generator
     calls agree, and still count what each counts alone.  An inverse-CDF
-    link that no grid spans fails its own cell only, and the cells drawn
-    after it in the walk are unaffected."""
+    link that no grid spans fails where its cell's steps are built, so no
+    walk ever holds it."""
     narrow = Scenario2Config(
         rf_main=cfg2.rf_main,
         fso_main=cfg2.fso_main.with_eps(3e-3),
         fso_eve=cfg2.fso_eve.with_eps(3e-3), target_rate=0.5)
+    with pytest.raises(ParameterError, match="no grid spans it"):
+        montecarlo._spsc2(narrow, inverse_cdf_fso=True)
     cells = [montecarlo._spsc2(cfg2, inverse_cdf_fso=True),
-             montecarlo._spsc2(narrow, inverse_cdf_fso=True),
              montecarlo._sop2(cfg2), montecarlo._spsc2(cfg2),
              montecarlo._sop2(narrow, exact_event=True)]
     n = 5000
     hits = montecarlo._count_hits(cells, n, RngStream(3, 9))
-    assert isinstance(hits[1], ParameterError)
     alone = [estimate_spsc2(cfg2, n, RngStream(3, 9), inverse_cdf_fso=True),
-             None, estimate_sop2(cfg2, n, RngStream(3, 9)),
+             estimate_sop2(cfg2, n, RngStream(3, 9)),
              estimate_spsc2(cfg2, n, RngStream(3, 9)),
              estimate_sop2(narrow, n, RngStream(3, 9), exact_event=True)]
-    for count, est in zip(hits, alone):
-        if est is not None:
-            assert MCEstimate.from_counts(count, n) == est
+    for count, est in zip(hits, alone, strict=True):
+        assert MCEstimate.from_counts(count, n) == est
 
 
 def test_inverse_cdf_tables_are_built_once_per_estimate(cfg2, monkeypatch):
     """An estimate over eight substreams builds each inverse-CDF link's
-    CDF table once and reuses it on every substream, with the counts of
-    the frozen sampler, which builds a table per draw."""
+    CDF table once, with its steps, and reuses it on every substream, with
+    the counts of the frozen sampler, which builds a table per draw."""
     builds = []
 
     def table(link):
         builds.append(link)
         return table_of(link)
 
-    table_of = montecarlo._DGG_INVERSE_CDF.table
-    monkeypatch.setattr(montecarlo, "_DGG_INVERSE_CDF",
-                        montecarlo._DGG_INVERSE_CDF._replace(table=table))
+    table_of = montecarlo._cdf_table
+    monkeypatch.setattr(montecarlo, "_cdf_table", table)
     n, rng = 8000, RngStream(5, 2)
     est = estimate_spsc2(cfg2, n, rng, n_streams=8, inverse_cdf_fso=True)
     assert [id(link) for link in builds] == [id(cfg2.fso_main),

@@ -57,8 +57,8 @@ def instantaneous_sc_scenario1(gamma_d, gamma_re) -> np.ndarray:
     [log2(1+gamma_d) - log2(1+gamma_re)]^+ in bits/s/Hz."""
     gd = np.asarray(gamma_d, dtype=float)
     ge = np.asarray(gamma_re, dtype=float)
-    if np.any(gd < 0) or np.any(ge < 0):
-        raise ParameterError("SNRs must be >= 0")
+    if not (np.all(gd >= 0) and np.all(ge >= 0)):
+        raise ParameterError("SNRs must be >= 0 (and not NaN)")
     return np.maximum(0.0, np.log2(1.0 + gd) - np.log2(1.0 + ge))
 
 
@@ -69,8 +69,8 @@ def instantaneous_sc_scenario2(gamma_r0, gamma_d0, gamma_de) -> np.ndarray:
     gr = np.asarray(gamma_r0, dtype=float)
     gd = np.asarray(gamma_d0, dtype=float)
     ge = np.asarray(gamma_de, dtype=float)
-    if np.any(gr < 0) or np.any(gd < 0) or np.any(ge < 0):
-        raise ParameterError("SNRs must be >= 0")
+    if not (np.all(gr >= 0) and np.all(gd >= 0) and np.all(ge >= 0)):
+        raise ParameterError("SNRs must be >= 0 (and not NaN)")
     t_s = 0.5 * np.log2(1.0 + gr)
     t_r = np.maximum(0.0, 0.5 * (np.log2(1.0 + gd) - np.log2(1.0 + ge)))
     return np.minimum(t_s, t_r)

@@ -337,19 +337,16 @@ def _evaluate(plans, options: EvalOptions = TIGHT_OPTIONS,
 
     def run(calls):
         """One pass over the calls, each the slots (plan, request) of one
-        integrand: a stacked value_many, or the lone call's residues for
-        each family member (MellinBarnesIntegral._members)."""
+        integrand: a stacked value_many, or the lone call's residues, all
+        its family members' in one residue call."""
         slots = [slot for call in calls for slot in call]
         factors, _, count = request(slots[0])
         ln_w = [request(slot)[1] for slot in slots]
         lnz = np.concatenate(ln_w)
         try:
             if residues:
-                mb = integrands[factors]
-                out = np.array([_leading_residues(
-                    mb._members(0, k), lnz, options.pole_separation_tol)
-                    for k in range(count)])
-                out = out if count > 1 else out[0]
+                out = _leading_residues(integrands[factors], count, lnz,
+                                        options.pole_separation_tol)
             else:
                 stack = MellinBarnesIntegral._stack(
                     [integrands[request(call[0])[0]] for call in calls],
@@ -500,19 +497,21 @@ def _distinct(values, tol: float) -> np.ndarray:
     return values[np.sort(order[keep])]
 
 
-def _leading_residues(mb: MellinBarnesIntegral, ln_w, tol):
-    """The integral of mb from the residues at the leading poles of a DGG
-    kernel K(s*v) or K(-s*v), whose factors lead mb's lists: the pole of
-    its pointing factor 1/(a + b*v), the first linear one, and the |b| =
-    s*lambda poles -(a + k)/b, k < |b|, of each of its two gamma factors
-    Gamma(a + b*v), the first two numerator ones (one per ladder entry of
-    the paper's G-form); every distinct pole once (poles of two factors
-    that meet make a double pole): left poles for b > 0, whose residues
-    add, right ones for b < 0, whose residues subtract."""
+def _leading_residues(mb: MellinBarnesIntegral, count: int, ln_w, tol):
+    """The integrals of mb's family members 0..count-1, from one residue call
+    on their stack (mb itself at count 1), at the leading poles they share,
+    those of a DGG kernel K(s*v) or K(-s*v), whose factors lead mb's lists:
+    the pole of its pointing factor 1/(a + b*v), the first linear one, and
+    the |b| = s*lambda poles -(a + k)/b, k < |b|, of each of its two gamma
+    factors Gamma(a + b*v), the first two numerator ones (one per ladder
+    entry of the paper's G-form); every distinct pole once (poles of two
+    factors that meet make a double pole): left poles for b > 0, whose
+    residues add, right ones for b < 0, whose residues subtract."""
     a, b = mb.linear[0]
     poles = _distinct(np.concatenate([[-a / b]] + [
         -(q + np.arange(abs(p))) / p for q, p in mb.numer[:2]]), tol)
-    return np.sign(b) * mb.residue(poles, ln_w, tol).sum(axis=0)
+    rows = mb._members(0, np.arange(count)) if count > 1 else mb
+    return np.sign(b) * rows.residue(poles, ln_w, tol).sum(axis=-2)
 
 
 def sop1_lower(cfg: Scenario1Config,

@@ -278,8 +278,8 @@ class MellinBarnesIntegral:
 
     def residue(self, poles, ln_arguments,
                 tol: float = EvalOptions.pole_separation_tol):
-        """Residues of the integrand at the distinct poles v0, shape (poles,
-        arguments), for poles of any order.
+        """Residues at the distinct poles v0, of any order: shape (poles,
+        arguments), or (rows, poles, arguments) for a stack of several rows.
 
         A factor Gamma(a + b*v) has a pole at v0 where a + b*v0 is within
         tol*|b| of some -k, a linear factor 1/(a + b*v) where it is within
@@ -297,13 +297,13 @@ class MellinBarnesIntegral:
         """
         v0 = np.atleast_1d(np.asarray(poles, dtype=float))[:, None]
         lnz = np.atleast_1d(np.asarray(ln_arguments, dtype=float))
-        b, side, lb = self._b[0], self._sign, self._lb[0]
-        x = self._a[0] + b * v0
+        b, side, lb = self._b[:, None, :], self._sign, self._lb[:, None, :]
+        x = self._a[:, None, :] + b * v0
         k = np.round(-x)
         pole = (k >= 0) & (np.abs(x + k) <= tol * np.abs(b))
-        xl = self._la[0] + lb * v0
+        xl = self._la[:, None, :] + lb * v0
         lpole = np.abs(xl) <= tol * np.abs(lb)
-        m = pole @ side + lpole.sum(axis=1)
+        m = (pole @ side + lpole.sum(axis=-1)).astype(int)
         # a pole factor adds (-1)^k / (k! b) to the delta^-m coefficient and
         # log Gamma(1 + k - y) to the series, a regular one Gamma(x) and
         # log Gamma(x + y); a linear factor 1/b or 1/x; the logs add up one
@@ -312,12 +312,12 @@ class MellinBarnesIntegral:
         rl = np.where(lpole, lb, xl)
         lg = gammaln(xc)
         lg = np.cumsum(np.concatenate([
-            np.full(v0.shape, self._log_consts[0]),
+            np.repeat(self._log_consts[:, None, None], len(v0), axis=1),
             side * np.where(pole, -lg - np.log(np.abs(b)), lg),
-            -np.log(np.abs(rl))], axis=1), axis=1)[:, -1:]
+            -np.log(np.abs(rl))], axis=-1), axis=-1)[..., -1:]
         sg = (np.where(pole, np.where(k % 2, -1.0, 1.0) * np.sign(b),
-                       gammasgn(xc)).prod(axis=1, keepdims=True)
-              * np.sign(rl).prod(axis=1, keepdims=True))
+                       gammasgn(xc)).prod(axis=-1, keepdims=True)
+              * np.sign(rl).prod(axis=-1, keepdims=True))
         out = sg * np.exp(lg - v0 * lnz)
         order = int(m.max(initial=1))
         if order > 1:
@@ -327,16 +327,16 @@ class MellinBarnesIntegral:
                      * polygamma(j - 1, xc) / factorial(j))
                 if j % 2 == 0:
                     t = t + pole * 2.0 * zeta(j) / j
-                c.append((side * t * b**j).sum(axis=1, keepdims=True)
+                c.append((side * t * b**j).sum(axis=-1, keepdims=True)
                          + np.where(lpole, 0.0, (-lb / rl)**j / j).sum(
-                             axis=1, keepdims=True))
+                             axis=-1, keepdims=True))
             c[1] = c[1] - lnz
             e = [np.ones_like(out)]
             for n in range(1, order):
                 e.append(sum(j * c[j] * e[n - j] for j in range(1, n + 1)) / n)
-            out = out * np.stack(e)[np.maximum(m - 1, 0).astype(int),
-                                    np.arange(m.size)]
-        return np.where(m[:, None] > 0, out, 0.0)
+            out = out * np.choose(m[..., None] - 1, e, mode="clip")
+        out = np.where(m[..., None] > 0, out, 0.0)
+        return out if len(out) > 1 else out[0]
 
     # -- contour placement -------------------------------------------------
 

@@ -89,6 +89,19 @@ def test_domain_errors(channel):
         instantaneous_sc_scenario1(-1.0, 0.0)
 
 
+@pytest.mark.parametrize("fn, args", [
+    (instantaneous_sc_scenario1, (np.nan, 1.0)),
+    (instantaneous_sc_scenario1, (1.0, [0.5, np.nan])),
+    (instantaneous_sc_scenario2, (np.nan, 1.0, 1.0)),
+    (instantaneous_sc_scenario2, (1.0, np.nan, 1.0)),
+    (instantaneous_sc_scenario2, (1.0, 1.0, [0.5, np.nan]))])
+def test_instantaneous_rates_reject_nan_snrs(fn, args):
+    """A NaN SNR is outside the domain, as it is for the laws: it raises
+    rather than passing a >= 0 check that only looks for negatives."""
+    with pytest.raises(ParameterError):
+        fn(*args)
+
+
 def test_sc1_point_values():
     assert float(instantaneous_sc_scenario1(3.0, 1.0)) == pytest.approx(1.0)
     assert float(instantaneous_sc_scenario1(1.0, 3.0)) == 0.0

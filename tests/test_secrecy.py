@@ -17,7 +17,8 @@ from rfso_secrecy import (EtaMuLink, RngStream, Scenario1Config,
                           spsc1, spsc2)
 from rfso_secrecy.errors import (AccuracyError, ClampExcessWarning,
                                  ParameterError, RfsoError)
-from rfso_secrecy import secrecy
+from rfso_secrecy import MellinBarnesIntegral, secrecy
+from rfso_secrecy.cli import _with_axis
 from rfso_secrecy.presets import figure_preset
 from rfso_secrecy.secrecy import _clamp_unit
 
@@ -581,6 +582,67 @@ def test_sop2_asymptote_finite_on_dense_ladder():
     cfg = _sc2(turb="mt", s0=2, se=2, ud_db=60.0)
     v = sop2_asymptotic(cfg)
     assert np.isfinite(v) and 0.0 <= v <= 1.0
+
+
+def _leading_poles(mb):
+    """The poles secrecy._leading_residues takes, with the candidates they
+    come from."""
+    a, b = mb.linear[0]
+    candidates = np.concatenate([[-a / b]] + [
+        -(q + np.arange(abs(p))) / p for q, p in mb.numer[:2]])
+    return secrecy._distinct(candidates, 1e-8), candidates
+
+
+@pytest.mark.parametrize("figure,members", [
+    ("fig3", None), ("fig6", None),
+    # the plan asks for one member; three make a stack of double poles
+    ("fig9", 3)])
+def test_family_residues_in_one_call_equal_each_members(figure, members):
+    """residue on a family's member stack gives, row by row, the residues
+    each member gives alone, to the bit: fig3's SOP1 Laplace families (5
+    members), fig6's (7), and fig9's double-Weibull ladder, whose two
+    gamma ladders meet in double poles.  The ln-arguments are those of the
+    presets' 21-point plans, the overflowing ones of fig6 included."""
+    preset = figure_preset(figure)
+    sweep = preset.sweep
+    for label, cfg in preset.curves:
+        if figure == "fig9" and label != "rayleigh/double-weibull":
+            continue
+        requests = [secrecy._sop1_plans(point, [
+            point.fso_main.electrical_snr])[0].requests[0]
+            for point in (_with_axis(cfg, sweep.axis, v) for v in
+                          np.linspace(sweep.start, sweep.stop, 21))]
+        factors, _, count = requests[0]
+        assert all(r[0] == factors and r[2] == count for r in requests)
+        lnz = np.concatenate([r[1] for r in requests])
+        mb = MellinBarnesIntegral(*factors)
+        poles, candidates = _leading_poles(mb)
+        if figure == "fig9":
+            assert poles.size < candidates.size
+        K = members or count
+        assert K > 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = mb._members(0, np.arange(K)).residue(poles, lnz)
+            assert stack.shape == (K, poles.size, lnz.size)
+            for k in range(K):
+                assert np.array_equal(
+                    stack[k], mb._members(0, k).residue(poles, lnz),
+                    equal_nan=True), (label, k)
+
+
+def test_sop1_asymptote_makes_one_residue_call(monkeypatch):
+    """fig3's wt/s0=1 asymptote asks for its 5-member family's residues in
+    one call, not one call per member."""
+    cfg = dict(figure_preset("fig3").curves)["wt/s0=1"]
+    calls = []
+    original = MellinBarnesIntegral.residue
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(self._a))
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(MellinBarnesIntegral, "residue", counted)
+    sop1_asymptotic(cfg)
+    assert calls == [5]
 
 
 # ---------------------------------------------------------------------------

@@ -245,12 +245,16 @@ def _with_axis(cfg, axis: str, value: float):
 
 def _check_axis_range(sweep: SweepSpec, curves):
     """ConfigError unless every curve's config accepts both ends of the
-    sweep (_with_axis).  Each parameter's domain is an interval, so every
-    point between the ends is valid too."""
+    sweep (_with_axis; an electrical SNR's domain is every curve's, so its
+    ends are checked once).  Each parameter's domain is an interval, so
+    every point between the ends is valid too."""
     for v in (sweep.start, sweep.stop):
         try:
-            for _, cfg in curves:
-                _with_axis(cfg, sweep.axis, v)
+            if sweep.axis in ("Ud_db", "Ue_db"):
+                DggLink._checked_snr(_db(v))
+            else:
+                for _, cfg in curves:
+                    _with_axis(cfg, sweep.axis, v)
         except ParameterError as exc:
             raise ConfigError(f"{sweep.axis} = {v:g} is outside its "
                               f"domain: {exc}") from None

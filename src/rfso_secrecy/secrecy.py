@@ -447,44 +447,54 @@ def _family(H, p):
     return rates, count, gather
 
 
-def _sop1_plans(cfg: Scenario1Config, snrs,
-                label: str = "sop1_lower") -> list:
-    """The scenario-1 outage sum's plan at each electrical SNR U_d of snrs
-    (the main FSO link's; cfg's own is not read).
+def _min_plans(cfg: Scenario1Config, snrs, phi: float, kernel,
+               finish) -> list:
+    """The plans of P(min(gamma_r0, gamma_d0) > phi gamma_re) at each
+    electrical SNR U_d of snrs (the main FSO link's; cfg's own is not read).
 
-    1 - SOP1 = int f_e(g) S_0(phi g) S_d(phi g) dg is one sum over pairs of
-    a main survival kernel and an eavesdropper density kernel, each pair a
-    Gamma(p + 1, rate F) average of S_d(phi g), F = phi lam_0 + lam_e.
-    That average is 1 - (e^A / tau) (p + 1) T_p, A the link's ln_norm, at
-    ln_w = fso.ln_cdf_argument(phi / F), T_p member p of the family
-    _laplace(fso._cdf_factors, tau, 1): the full slope-tau kernel (lower
-    bound), whose values the requests ask for, or its leading residues
-    (asymptote).  Only ln_w depends on U_d, so the pairs, the family, the
-    weights and the finish step are built once and the points share them.
-    """
-    fso, phi1 = cfg.fso_main, cfg.phi1
+    That is int f_e(g) S_0(phi g) S_d(phi g) dg: one sum over pairs of a
+    main survival kernel and an eavesdropper density kernel, each a
+    Gamma(p + 1, rate F) average of S_d(phi g), F = phi lam_0 + lam_e.  The
+    average of kernel's law (the DGG survival or CDF) is (e^A / tau) (p + 1)
+    T_p, A the link's ln_norm, T_p member p of the family _laplace(kernel,
+    tau, 1) at ln_w = fso.ln_cdf_argument(phi / F).  finish(weight,
+    average) turns the pairs' weights and averages into the metric.  Only
+    ln_w depends on U_d, so the points share everything else."""
+    fso = cfg.fso_main
     lam0, x0, _, W0 = _poisson_grid(cfg.rf_main)
     lame, xe, we, _ = _poisson_grid(cfg.rf_eve)
-    c, F, p = _pairs(x0, phi1 * lam0, xe, lame)
+    c, F, p = _pairs(x0, phi * lam0, xe, lame)
     rates, count, tail = _family(F, p)
-    factors = _laplace(fso._cdf_factors, fso.tau, 1)
+    factors = _laplace(kernel, fso.tau, 1)
     weight = W0[:, None] * we * c * lame / F
     scale = exp(fso.ln_norm) / fso.tau * (p + 1)
 
-    def finish(values):
-        terms = weight * (1.0 - scale * tail(values))
-        return _unit_sum(terms.ravel(), label, complement=True)
-    return [_Plan([(factors, ln_w, count)], finish) for ln_w in _ln_arguments(
-        fso.s * fso.ln_scale, fso.tau, phi1 / rates, snrs)]
+    def finish_values(values):
+        return finish(weight, scale * tail(values))
+    return [_Plan([(factors, ln_w, count)], finish_values)
+            for ln_w in _ln_arguments(fso.s * fso.ln_scale, fso.tau,
+                                      phi / rates, snrs)]
+
+
+def _sop1_plans(cfg: Scenario1Config, snrs,
+                label: str = "sop1_lower") -> list:
+    """The scenario-1 outage sum's plan at each electrical SNR U_d of snrs:
+    1 - SOP1 = P(min(gamma_r0, gamma_d0) > phi1 gamma_re) (_min_plans) at
+    the CDF kernel, each pair's average of S_d taken as 1 minus that of
+    F_d, from the full slope-tau kernel (lower bound), whose values the
+    requests ask for, or its leading residues (asymptote)."""
+    return _min_plans(cfg, snrs, cfg.phi1, cfg.fso_main._cdf_factors,
+                      lambda weight, cdf: _unit_sum(
+                          (weight * (1.0 - cdf)).ravel(), label,
+                          complement=True))
 
 
 def _laplace(kernel, slope: float, z: int) -> tuple:
     """The factors of a Laplace block of the scenario-1 sums: a DGG link
-    kernel's (_cdf_factors, _sf_factors or _pdf_factors, or an integrand's
-    numer, denom and linear) against the Laplace kernel
-    Gamma(z - slope*v) / z!.  Every Laplace kernel here comes divided by
-    z!, as the members of the engine's families do, which keeps blocks of
-    any z in double range."""
+    kernel's (_cdf_factors or _sf_factors, or any integrand's numer, denom
+    and linear) against the Laplace kernel Gamma(z - slope*v) / z!.  Every
+    Laplace kernel here comes divided by z!, as the members of the
+    engine's families do, which keeps blocks of any z in double range."""
     return (kernel.numer + ((float(z), -float(slope)),), kernel.denom,
             kernel.linear, -lgamma(z + 1))
 
@@ -567,38 +577,13 @@ def sop1_exact_quadrature(cfg: Scenario1Config, abs_tol: float = 1e-7) -> float:
 
 
 def _spsc1_plans(cfg: Scenario1Config, snrs) -> list:
-    """The scenario-1 SPSC sum's plan at each electrical SNR U_d of snrs, its
-    pairs, families, weights and finish step shared (see _sop1_plans).
-
-    With f_min = f_0 S_d + S_0 f_d the density of the minimum, SPSC1 is
-    int f_min (1 - S_e) dg: one sum over pairs of a main kernel and a kernel
-    of 1 - S_e (a unit term at rate 0, then -S_e's).  Each pair is a
-    Gamma(p + 1, rate H) average of S_d (survival block, the survival
-    kernel against Gamma(z - tau*v) / z!) or a Poisson weight of f_d
-    (density block, the density kernel against Gamma(z - tau*v/s) / z!),
-    H = lam_0 + lam_e, each without the H^-z."""
-    fso = cfg.fso_main
-    tau, s = fso.tau, fso.s
-    lam0, x0, w0, W0 = _poisson_grid(cfg.rf_main)
-    lame, xe, _, We = _poisson_grid(cfg.rf_eve)
-    c, H, p = _pairs(x0, lam0, np.append(0, xe), np.append(0.0, lame))
-    c *= np.append(1.0, -We)
-    rates, count, gather = _family(H, p)
-    sf_factors = _laplace(fso._sf_factors, tau, 1)
-    pdf_factors = _laplace(fso._pdf_factors, tau / s, 0)
-    sf_weight = (c * (w0 * lam0)[:, None] / H * (exp(fso.ln_norm) / tau)
-                 * (p + 1))
-    pdf_weight = c * W0[:, None] * (exp(fso.ln_norm) / s)
-
-    def finish(values):
-        terms = np.concatenate([sf_weight * gather(values[:1]),
-                                pdf_weight * gather(values[1:])])
-        return _unit_sum(terms.ravel(), "spsc1")
-    return [_Plan([(sf_factors, sf_w, count), (pdf_factors, pdf_w, count)],
-                  finish)
-            for sf_w, pdf_w in zip(
-                _ln_arguments(s * fso.ln_scale, tau, 1.0 / rates, snrs),
-                _ln_arguments(fso.ln_scale, tau / s, 1.0 / rates, snrs))]
+    """The scenario-1 SPSC sum's plan at each electrical SNR U_d of snrs:
+    SPSC1 = P(min(gamma_r0, gamma_d0) > gamma_re) (_min_plans at phi = 1)
+    at the survival kernel, a plain sum: each pair's average of S_d is
+    read from its family, with no unit term to cancel."""
+    return _min_plans(cfg, snrs, 1.0, cfg.fso_main._sf_factors,
+                      lambda weight, sf: _unit_sum((weight * sf).ravel(),
+                                                   "spsc1"))
 
 
 def spsc1(cfg: Scenario1Config, options: EvalOptions = TIGHT_OPTIONS) -> float:

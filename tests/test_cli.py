@@ -298,7 +298,8 @@ def test_failure_in_a_cross_curve_pass_stays_with_its_cell(tmp_path,
     def ln_args(curve, v):
         plan = _point_plan(cli._CLOSED["spsc1"], curve, sweep.axis, v)
         return np.concatenate([ln_w for _, ln_w, _ in plan.requests])
-    # an argument of no other cell (the curves' unit terms coincide)
+    # an argument of no other cell (two cells share an argument where
+    # their rates lam_0 + lam_e meet)
     others = np.concatenate([
         ln_args(curve, v) for name, curve in preset.curves
         for v in np.linspace(sweep.start, sweep.stop, sweep.points)
@@ -786,6 +787,31 @@ def test_cli_axis_outside_the_parameter_domain_exits_2(capsys, monkeypatch,
     monkeypatch.setattr(cli, "_run_curves", None)
     assert main(argv + ["--points", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--preset", "fig3", "--axis", "Ud_db", "--stop", "4000"],
+     "Ud_db = 4000 is outside its domain: 4000.0 dB has no finite linear "
+     "value"),
+    (["--preset", "fig2", "--axis", "Ue_db", "--start", "-4000"],
+     "Ue_db = -4000 is outside its domain: electrical_snr must be positive "
+     "and finite"),
+    (["--preset", "fig5", "--axis", "Ud_db"], None)])
+def test_electrical_snr_axis_ends_are_checked_without_configs(
+        capsys, monkeypatch, argv, message):
+    """An electrical SNR's domain is the same for every curve, so the ends
+    of a U_d or U_e sweep are checked without a config per curve: no
+    _with_axis call, and the error text of one."""
+    monkeypatch.setattr(cli, "_run_curves", lambda cfgs, sweep, jobs: [
+        [] for _ in cfgs])
+    copies = _count_calls(monkeypatch, cli, "_with_axis")
+    status = main(argv + ["--points", "2"])
+    assert copies == []
+    if message is None:
+        assert status == 0
+    else:
+        assert status == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_failing_quadrature_cell_flags_only_its_row(tmp_path, monkeypatch):

@@ -437,6 +437,66 @@ def test_scenario2_rejects_mismatched_shapes():
 
 
 # ---------------------------------------------------------------------------
+# the small side of SPSC1
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("label,axis,value,reference,rel", [
+    ("phi_se_db=10", "phi_sr_db", -20.0, 2.060842363061305e-09, 1e-9),
+    ("phi_se_db=-10", "phi_se_db", 50.0, 3.084431524992508e-14, 1e-6)])
+def test_spsc1_small_side_matches_quadrature(label, axis, value, reference,
+                                             rel):
+    """fig1's SPSC1 where it is small: at phi_sr -20 dB on its own axis,
+    and at phi_se 50 dB on the eavesdropper's.  A sum that carried a unit
+    term of 1 - S_e had only its absolute rounding there: 8.5e-7 and
+    5.5e-2 relative.
+
+    The references are scipy.integrate.quad of f_e(g) S_0(g) S_d(g) g over
+    ln g on [-40, 15] (epsabs 0, epsrel 1e-11, limit 500), with
+    eta_mu_pdf, EtaMuLink.survival and dgg_survival at scalar arguments;
+    quad's own error estimates were 6.4e-13 and 1.7e-14 relative."""
+    cfg = _with_axis(dict(figure_preset("fig1").curves)[label], axis, value)
+    assert spsc1(cfg) == pytest.approx(reference, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("ud_db", [60.0, 75.0])
+def test_tiny_spsc1_is_positive_below_the_rf_bound(ud_db):
+    """A weak main RF link (eta 0.001, mu 2, 0 dB) against a strong
+    eavesdropper (eta 3, mu 8, 30 dB) over an mt IM/DD hop (eps 0.5):
+    SPSC1 is about 3e-32, and P(gamma_r0 > gamma_re), by quadrature of the
+    eta-mu laws over ln g, bounds it from above at any U_d."""
+    from scipy.integrate import quad
+    from rfso_secrecy.channels import eta_mu_pdf
+    rf_main, rf_eve = EtaMuLink(0.001, 2, 1.0), EtaMuLink(3.0, 8, db(30.0))
+
+    def integrand(x):
+        g = np.array([math.exp(x)])
+        return float(eta_mu_pdf(rf_eve, g)[0] * rf_main.survival(g)[0]) * g[0]
+    bound = quad(integrand, -30.0, 12.0, epsabs=0.0, epsrel=1e-10,
+                 limit=200)[0]
+    cfg = Scenario1Config(rf_main, rf_eve, dgg_from_preset(
+        "mt", eps=0.5, detection=2, electrical_snr=db(ud_db)))
+    assert 0.0 < spsc1(cfg) <= bound
+
+
+@pytest.mark.parametrize("label,rates", [
+    ("phi_se_db=10", 3), ("phi_se_db=0", 4), ("phi_se_db=-10", 4)])
+def test_spsc1_plan_is_one_survival_family(label, rates):
+    """Each SPSC1 plan asks for one family, the FSO survival kernel against
+    the Laplace kernel, at the distinct rates lam_0 + lam_e of its RF
+    Gamma terms (fig1's phi_se_db=10 curve has two equal RF links)."""
+    cfg = dict(figure_preset("fig1").curves)[label]
+    fso = cfg.fso_main
+    H = np.unique(np.add.outer(cfg.rf_main.terms[2], cfg.rf_eve.terms[2]))
+    assert H.size == rates
+    snrs = [db(0.0), db(20.0), db(40.0)]
+    for u, plan in zip(snrs, secrecy._spsc1_plans(cfg, snrs)):
+        (factors, ln_w, _), = plan.requests
+        assert factors == secrecy._laplace(fso._sf_factors, fso.tau, 1)
+        np.testing.assert_array_equal(
+            ln_w, fso.with_electrical_snr(u).ln_cdf_argument(1.0 / H))
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo agreement (moderate n here; the full matrix runs in acceptance)
 # ---------------------------------------------------------------------------
 
